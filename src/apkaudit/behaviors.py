@@ -9,12 +9,11 @@ being dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dex import CodeModel
-from .errors import RuleSchemaError
+from .errors import RuleSchemaError, read_data_file
 from .manifest import ManifestModel
 
 DEFAULT_RULES = Path(__file__).parent / "data" / "rules.json"
@@ -62,8 +61,7 @@ class BehaviorFinding:
 
 def load_rules(path=None) -> RuleSet:
     """Load a rules file, or the shipped defaults when path is omitted."""
-    p = Path(path) if path else DEFAULT_RULES
-    raw = json.loads(p.read_text())
+    raw = read_data_file(path or DEFAULT_RULES, as_json=True)
     if not isinstance(raw, list):
         raise RuleSchemaError("rules file must be a JSON array")
     rules: list[Rule] = []

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from .dex import CodeModel, parse_method_key
 
+# call-graph hops searched by the component audit and taint summaries
+DEFAULT_DEPTH = 5
+
 REFLECTIVE_NODE = "<reflective-call>"
 _REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
 

@@ -16,11 +16,12 @@ from pathlib import Path
 
 from . import acquire as acquire_mod
 from .axml import decode_axml, dump_tree
+from .callgraph import DEFAULT_DEPTH
 from .container import open_apk, read_entry
 from .dex import load_app_code
 from .dex.parser import dump_method
 from .errors import ApkAuditError
-from .report import AnalysisConfig, AppReport, aggregate, analyze_apk
+from .report import AnalysisConfig, AppReport, aggregate, analyze_apk, load_detection
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--susi", help="source/sink list replacing the default")
     p_scan.add_argument("--extra-sinks", help="supplementary sinks for INTERNET apps")
     p_scan.add_argument("--sensitive-apis")
-    p_scan.add_argument("--depth", type=int, default=5)
+    p_scan.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_scan.add_argument("--format", choices=["json", "table"], default="json")
     p_scan.add_argument("--timings", action="store_true")
@@ -56,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="aggregate per-app reports into a corpus summary")
     p_rep.add_argument("directory")
     p_rep.add_argument("--format", choices=["json", "table"], default="table")
-    p_rep.add_argument("--online", action="store_true", help="enable store-presence probe")
 
     p_dm = sub.add_parser("dump-manifest", help="decode and print an APK manifest")
     p_dm.add_argument("apk")
@@ -126,6 +126,8 @@ def _cmd_scan(args) -> int:
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR
+    # a bad data file stops the run before any APK; forked workers inherit the loaded data
+    load_detection(config)
 
     docs: list[dict] = []
     errors = 0

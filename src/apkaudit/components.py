@@ -8,15 +8,15 @@ APIs are searched through the call graph up to a configurable depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .callgraph import CallGraph, reachable_hits
-from .dex import CodeModel, parse_method_key
+from .callgraph import DEFAULT_DEPTH, CallGraph, reachable_hits
+from .dex import CodeModel, KeyMatcher, parse_method_key
+from .errors import read_data_file
 from .manifest import ManifestModel, is_exported, is_protected
 
 DEFAULT_APIS = Path(__file__).parent / "data" / "sensitive_apis.txt"
-DEFAULT_DEPTH = 5
 
 SENSITIVE_URIS = {
     "content://sms": "sms",
@@ -27,45 +27,16 @@ SENSITIVE_URIS = {
 }
 
 
-@dataclass
-class SensitiveApiList:
-    patterns: list[tuple[str, str]] = field(default_factory=list)  # (pattern, label)
-
-    @classmethod
-    def load(cls, path=None) -> "SensitiveApiList":
-        p = Path(path) if path else DEFAULT_APIS
-        patterns = []
-        for line in p.read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            pattern, _, label = line.partition(" ")
-            patterns.append((pattern, label.strip() or "sensitive"))
-        return cls(patterns)
-
-    def match(self, key: str) -> str | None:
-        """Return the data-kind label when the method key matches a pattern."""
-        for pattern, label in self.patterns:
-            if match_key_pattern(pattern, key):
-                return label
-        return None
-
-
-def match_key_pattern(pattern: str, key: str) -> bool:
-    """Key matching for API/taint lists.
-
-    Exact key, class wildcard (``Lcls;->*``), name-prefix wildcard
-    (``Lcls;->put*``) or proto-insensitive (``Lcls;->name``).
-    """
-    if pattern == key:
-        return True
-    if pattern.endswith("->*"):
-        return key.startswith(pattern[:-1])
-    if pattern.endswith("*"):
-        return key.startswith(pattern[:-1])
-    if "(" not in pattern:
-        return key.startswith(pattern + "(")
-    return False
+def load_sensitive_apis(path=None) -> KeyMatcher:
+    """Parse a ``pattern [label]`` API list; the shipped one when path is omitted."""
+    entries = []
+    for line in read_data_file(path or DEFAULT_APIS).splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        pattern, _, label = line.partition(" ")
+        entries.append((pattern, label.strip() or "sensitive"))
+    return KeyMatcher(entries)
 
 
 @dataclass(frozen=True)
@@ -90,12 +61,13 @@ def audit_components(
     man: ManifestModel,
     code: CodeModel,
     g: CallGraph,
-    apis: SensitiveApiList,
+    apis: KeyMatcher,
     depth: int = DEFAULT_DEPTH,
 ) -> tuple[list[ComponentFinding], list[str]]:
     """Returns (findings, warnings). Warnings cover declared-but-absent classes."""
     findings: dict[tuple[str, str, str], ComponentFinding] = {}
     warnings: list[str] = []
+    labels: dict[str, str] | None = None  # sensitive call-graph node → label
 
     for comp in man.components:
         if not is_exported(comp, man.target_sdk) or is_protected(comp):
@@ -133,11 +105,9 @@ def audit_components(
                 direct_apis.add(ins.resolved_ref)
 
         # call-graph search for APIs not hit directly
-        targets = {
-            node: apis.match(node)
-            for node in g.nodes()
-            if apis.match(node) is not None and node not in direct_apis
-        }
+        if labels is None:
+            labels = {node: label for node in g.nodes() if (label := apis.match(node)) is not None}
+        targets = {node: label for node, label in labels.items() if node not in direct_apis}
         if targets:
             for root, target, path in reachable_hits(g, roots, set(targets), depth):
                 containing = path[-1]

@@ -9,7 +9,6 @@ Signing Block (v2/v3) that sits just before the central directory.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import struct
 import zipfile
@@ -25,6 +24,7 @@ from .errors import (
     EntryMissingError,
     MalformedSigningBlockError,
     NotAZipError,
+    read_data_file,
 )
 
 log = logging.getLogger(__name__)
@@ -259,8 +259,7 @@ class AuthorityMap:
 
     @classmethod
     def load(cls, path=None) -> "AuthorityMap":
-        p = Path(path) if path else DEFAULT_AUTHORITY_MAP
-        return cls(json.loads(p.read_text()))
+        return cls(read_data_file(path or DEFAULT_AUTHORITY_MAP, as_json=True))
 
     def label(self, signer: SignerInfo | None) -> str:
         if signer is None:

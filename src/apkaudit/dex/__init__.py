@@ -3,6 +3,7 @@ from .model import (  # noqa: F401
     DexClass,
     DexMethod,
     Instruction,
+    KeyMatcher,
     format_method_key,
     parse_method_key,
 )

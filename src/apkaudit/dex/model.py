@@ -22,6 +22,32 @@ def parse_method_key(key: str) -> tuple[str, str, tuple[str, ...], str]:
     return cls, name, tuple(_split_descriptors(params_s)), ret
 
 
+class KeyMatcher:
+    """First-match lookup of method keys in an ordered ``[(pattern, value)]`` list.
+
+    A pattern is an exact key, a class wildcard (``Lcls;->*``), a name-prefix
+    wildcard (``Lcls;->put*``) or a proto-insensitive key (``Lcls;->name``).
+    ``match`` returns the value of the first listed pattern that matches.
+    """
+
+    def __init__(self, entries):
+        self._compiled = [(p, _pattern_prefix(p), v) for p, v in entries]
+
+    def match(self, key: str):
+        for exact, prefix, value in self._compiled:
+            if key == exact or (prefix is not None and key.startswith(prefix)):
+                return value
+        return None
+
+
+def _pattern_prefix(pattern: str) -> str | None:
+    if pattern.endswith("*"):
+        return pattern[:-1]
+    if "(" not in pattern:
+        return pattern + "("
+    return None
+
+
 def _split_descriptors(s: str) -> list[str]:
     out = []
     i = 0

@@ -133,16 +133,6 @@ _op(0xFF, "const-method-type", "21c")
 OPCODES: dict[int, tuple[str, str, str]] = {c: (n, f, r) for c, n, f, r in _T}
 assert len(OPCODES) == 256
 
-INVOKE_OPS = set(range(0x6E, 0x73)) | set(range(0x74, 0x79))
-INVOKE_RANGE_OPS = set(range(0x74, 0x79))
-CONST_STRING_OPS = {0x1A, 0x1B}
-MOVE_RESULT_OPS = {0x0A, 0x0B, 0x0C}
-RETURN_VALUE_OPS = {0x0F, 0x10, 0x11}
-IGET_OPS = set(range(0x52, 0x59))
-IPUT_OPS = set(range(0x59, 0x60))
-SGET_OPS = set(range(0x60, 0x67))
-SPUT_OPS = set(range(0x67, 0x6E))
-
 # payload pseudo-instruction idents (full 16-bit opcode unit)
 PACKED_SWITCH_PAYLOAD = 0x0100
 SPARSE_SWITCH_PAYLOAD = 0x0200

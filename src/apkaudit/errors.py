@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all analysis modules."""
+"""Exception hierarchy shared by all analysis modules, and the data-file reader."""
+
+import json
+from pathlib import Path
 
 
 class ApkAuditError(Exception):
@@ -55,6 +58,19 @@ class UnknownMethodError(DexError):
 
 class AbstractMethodError(DexError):
     """Method exists but has no code item (abstract or native)."""
+
+
+class DataFileError(ApkAuditError):
+    """A detection data file is missing, unreadable or not valid JSON/UTF-8."""
+
+
+def read_data_file(path, as_json: bool = False):
+    """Text, or parsed JSON, of a detection data file; failures name the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFileError(f"data file {path}: {exc}") from exc
 
 
 class RuleSchemaError(ApkAuditError):

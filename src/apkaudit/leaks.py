@@ -21,16 +21,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .callgraph import CallGraph
-from .components import match_key_pattern
-from .dex import CodeModel, DexMethod
-from .errors import TaintSpecError
+from .callgraph import DEFAULT_DEPTH, CallGraph
+from .dex import CodeModel, DexMethod, KeyMatcher
+from .errors import TaintSpecError, read_data_file
 from .manifest import ManifestModel
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SPEC = Path(__file__).parent / "data" / "sources_sinks.txt"
-DEFAULT_DEPTH = 5
 SUMMARY_ITERATIONS = 3
 
 CHANNELS = {"network", "sms", "log", "shared_prefs", "intent", "file", "exec"}
@@ -45,21 +43,22 @@ _PRIMITIVES = {
 
 @dataclass
 class TaintSpec:
+    """Source and sink lists, compiled into matchers when the spec is built;
+    derive a new spec (``union``) rather than editing the lists."""
+
     sources: list[tuple[str, str, str]] = field(default_factory=list)  # (pattern, label, origin)
     sinks: list[tuple[str, str, str]] = field(default_factory=list)  # (pattern, channel, origin)
     warnings: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._sources = KeyMatcher((p, label) for p, label, _origin in self.sources)
+        self._sinks = KeyMatcher((p, channel) for p, channel, _origin in self.sinks)
+
     def match_source(self, key: str) -> str | None:
-        for pattern, label, _origin in self.sources:
-            if match_key_pattern(pattern, key):
-                return label
-        return None
+        return self._sources.match(key)
 
     def match_sink(self, key: str) -> str | None:
-        for pattern, channel, _origin in self.sinks:
-            if match_key_pattern(pattern, key):
-                return channel
-        return None
+        return self._sinks.match(key)
 
     def union(self, other: "TaintSpec") -> "TaintSpec":
         return TaintSpec(
@@ -77,24 +76,24 @@ def load_taint_spec(path=None, origin: str | None = None) -> TaintSpec:
     else:
         p = Path(path)
         origin = origin or "supplementary"
-    spec = TaintSpec()
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
+    sources, sinks, warnings = [], [], []
+    for lineno, line in enumerate(read_data_file(p).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             pattern, role, tag = _parse_spec_line(line)
         except ValueError as exc:
-            spec.warnings.append(f"{p.name}:{lineno}: {exc}")
+            warnings.append(f"{p.name}:{lineno}: {exc}")
             log.warning("%s:%d: unparseable line: %s", p.name, lineno, exc)
             continue
         if role == "_SOURCE_":
-            spec.sources.append((pattern, tag or "sensitive", origin))
+            sources.append((pattern, tag or "sensitive", origin))
         else:
-            spec.sinks.append((pattern, tag or "network", origin))
-    if not spec.sources and not spec.sinks:
+            sinks.append((pattern, tag or "network", origin))
+    if not sources and not sinks:
         raise TaintSpecError(f"{p}: no sources or sinks parsed")
-    return spec
+    return TaintSpec(sources, sinks, warnings)
 
 
 def _parse_spec_line(line: str) -> tuple[str, str, str | None]:

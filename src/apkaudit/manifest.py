@@ -27,7 +27,6 @@ class ComponentDecl:
     actions: list[str] = field(default_factory=list)
     categories: list[str] = field(default_factory=list)
     authorities: list[str] = field(default_factory=list)
-    element: AxmlElement | None = None
 
 
 @dataclass
@@ -92,7 +91,6 @@ def _component(kind: str, el: AxmlElement, package: str) -> ComponentDecl:
         class_name=_qualify(raw_name, package),
         exported_attr=exported if isinstance(exported, bool) else None,
         permission_attr=_opt_str(el.attr("permission")),
-        element=el,
     )
     if kind == "provider":
         comp.read_permission = _opt_str(el.attr("readPermission"))

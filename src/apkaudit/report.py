@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -11,13 +12,13 @@ from . import behaviors as behaviors_mod
 from . import components as components_mod
 from . import leaks as leaks_mod
 from .axml import decode_axml
-from .behaviors import BehaviorFinding
-from .callgraph import build_callgraph
-from .components import ComponentFinding, SensitiveApiList
+from .behaviors import BehaviorFinding, RuleSet
+from .callgraph import DEFAULT_DEPTH, build_callgraph
+from .components import ComponentFinding
 from .container import AuthorityMap, open_apk, read_entry
-from .dex import load_app_code
-from .errors import ApkAuditError, AxmlError, DexError, NotAZipError
-from .leaks import LeakFinding, augment_for_internet, load_taint_spec
+from .dex import KeyMatcher, load_app_code
+from .errors import ApkAuditError, AxmlError, DexError
+from .leaks import LeakFinding, TaintSpec, augment_for_internet, load_taint_spec
 from .manifest import ManifestModel, build_manifest
 
 log = logging.getLogger(__name__)
@@ -35,15 +36,40 @@ CATEGORY_ORDER = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
     rules_path: str | None = None
     taint_path: str | None = None
     extra_sinks_path: str | None = None
     apis_path: str | None = None
-    authority_map_path: str | None = None
-    depth: int = 5
+    depth: int = DEFAULT_DEPTH
     timings: bool = False
+
+
+@dataclass(frozen=True)
+class Detection:
+    """The detection data a config names, loaded by ``load_detection``."""
+
+    authorities: AuthorityMap
+    rules: RuleSet
+    apis: KeyMatcher
+    spec: TaintSpec
+    extra_sinks: TaintSpec | None
+
+
+@functools.lru_cache(maxsize=8)
+def load_detection(config: AnalysisConfig) -> Detection:
+    """Read the data files of a config once per process; later calls with an
+    equal config return the same object.  A missing or malformed file raises
+    ApkAuditError, and nothing is cached for that config."""
+    extra = config.extra_sinks_path
+    return Detection(
+        authorities=AuthorityMap.load(),
+        rules=behaviors_mod.load_rules(config.rules_path),
+        apis=components_mod.load_sensitive_apis(config.apis_path),
+        spec=load_taint_spec(config.taint_path),
+        extra_sinks=load_taint_spec(extra, origin="supplementary") if extra else None,
+    )
 
 
 @dataclass
@@ -171,17 +197,21 @@ class AppReport:
 
 
 def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") -> AppReport:
-    """Full pipeline for one APK; analyzer failures degrade to warnings."""
+    """Full pipeline for one APK; analyzer failures degrade to warnings.
+
+    The detection data of ``config`` is loaded on first use and cached per
+    process for each config (``load_detection``), so a bad data file raises
+    ApkAuditError before any APK is opened.
+    """
     config = config or AnalysisConfig()
+    data = load_detection(config)
     t0 = time.monotonic()
     timings: dict[str, float] = {}
 
     art = open_apk(path)  # invalid-apk propagates: no report without a container
     report = AppReport(sha256=art.sha256, device=device)
     report.warnings.extend(art.warnings)
-
-    amap = AuthorityMap.load(config.authority_map_path)
-    report.signer_label = amap.label(art.signers[0] if art.signers else None)
+    report.signer_label = data.authorities.label(art.signers[0] if art.signers else None)
 
     man: ManifestModel | None = None
     try:
@@ -210,34 +240,19 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         timings["callgraph"] = time.monotonic() - t
 
         t = time.monotonic()
-        try:
-            rules = behaviors_mod.load_rules(config.rules_path)
-            report.behaviors = behaviors_mod.scan_behaviors(code, man, rules, art.sha256)
-        except ApkAuditError as exc:
-            report.warnings.append(f"behaviors: {exc}")
+        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, art.sha256)
         timings["behaviors"] = time.monotonic() - t
 
         t = time.monotonic()
-        try:
-            apis = SensitiveApiList.load(config.apis_path)
-            comp_findings, comp_warnings = components_mod.audit_components(
-                man, code, graph, apis, config.depth
-            )
-            report.exported_components = comp_findings
-            report.warnings.extend(comp_warnings)
-        except ApkAuditError as exc:
-            report.warnings.append(f"components: {exc}")
+        report.exported_components, comp_warnings = components_mod.audit_components(
+            man, code, graph, data.apis, config.depth
+        )
+        report.warnings.extend(comp_warnings)
         timings["components"] = time.monotonic() - t
 
         t = time.monotonic()
-        try:
-            spec = load_taint_spec(config.taint_path)
-            if config.extra_sinks_path:
-                extra = load_taint_spec(config.extra_sinks_path, origin="supplementary")
-                spec = augment_for_internet(spec, man, extra)
-            report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
-        except ApkAuditError as exc:
-            report.warnings.append(f"leaks: {exc}")
+        spec = augment_for_internet(data.spec, man, data.extra_sinks)
+        report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
         timings["leaks"] = time.monotonic() - t
 
     timings["total"] = time.monotonic() - t0
@@ -267,7 +282,6 @@ class CorpusSummary:
     total_apps: int
     category_counts: dict[str, int]
     signer_distribution: dict[str, dict[str, str]]  # device → label → percent
-    play_presence: dict[str, int] | None = None
 
     def percent(self, category: str) -> str:
         if self.total_apps == 0:
@@ -282,7 +296,6 @@ class CorpusSummary:
                 for key, _label in CATEGORY_ORDER
             },
             "signer_distribution": self.signer_distribution,
-            "play_presence": self.play_presence,
         }
 
     def render_table(self) -> str:
@@ -329,22 +342,3 @@ def aggregate(reports: list[AppReport]) -> CorpusSummary:
         category_counts=counts,
         signer_distribution=distribution,
     )
-
-
-def check_play_presence(package: str, client=None) -> str:
-    """Optional store-presence enrichment.
-
-    Offline (no client) always answers "unknown".  A client is a callable
-    returning an HTTP status code for the store listing of the package.
-    """
-    if client is None:
-        return "unknown"
-    try:
-        status = client(package)
-    except Exception:  # noqa: BLE001 - network errors are never fatal
-        return "unknown"
-    if status == 200:
-        return "present"
-    if status == 404:
-        return "absent"
-    return "unknown"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
 
 from .conftest import EXTRA_SINKS
@@ -72,6 +74,35 @@ def test_scan_parallel_matches_serial(corpus, tmp_path):
     serial = {p.name: p.read_text() for p in out1.glob("*.json")}
     parallel = {p.name: p.read_text() for p in out2.glob("*.json")}
     assert serial == parallel
+
+
+BAD_DATA = {
+    "--rules": b"[{not json",
+    "--susi": b"no arrow here\n",
+    "--extra-sinks": b"La/B;->x -> _NEITHER_\n",
+    "--sensitive-apis": b"\xff\xfe not utf-8\n",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", ["missing", "malformed"])
+@pytest.mark.parametrize("flag", sorted(BAD_DATA))
+def test_scan_bad_data_file_stops_run(corpus, tmp_path, capsys, flag, kind, jobs):
+    src = tmp_path / "apks"
+    src.mkdir()
+    for name in ("silent_install", "listing5_leak"):
+        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    data = tmp_path / "data.txt"
+    if kind == "malformed":
+        data.write_bytes(BAD_DATA[flag])
+    out = tmp_path / "reports"
+    rc = main(["scan", str(src), "--out", str(out), "--jobs", jobs, flag, str(data)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(data) in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_dump_manifest(corpus, capsys):

@@ -1,11 +1,7 @@
 from apkaudit.axml import decode_axml
 from apkaudit.callgraph import build_callgraph
-from apkaudit.components import (
-    SensitiveApiList,
-    audit_components,
-    class_to_descriptor,
-    match_key_pattern,
-)
+from apkaudit.components import audit_components, class_to_descriptor, load_sensitive_apis
+from apkaudit.dex import KeyMatcher
 from apkaudit.dex.parser import parse_dex
 from apkaudit.manifest import build_manifest
 
@@ -15,19 +11,28 @@ from .fixtures.dex_writer import DexWriter, MethodDef
 
 def test_match_key_pattern():
     key = "La/B;->get(I)Ljava/lang/String;"
-    assert match_key_pattern(key, key)
-    assert match_key_pattern("La/B;->*", key)
-    assert match_key_pattern("La/B;->ge*", key)
-    assert match_key_pattern("La/B;->get", key)  # proto-insensitive
-    assert not match_key_pattern("La/B;->getX", key)
-    assert not match_key_pattern("La/C;->get", key)
-    assert not match_key_pattern("La/B;->get(J)V", key)
+
+    def matches(pattern):
+        return KeyMatcher([(pattern, "hit")]).match(key) == "hit"
+
+    assert matches(key)
+    assert matches("La/B;->*")
+    assert matches("La/B;->ge*")
+    assert matches("La/B;->get")  # proto-insensitive
+    assert not matches("La/B;->getX")
+    assert not matches("La/C;->get")
+    assert not matches("La/B;->get(J)V")
+    # several patterns match: the first listed wins, whatever its kind
+    both = [("La/B;->*", "class"), (key, "exact")]
+    assert KeyMatcher(both).match(key) == "class"
+    assert KeyMatcher(both[::-1]).match(key) == "exact"
+    assert KeyMatcher(both).match("La/C;->get()V") is None
 
 
 def test_api_list_loading(tmp_path):
     p = tmp_path / "apis.txt"
     p.write_text("# comment\nLa/B;->get imei\n\nLa/C;->* location  # trailing\nLa/D;->x\n")
-    apis = SensitiveApiList.load(p)
+    apis = load_sensitive_apis(p)
     assert apis.match("La/B;->get(I)V") == "imei"
     assert apis.match("La/C;->anything()V") == "location"
     assert apis.match("La/D;->x()V") == "sensitive"  # default label
@@ -35,7 +40,7 @@ def test_api_list_loading(tmp_path):
 
 
 def test_default_api_list_nonempty():
-    apis = SensitiveApiList.load()
+    apis = load_sensitive_apis()
     assert apis.match(GET_DEVICE_ID) == "imei"
 
 
@@ -43,7 +48,7 @@ def _audit(man_bytes, writer, depth=5, apis=None):
     man = build_manifest(decode_axml(man_bytes))
     code = parse_dex(writer.build())
     g = build_callgraph(code)
-    return audit_components(man, code, g, apis or SensitiveApiList.load(), depth)
+    return audit_components(man, code, g, apis or load_sensitive_apis(), depth)
 
 
 def _writer(cls="Lx/app/Main;", direct_api=GET_DEVICE_ID):
@@ -161,13 +166,41 @@ def test_depth_bound_for_out_of_class_chain():
     man_model = build_manifest(decode_axml(man))
     code = parse_dex(w.build())
     g = build_callgraph(code)
-    apis = SensitiveApiList.load()
+    apis = load_sensitive_apis()
     shallow, _ = audit_components(man_model, code, g, apis, depth=1)
     assert shallow == []
     deep, _ = audit_components(man_model, code, g, apis, depth=2)
     assert len(deep) == 1
     assert deep[0].path == ("Lx/app/Main;->m()V", "Lx/lib/Helper;->a()V", "Lx/lib/Helper;->b()V")
     assert deep[0].containing_method == "Lx/lib/Helper;->b()V"
+
+
+def test_direct_hit_excludes_api_only_for_its_own_component():
+    man = manifest("x.app", components=[
+        component("activity", ".A", exported=True),
+        component("activity", ".B", exported=True),
+    ])
+    helper = "Lx/lib/Helper;->h()V"
+    w = DexWriter()
+    w.add_class("Lx/app/A;", methods=[MethodDef("m", (), "V", registers=3, code=[
+        ("invoke-static", [], helper),
+        ("const/4", [1], 0),
+        ("invoke-virtual", [1], GET_DEVICE_ID),
+        ("return-void", []),
+    ])])
+    w.add_class("Lx/app/B;", methods=[MethodDef("m", (), "V", registers=3, code=[
+        ("invoke-static", [], helper), ("return-void", []),
+    ])])
+    w.add_class("Lx/lib/Helper;", methods=[MethodDef("h", (), "V", registers=3, code=[
+        ("const/4", [1], 0),
+        ("invoke-virtual", [1], GET_DEVICE_ID),
+        ("return-void", []),
+    ])])
+    findings, _ = _audit(man, w)
+    assert [(f.component_class, f.containing_method, f.path) for f in findings] == [
+        ("Lx/app/A;", "Lx/app/A;->m()V", ("Lx/app/A;->m()V",)),
+        ("Lx/app/B;", helper, ("Lx/app/B;->m()V", helper)),
+    ]
 
 
 def test_resolver_query_confidence_refinement():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,8 @@ from apkaudit.report import (
     AppReport,
     aggregate,
     analyze_apk,
-    check_play_presence,
     format_percent,
+    load_detection,
 )
 from apkaudit.behaviors import BehaviorFinding
 from apkaudit.components import ComponentFinding
@@ -149,13 +150,21 @@ def test_timings_only_behind_flag(corpus):
     )
 
 
-def test_check_play_presence():
-    assert check_play_presence("com.x") == "unknown"
-    assert check_play_presence("com.x", client=lambda p: 200) == "present"
-    assert check_play_presence("com.x", client=lambda p: 404) == "absent"
-    assert check_play_presence("com.x", client=lambda p: 500) == "unknown"
 
-    def boom(p):
-        raise OSError("network down")
+def test_data_files_read_once_per_process(corpus, monkeypatch):
+    reads = []
+    read_text = Path.read_text
 
-    assert check_play_presence("com.x", client=boom) == "unknown"
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    load_detection.cache_clear()
+    config = AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS))
+    for name in ("listing5_leak", "silent_install", "benign"):
+        analyze_apk(corpus[name], config)
+    assert sorted(reads) == [
+        "authorities.json", "extra_sinks.txt", "rules.json", "sensitive_apis.txt",
+        "sources_sinks.txt",
+    ]
