@@ -60,8 +60,17 @@ class BehaviorFinding:
 
 
 def load_rules(path=None) -> RuleSet:
-    """Load a rules file, or the shipped defaults when path is omitted."""
-    raw = read_data_file(path or DEFAULT_RULES, as_json=True)
+    """Load a rules file, or the shipped defaults when path is omitted; a
+    schema error names the file."""
+    path = path or DEFAULT_RULES
+    raw = read_data_file(path, as_json=True)
+    try:
+        return _parse_rules(raw)
+    except RuleSchemaError as exc:
+        raise RuleSchemaError(f"data file {path}: {exc}") from None
+
+
+def _parse_rules(raw) -> RuleSet:
     if not isinstance(raw, list):
         raise RuleSchemaError("rules file must be a JSON array")
     rules: list[Rule] = []

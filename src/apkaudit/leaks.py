@@ -5,8 +5,13 @@ linear instruction stream.  A global, flow-insensitive field store links
 writes and reads of the same field key.  Phase 2 is depth-bounded and
 summary-based: each method summary records which parameter slots taint the
 return value and which reach a sink inside, and callers apply summaries at
-call sites.  Cycles are cut by iterating the summary computation to a
-bounded fixpoint.
+call sites.  Summaries are computed callees first, and cycles are cut by
+repeating that sweep up to a bounded number of times.  After the first
+sweep a method is re-analysed only when its inputs changed: the summary of
+a method it calls, or the field store bucket of a field it reads.  Each call
+target is matched against the source/sink list once per app.  A last pass
+collects the findings; it covers only methods that can reach a sink, that
+is, those that call a sink or a method whose summary reaches one.
 
 Taint is tracked per named register slot; the second register of a wide
 value is not modeled separately.  Any invoke with a tainted argument taints
@@ -213,28 +218,56 @@ class _Engine:
         self.depth = depth
         self.summaries: dict[str, Summary] = {}
         self.field_store: dict[str, set[SrcToken]] = {}
+        # filled once per app by _prepare
+        self.kinds: dict[str, bytes] = {}  # method key -> effect kind of each instruction
+        self.matches: dict[str, tuple[str | None, str | None]] = {}  # target -> (channel, label)
 
     def run(self) -> list[LeakFinding]:
         methods = [m for m in self.code.all_methods() if m.is_concrete]
         order = self._bottom_up_order(methods)
+        inputs = {m.key: self._prepare(m) for m in order}
 
-        for _ in range(SUMMARY_ITERATIONS):
+        # _analyze is a pure function of a method's callee summaries and read
+        # field buckets, so a method none of whose inputs changed since it was
+        # last analysed would repeat its summary and field writes: skip it
+        tick = 0
+        summary_tick: dict[str, int] = {}
+        field_tick: dict[str, int] = {}
+        analysed_at: dict[str, int] = {}
+        for sweep in range(SUMMARY_ITERATIONS):
             changed = False
             for m in order:
+                if sweep:
+                    at = analysed_at[m.key]
+                    targets, reads = inputs[m.key]
+                    if not (
+                        any(summary_tick.get(t, 0) > at for t in targets)
+                        or any(field_tick.get(fk, 0) > at for fk in reads)
+                    ):
+                        continue
+                analysed_at[m.key] = tick
                 summary, field_writes, _ = self._analyze(m, symbolic=True)
                 if self.summaries.get(m.key) != summary:
                     self.summaries[m.key] = summary
+                    tick += 1
+                    summary_tick[m.key] = tick
                     changed = True
                 for fk, tokens in field_writes.items():
                     bucket = self.field_store.setdefault(fk, set())
                     if not tokens <= bucket:
                         bucket.update(tokens)
+                        tick += 1
+                        field_tick[fk] = tick
                         changed = True
             if not changed:
                 break
 
+        # only a call to a sink, or to a callee whose summary reaches one, can
+        # emit a finding; order is kept so the first witness per key is too
         findings: dict[tuple, LeakFinding] = {}
         for m in order:
+            if not any(self._reaches_sink(t) for t in inputs[m.key][0]):
+                continue
             _, _, found = self._analyze(m, symbolic=False)
             for f in found:
                 findings.setdefault((f.source, f.sink, f.source_site, f.sink_site), f)
@@ -258,6 +291,40 @@ class _Engine:
                 visit(key)
         return order
 
+    def _prepare(self, m: DexMethod) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Record the effect kind of each of m's instructions, and match each
+        new invoke target against the spec; returns m's distinct invoke
+        targets and the field keys it reads."""
+        kinds = bytearray(len(m.instructions))
+        targets: dict[str, None] = {}
+        reads: dict[str, None] = {}
+        for i, ins in enumerate(m.instructions):
+            if ins.opaque:
+                continue
+            kind = _KINDS.get(ins.mnemonic)
+            if kind is None:
+                kind = _KINDS[ins.mnemonic] = _effect_kind(ins.mnemonic)
+            if kind == _INVOKE or kind == _INVOKE_STATIC:
+                target = ins.resolved_ref
+                if not ins.is_invoke or target is None:
+                    continue
+                if target not in self.matches:
+                    self.matches[target] = (
+                        self.spec.match_sink(target), self.spec.match_source(target)
+                    )
+                targets[target] = None
+            elif kind == _FIELD_GET and ins.resolved_ref:
+                reads[ins.resolved_ref] = None
+            kinds[i] = kind
+        self.kinds[m.key] = bytes(kinds)
+        return tuple(targets), tuple(reads)
+
+    def _reaches_sink(self, target: str) -> bool:
+        if self.matches[target][0] is not None:
+            return True
+        summary = self.summaries.get(target) if self.depth >= 1 else None
+        return summary is not None and bool(summary.sink_hits)
+
     def _analyze(self, m: DexMethod, symbolic: bool):
         regs: dict[int, frozenset] = {}
         if symbolic:
@@ -265,7 +332,8 @@ class _Engine:
             for i in range(m.ins):
                 regs[base + i] = frozenset({ParamToken(i)})
 
-        pending: frozenset = frozenset()
+        empty: frozenset = frozenset()
+        pending = empty
         ret_params: set[int] = set()
         ret_sources: set[SrcToken] = set()
         sink_hits: set[SinkHit] = set()
@@ -274,66 +342,47 @@ class _Engine:
         findings: list[LeakFinding] = []
 
         def get(r: int) -> frozenset:
-            return regs.get(r, frozenset())
+            return regs.get(r, empty)
 
-        for ins in m.instructions:
-            op = ins.mnemonic
-            if ins.opaque:
-                continue
-            if op.startswith("move-result"):
-                regs[ins.registers[0]] = pending
-                pending = frozenset()
-            elif op == "move-exception":
-                regs[ins.registers[0]] = frozenset()
-            elif op.startswith("move"):
-                regs[ins.registers[0]] = get(ins.registers[1])
-            elif op.startswith("const") or op in ("new-instance", "new-array"):
-                regs[ins.registers[0]] = frozenset()
-            elif op.startswith("return") and op != "return-void":
-                for t in get(ins.registers[0]):
+        for kind, ins in zip(self.kinds[m.key], m.instructions):
+            r = ins.registers
+            if kind == _COPY:
+                regs[r[0]] = get(r[1])
+            elif kind == _MOVE_RESULT:
+                regs[r[0]] = pending
+                pending = empty
+            elif kind == _INVOKE or kind == _INVOKE_STATIC:
+                pending = self._invoke(
+                    m, ins, kind, regs, get, symbolic, sink_hits, param_fields, field_writes, findings
+                )
+            elif kind == _CLEAR:
+                regs[r[0]] = empty
+            elif kind == _RETURN:
+                for t in get(r[0]):
                     if isinstance(t, ParamToken):
                         ret_params.add(t.index)
                     else:
                         ret_sources.add(t)
-            elif op.startswith("aget"):
-                regs[ins.registers[0]] = get(ins.registers[1])
-            elif op.startswith("aput"):
-                regs[ins.registers[1]] = get(ins.registers[1]) | get(ins.registers[0])
-            elif op.startswith(("iget", "sget")):
+            elif kind == _FIELD_GET:
                 fk = ins.resolved_ref
                 stored = self.field_store.get(fk, set()) if fk else set()
-                regs[ins.registers[0]] = frozenset(self._rebase(t, m.key) for t in stored)
-            elif op.startswith(("iput", "sput")):
+                regs[r[0]] = frozenset(self._rebase(t, m.key) for t in stored)
+            elif kind == _FIELD_PUT:
                 fk = ins.resolved_ref
                 if fk:
-                    for t in get(ins.registers[0]):
+                    for t in get(r[0]):
                         if isinstance(t, ParamToken):
                             param_fields.add((t.index, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
-            elif ins.is_invoke and ins.resolved_ref is not None:
-                pending = self._invoke(
-                    m, ins, regs, get, symbolic, sink_hits, param_fields, field_writes, findings
-                )
-            elif op == "filled-new-array" or op == "filled-new-array/range":
-                pending = frozenset().union(*(get(r) for r in ins.registers)) if ins.registers else frozenset()
-            elif op == "array-length" or op == "check-cast":
-                if op == "array-length":
-                    regs[ins.registers[0]] = get(ins.registers[1])
-            elif op == "instance-of":
-                regs[ins.registers[0]] = frozenset()
-            elif _is_binop(op):
-                if op.endswith("/2addr"):
-                    regs[ins.registers[0]] = get(ins.registers[0]) | get(ins.registers[1])
-                elif "lit" in op:
-                    regs[ins.registers[0]] = get(ins.registers[1])
-                else:
-                    regs[ins.registers[0]] = get(ins.registers[1]) | get(ins.registers[2])
-            elif op.startswith("cmp"):
-                regs[ins.registers[0]] = get(ins.registers[1]) | get(ins.registers[2])
-            elif _is_unop(op):
-                regs[ins.registers[0]] = get(ins.registers[1])
-            # branches, switches, throw, monitor, nop: no register effect
+            elif kind == _APUT:
+                regs[r[1]] = get(r[1]) | get(r[0])
+            elif kind == _JOIN2:
+                regs[r[0]] = get(r[0]) | get(r[1])
+            elif kind == _JOIN3:
+                regs[r[0]] = get(r[1]) | get(r[2])
+            elif kind == _FILLED:
+                pending = empty.union(*(get(x) for x in r)) if r else empty
 
         summary = Summary(
             ret_params=frozenset(ret_params),
@@ -343,13 +392,13 @@ class _Engine:
         )
         return summary, field_writes, findings
 
-    def _invoke(self, m, ins, regs, get, symbolic, sink_hits, param_fields, field_writes, findings):
+    def _invoke(self, m, ins, kind, regs, get, symbolic, sink_hits, param_fields, field_writes, findings):
         target = ins.resolved_ref
         arg_tokens = [get(r) for r in ins.registers]
         all_tokens = frozenset().union(*arg_tokens) if arg_tokens else frozenset()
         result: set = set()
+        channel, label = self.matches[target]
 
-        channel = self.spec.match_sink(target)
         if channel is not None:
             for i, tokens in enumerate(arg_tokens):
                 for t in tokens:
@@ -395,12 +444,11 @@ class _Engine:
             # opaque callee: arguments may flow into the result
             result |= all_tokens
 
-        label = self.spec.match_source(target)
         if label is not None:
             result.add(SrcToken(source=target, label=label, site=(m.key, ins.offset), path=(m.key,)))
 
         # builder-style writes: a tainted argument taints the receiver
-        if not ins.mnemonic.startswith(("invoke-static", "invoke-custom")) and len(ins.registers) > 1:
+        if kind == _INVOKE and len(ins.registers) > 1:
             extra = frozenset().union(*arg_tokens[1:])
             if extra:
                 recv = ins.registers[0]
@@ -430,13 +478,55 @@ def replace_hit(hit: SinkHit, param: int, suffix: tuple[str, ...]) -> SinkHit:
     return SinkHit(param, hit.sink, hit.channel, hit.site, suffix)
 
 
+# Effect kinds of an instruction on the register taint; _NONE (0) is also
+# the kind of opaque instructions and of invokes without a resolved target.
+(_NONE, _COPY, _MOVE_RESULT, _INVOKE, _INVOKE_STATIC, _CLEAR, _RETURN, _FIELD_GET,
+ _FIELD_PUT, _APUT, _JOIN2, _JOIN3, _FILLED) = range(13)
+
+# mnemonic -> effect kind; bounded by the opcode table, opaque instructions never enter
+_KINDS: dict[str, int] = {}
+
 _BINOP_ROOTS = ("add-", "sub-", "rsub-", "mul-", "div-", "rem-", "and-", "or-", "xor-", "shl-", "shr-", "ushr-")
 _UNOP_ROOTS = ("neg-", "not-", "int-to-", "long-to-", "float-to-", "double-to-")
 
 
-def _is_binop(op: str) -> bool:
-    return op.startswith(_BINOP_ROOTS)
-
-
-def _is_unop(op: str) -> bool:
-    return op.startswith(_UNOP_ROOTS)
+def _effect_kind(op: str) -> int:
+    """The prefixes overlap (``move-result`` before ``move``), so the order of
+    the tests decides."""
+    if op.startswith("move-result"):
+        return _MOVE_RESULT
+    if op == "move-exception":
+        return _CLEAR
+    if op.startswith("move"):
+        return _COPY
+    if op.startswith("const") or op in ("new-instance", "new-array"):
+        return _CLEAR
+    if op.startswith("return"):
+        return _NONE if op == "return-void" else _RETURN
+    if op.startswith("aget"):
+        return _COPY
+    if op.startswith("aput"):
+        return _APUT
+    if op.startswith(("iget", "sget")):
+        return _FIELD_GET
+    if op.startswith(("iput", "sput")):
+        return _FIELD_PUT
+    if op.startswith("invoke-"):
+        # static and custom calls have no receiver to taint
+        return _INVOKE_STATIC if op.startswith(("invoke-static", "invoke-custom")) else _INVOKE
+    if op in ("filled-new-array", "filled-new-array/range"):
+        return _FILLED
+    if op == "array-length":
+        return _COPY
+    if op == "instance-of":
+        return _CLEAR
+    if op.startswith(_BINOP_ROOTS):
+        if op.endswith("/2addr"):
+            return _JOIN2
+        return _COPY if "lit" in op else _JOIN3
+    if op.startswith("cmp"):
+        return _JOIN3
+    if op.startswith(_UNOP_ROOTS):
+        return _COPY
+    # branches, switches, throw, monitor, check-cast, nop: no register effect
+    return _NONE

@@ -252,6 +252,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
 
         t = time.monotonic()
         spec = augment_for_internet(data.spec, man, data.extra_sinks)
+        report.warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
         report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
         timings["leaks"] = time.monotonic() - t
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from apkaudit.leaks import DEFAULT_SPEC
 
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
@@ -103,6 +104,31 @@ def test_scan_bad_data_file_stops_run(corpus, tmp_path, capsys, flag, kind, jobs
     assert len(errors) == 1 and str(data) in errors[0]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_scan_rules_schema_error_names_file(corpus, tmp_path, capsys):
+    rules = tmp_path / "obj.json"
+    rules.write_text("{}")
+    rc = main(["scan", str(corpus["benign"]), "--rules", str(rules)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "obj.json" in errors[0]
+
+
+def test_scan_reports_dropped_spec_lines(corpus, tmp_path, capsys):
+    spec = DEFAULT_SPEC.read_text()
+    susi = tmp_path / "susi.txt"
+    susi.write_text(spec + "no arrow here\n")
+    rc = main(["scan", str(corpus["listing5_leak"]), "--susi", str(susi),
+               "--extra-sinks", str(EXTRA_SINKS)])
+    assert rc == EXIT_FINDINGS
+    doc = json.loads(capsys.readouterr().out)[0]
+    bad_line = len(spec.splitlines()) + 1
+    assert [w for w in doc["warnings"] if w.startswith("taint-spec:")] == [
+        f"taint-spec: susi.txt:{bad_line}: missing '->' separator"
+    ]
+    assert doc["findings"]["leaks"]
 
 
 def test_dump_manifest(corpus, capsys):

@@ -1,9 +1,11 @@
 import pytest
 
+from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
+    LeakFinding,
     TaintSpec,
     analyze_leaks,
     augment_for_internet,
@@ -297,3 +299,149 @@ def test_oracle_equality_on_models(depth):
         g = build_callgraph(code)
         got = leak_findings_as_tuples(analyze_leaks(code, g, spec, depth))
         assert got == taint_oracle(code, spec, depth), (make.__name__, depth)
+
+
+# ---------------------------------------------------------------- fixpoint
+
+FIX_FIELD = "Lt/Fix;->buf:Ljava/lang/String;"
+FIX_A = "Lt/Fix;->a()Ljava/lang/String;"
+FIX_B = "Lt/Fix;->b()Ljava/lang/String;"
+FIX_C = "Lt/Fix;->c()Ljava/lang/String;"
+FIX_D = "Lt/Fix;->d()V"
+FIX_E = "Lt/Fix;->e()V"
+FIX_K = "Lt/Fix;->k()V"
+FIX_M = "Lt/Fix;->m()V"
+
+
+def _fixpoint_model():
+    """Findings that are right only after the second summary pass: each
+    cycle's callee is ordered after its caller, and c reads the field
+    before its writer d is analysed."""
+    w = DexWriter()
+    s = ("Ljava/lang/String;",)
+    w.add_class("Lt/Fix;", methods=[
+        # a <-> b: b returns a's source, which k sinks
+        MethodDef("a", (), "Ljava/lang/String;", registers=3, code=[
+            ("invoke-virtual", [2], SRC),
+            ("move-result-object", [0]),
+            ("invoke-virtual", [2], FIX_B),
+            ("return-object", [0]),
+        ]),
+        MethodDef("b", (), "Ljava/lang/String;", registers=3, code=[
+            ("invoke-virtual", [2], FIX_A),
+            ("move-result-object", [0]),
+            ("return-object", [0]),
+        ]),
+        MethodDef("k", (), "V", registers=3, code=[
+            ("invoke-virtual", [2], FIX_B),
+            ("move-result-object", [0]),
+            ("invoke-static", [0], SINK),
+            ("return-void", []),
+        ]),
+        MethodDef("c", (), "Ljava/lang/String;", registers=3, code=[
+            ("sget-object", [0], FIX_FIELD),
+            ("invoke-static", [0], SINK),
+            ("return-object", [0]),
+        ]),
+        MethodDef("d", (), "V", registers=3, code=[
+            ("invoke-virtual", [2], SRC),
+            ("move-result-object", [0]),
+            ("sput-object", [0], FIX_FIELD),
+            ("return-void", []),
+        ]),
+        MethodDef("m", (), "V", registers=3, code=[
+            ("invoke-virtual", [2], FIX_C),
+            ("move-result-object", [0]),
+            ("invoke-static", [0], SINK),
+            ("return-void", []),
+        ]),
+        MethodDef("e", (), "V", registers=3, code=[
+            ("invoke-virtual", [2], SRC),
+            ("move-result-object", [0]),
+            ("invoke-static", [0], SINK),
+            ("return-void", []),
+        ]),
+        # n <-> p: p first sees n as opaque, so r's source seems to reach the
+        # sink in p; n returns a constant, so the second pass drops that leak
+        MethodDef("n", s, "Ljava/lang/String;", registers=3, code=[
+            ("const-string", [0], "clean"),
+            ("invoke-virtual", [1, 0], "Lt/Fix;->p(Ljava/lang/String;)V"),
+            ("return-object", [0]),
+        ]),
+        MethodDef("p", s, "V", registers=3, code=[
+            ("invoke-virtual", [1, 2], "Lt/Fix;->n(Ljava/lang/String;)Ljava/lang/String;"),
+            ("move-result-object", [0]),
+            ("invoke-static", [0], SINK),
+            ("return-void", []),
+        ]),
+        MethodDef("r", (), "V", registers=3, code=[
+            ("invoke-virtual", [2], SRC),
+            ("move-result-object", [0]),
+            ("invoke-virtual", [2, 0], "Lt/Fix;->p(Ljava/lang/String;)V"),
+            ("return-void", []),
+        ]),
+    ])
+    return w
+
+
+def _leak(source_site, sink_site, *path):
+    return LeakFinding(SRC, SINK, "log", source_site, sink_site, path, "imei")
+
+
+# recorded from the engine that re-analysed every method in every pass
+_FIXPOINT_D1 = [
+    _leak((FIX_D, 0), (FIX_C, 2), FIX_D, FIX_C),
+    _leak((FIX_E, 0), (FIX_E, 4), FIX_E),
+]
+_FIXPOINT_D2 = [
+    _leak((FIX_A, 0), (FIX_K, 4), FIX_A, FIX_B, FIX_K),
+    _leak((FIX_D, 0), (FIX_C, 2), FIX_D, FIX_C),
+    _leak((FIX_D, 0), (FIX_M, 4), FIX_D, FIX_C, FIX_M),
+    _leak((FIX_E, 0), (FIX_E, 4), FIX_E),
+]
+
+
+@pytest.mark.parametrize("depth, expected", [(1, _FIXPOINT_D1), (2, _FIXPOINT_D2), (5, _FIXPOINT_D2)])
+def test_fixpoint_model_exact_findings(depth, expected):
+    _, found = _run(_fixpoint_model(), depth=depth)
+    assert found == expected
+
+
+def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
+    analyzed: list[tuple[str, bool]] = []
+    analyze = leaks._Engine._analyze
+
+    def counting_analyze(self, m, symbolic):
+        analyzed.append((m.key, symbolic))
+        return analyze(self, m, symbolic)
+
+    matched: list[tuple[str, str]] = []
+
+    def counting(name):
+        match = getattr(TaintSpec, name)
+
+        def wrapper(self, key):
+            matched.append((name, key))
+            return match(self, key)
+
+        return wrapper
+
+    monkeypatch.setattr(leaks._Engine, "_analyze", counting_analyze)
+    for name in ("match_sink", "match_source"):
+        monkeypatch.setattr(TaintSpec, name, counting(name))
+    code, _ = _run(_fixpoint_model())
+
+    methods = [m for m in code.all_methods() if m.is_concrete]
+    symbolic = [key for key, sym in analyzed if sym]
+    order = symbolic[: len(methods)]  # the first pass analyses every method once, in order
+    assert sorted(order) == sorted(m.key for m in methods)
+    second: list[str] = []
+    for key in symbolic[len(methods):]:
+        if second and order.index(key) <= order.index(second[-1]):
+            break  # the third pass starts over
+        second.append(key)
+    assert 0 < len(second) < len(methods)
+
+    targets = {ins.resolved_ref for m in methods for ins in m.instructions if ins.is_invoke}
+    assert len(matched) == len(set(matched))
+    assert {key for _, key in matched} <= targets
