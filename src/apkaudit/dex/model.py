@@ -1,4 +1,9 @@
-"""Code model shared by the analyzers: classes, methods, instructions."""
+"""Code model shared by the analyzers: classes, methods, instructions.
+
+``Instruction``, ``DexMethod`` and ``DexClass`` are slotted, so none of the
+instances carries a ``__dict__``: a large system app decodes to over a
+hundred thousand instructions, all held until its report is done.
+"""
 
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ def format_field_key(class_desc: str, name: str, type_desc: str) -> str:
     return f"{class_desc}->{name}:{type_desc}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     offset: int  # in 16-bit code units from method start
     opcode: int
@@ -85,7 +90,7 @@ class Instruction:
         return self.ref_kind == "method" and self.mnemonic.startswith("invoke-")
 
 
-@dataclass
+@dataclass(slots=True)
 class DexMethod:
     key: str
     class_desc: str
@@ -114,7 +119,7 @@ class DexMethod:
         return not (self.is_abstract or self.is_native)
 
 
-@dataclass
+@dataclass(slots=True)
 class DexClass:
     descriptor: str
     superclass: str | None

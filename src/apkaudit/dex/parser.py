@@ -2,8 +2,17 @@
 
 Reads the published little-endian DEX layout (versions 035-041), decodes
 method bodies into instruction streams, and merges classesN.dex files into
-one :class:`CodeModel`.  Unknown opcodes are kept opaque at their correct
-width so the stream never desynchronizes.
+one :class:`CodeModel`.
+
+Each method body is unpacked once into a tuple of 16-bit code units and
+decoded through ``_TABLE``, built once from :data:`opcodes.OPCODES`: for
+each of the 256 opcodes it holds the mnemonic, the width, the operand
+decoder of its encoding format, the reference kind and whether the opcode
+is opaque.  An instruction's pool reference that is out of range resolves
+to ``None``.  Unused opcodes and unknown payloads are kept opaque at their
+correct width so the stream never desynchronizes.  Any other offset or
+index that points outside the data or a pool raises
+:class:`MalformedDexError` naming the entry.
 """
 
 from __future__ import annotations
@@ -14,7 +23,13 @@ import struct
 import zlib
 
 from ..container import ApkArtifact, read_entry
-from ..errors import AbstractMethodError, DexMagicError, NoDexEntryError, UnknownMethodError
+from ..errors import (
+    AbstractMethodError,
+    DexMagicError,
+    MalformedDexError,
+    NoDexEntryError,
+    UnknownMethodError,
+)
 from . import opcodes as op
 from .model import (
     CodeModel,
@@ -54,9 +69,12 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
         model.dex_count = 1
     d = _DexReader(data, origin)
     d.check_header(model)
-    d.load_pools()
-    for cls in d.classes():
-        model.add_class(cls)
+    try:
+        d.load_pools()
+        for cls in d.classes():
+            model.add_class(cls)
+    except (IndexError, struct.error, ValueError) as exc:
+        raise MalformedDexError(f"{origin}: malformed DEX ({type(exc).__name__}: {exc})") from exc
     model.string_pool.update(d.strings)
     return model
 
@@ -66,17 +84,11 @@ class _DexReader:
         self.data = data
         self.origin = origin
 
-    def u16(self, off):
-        return struct.unpack_from("<H", self.data, off)[0]
-
-    def u32(self, off):
-        return struct.unpack_from("<I", self.data, off)[0]
-
     def check_header(self, model: CodeModel) -> None:
         if len(self.data) < 0x70 or not _MAGIC.match(self.data[:8]):
             raise DexMagicError(f"{self.origin}: bad DEX magic {self.data[:8]!r}")
-        checksum = self.u32(8)
-        actual = zlib.adler32(self.data[12:]) & 0xFFFFFFFF
+        (checksum,) = struct.unpack_from("<I", self.data, 8)
+        actual = zlib.adler32(memoryview(self.data)[12:]) & 0xFFFFFFFF
         if checksum != actual:
             model.warnings.append(
                 f"{self.origin}: adler32 checksum mismatch "
@@ -85,48 +97,41 @@ class _DexReader:
 
     def load_pools(self) -> None:
         d = self.data
-        self.string_ids_size, self.string_ids_off = self.u32(0x38), self.u32(0x3C)
-        self.type_ids_size, self.type_ids_off = self.u32(0x40), self.u32(0x44)
-        self.proto_ids_size, self.proto_ids_off = self.u32(0x48), self.u32(0x4C)
-        self.field_ids_size, self.field_ids_off = self.u32(0x50), self.u32(0x54)
-        self.method_ids_size, self.method_ids_off = self.u32(0x58), self.u32(0x5C)
-        self.class_defs_size, self.class_defs_off = self.u32(0x60), self.u32(0x64)
+        (string_ids_size, string_ids_off, type_ids_size, type_ids_off,
+         proto_ids_size, proto_ids_off, field_ids_size, field_ids_off,
+         method_ids_size, method_ids_off, self.class_defs_size,
+         self.class_defs_off) = struct.unpack_from("<12I", d, 0x38)
 
         self.strings = [
-            self._string_data(self.u32(self.string_ids_off + 4 * i))
-            for i in range(self.string_ids_size)
+            self._string_data(off)
+            for off in struct.unpack_from(f"<{string_ids_size}I", d, string_ids_off)
         ]
         self.types = [
-            self.strings[self.u32(self.type_ids_off + 4 * i)] for i in range(self.type_ids_size)
+            self.strings[i] for i in struct.unpack_from(f"<{type_ids_size}I", d, type_ids_off)
         ]
-        self.protos = []
-        for i in range(self.proto_ids_size):
-            off = self.proto_ids_off + 12 * i
-            ret = self.types[self.u32(off + 4)]
-            params_off = self.u32(off + 8)
-            params = self._type_list(params_off) if params_off else ()
-            self.protos.append((params, ret))
-        self.fields = []
-        for i in range(self.field_ids_size):
-            off = self.field_ids_off + 8 * i
-            self.fields.append(
-                format_field_key(
-                    self.types[self.u16(off)],
-                    self.strings[self.u32(off + 4)],
-                    self.types[self.u16(off + 2)],
-                )
-            )
+        self.protos = [
+            (self._type_list(params_off) if params_off else (), self.types[ret])
+            for _shorty, ret, params_off in _records("<3I", d, proto_ids_off, proto_ids_size)
+        ]
+        self.fields = [
+            format_field_key(self.types[cls], self.strings[name], self.types[type_])
+            for cls, type_, name in _records("<2HI", d, field_ids_off, field_ids_size)
+        ]
         self.methods = []
-        for i in range(self.method_ids_size):
-            off = self.method_ids_off + 8 * i
-            cls = self.types[self.u16(off)]
-            params, ret = self.protos[self.u16(off + 2)]
-            name = self.strings[self.u32(off + 4)]
+        for cls_idx, proto, name_idx in _records("<2HI", d, method_ids_off, method_ids_size):
+            cls = self.types[cls_idx]
+            params, ret = self.protos[proto]
+            name = self.strings[name_idx]
             self.methods.append((format_method_key(cls, name, params, ret), cls, name, params, ret))
+        # operand pools by reference kind; "none" resolves nothing
+        self.pools = {
+            "none": (), "string": self.strings, "type": self.types,
+            "field": self.fields, "method": [m[0] for m in self.methods],
+        }
 
     def _type_list(self, off) -> tuple[str, ...]:
-        size = self.u32(off)
-        return tuple(self.types[self.u16(off + 4 + 2 * i)] for i in range(size))
+        (size,) = struct.unpack_from("<I", self.data, off)
+        return tuple(self.types[i] for i in struct.unpack_from(f"<{size}H", self.data, off + 4))
 
     def _string_data(self, off: int) -> str:
         _n, off = _uleb128(self.data, off)
@@ -134,13 +139,9 @@ class _DexReader:
         return decode_mutf8(self.data[off:end])
 
     def classes(self):
-        for i in range(self.class_defs_size):
-            off = self.class_defs_off + 32 * i
-            class_idx = self.u32(off)
-            access = self.u32(off + 4)
-            super_idx = self.u32(off + 8)
-            interfaces_off = self.u32(off + 12)
-            class_data_off = self.u32(off + 24)
+        for (class_idx, access, super_idx, interfaces_off, _source, _annotations,
+             class_data_off, _static_values) in _records(
+                 "<8I", self.data, self.class_defs_off, self.class_defs_size):
             cls = DexClass(
                 descriptor=self.types[class_idx],
                 superclass=self.types[super_idx] if super_idx != NO_INDEX else None,
@@ -181,158 +182,105 @@ class _DexReader:
                 access_flags=flags,
             )
             if code_off:
-                self._code_item(code_off, m)
+                m.registers, m.ins, _outs, _tries, _debug, insns_size = struct.unpack_from(
+                    "<4H2I", data, code_off)
+                m.instructions = self._decode_insns(code_off + 16, insns_size)
             cls.methods.append(m)
         return off
 
-    def _code_item(self, off: int, m: DexMethod) -> None:
-        m.registers = self.u16(off)
-        m.ins = self.u16(off + 2)
-        insns_size = self.u32(off + 12)
-        insns_off = off + 16
-        m.instructions = self._decode_insns(insns_off, insns_size)
-
     def _decode_insns(self, base: int, size: int) -> list[Instruction]:
+        # A wide last instruction reads up to 4 units past the body, as the
+        # DEX layout allows; the read never goes past the end of the data.
+        n = max(0, min(size + 4, (len(self.data) - base) // 2))
+        u = struct.unpack_from(f"<{n}H", self.data, base)
+        pools = self.pools
         out: list[Instruction] = []
         pos = 0
         while pos < size:
-            unit = self.u16(base + pos * 2)
+            unit = u[pos]
             opcode = unit & 0xFF
-            if opcode == 0x00 and unit != 0x0000:
-                ins = self._payload(base, pos, unit)
+            if opcode == 0 and unit:
+                ins = _payload(u, pos, unit)
             else:
-                ins = self._decode_one(base, pos, opcode, unit)
+                name, width, operands, ref_kind, opaque = _TABLE[opcode]
+                regs, idx, literal, target = operands(u, pos, unit >> 8)
+                pool = pools[ref_kind]
+                resolved = pool[idx] if idx is not None and idx < len(pool) else None
+                ins = Instruction(pos, opcode, name, width, regs, ref_kind, resolved, literal,
+                                  target, opaque)
             out.append(ins)
             pos += ins.width
         return out
 
-    def _payload(self, base: int, pos: int, ident: int) -> Instruction:
-        off = base + pos * 2
-        if ident == op.PACKED_SWITCH_PAYLOAD:
-            n = self.u16(off + 2)
-            width = n * 2 + 4
-            name = "packed-switch-payload"
-        elif ident == op.SPARSE_SWITCH_PAYLOAD:
-            n = self.u16(off + 2)
-            width = n * 4 + 2
-            name = "sparse-switch-payload"
-        elif ident == op.FILL_ARRAY_PAYLOAD:
-            elem = self.u16(off + 2)
-            n = self.u32(off + 4)
-            width = (elem * n + 1) // 2 + 4
-            name = "fill-array-data-payload"
-        else:
-            width = 1
-            name = f"unknown-payload-{ident:04x}"
-        return Instruction(offset=pos, opcode=ident, mnemonic=name, width=width, opaque=True)
 
-    def _decode_one(self, base: int, pos: int, opcode: int, unit: int) -> Instruction:
-        name, fmt, ref_kind = op.OPCODES[opcode]
-        width = op.FORMAT_WIDTH[fmt]
-        off = base + pos * 2
-        hi = (unit >> 8) & 0xFF
-        regs: tuple[int, ...] = ()
-        ref_index = None
-        literal = None
-        target = None
+def _records(fmt: str, data: bytes, off: int, count: int) -> list[tuple]:
+    """``count`` consecutive fixed-size records of layout ``fmt`` starting at ``off``."""
+    rec = struct.Struct(fmt)
+    return [rec.unpack_from(data, off + i * rec.size) for i in range(count)]
 
-        if fmt in ("12x",):
-            regs = (hi & 0xF, hi >> 4)
-        elif fmt == "11n":
-            regs = (hi & 0xF,)
-            literal = _sign(hi >> 4, 4)
-        elif fmt == "11x":
-            regs = (hi,)
-        elif fmt == "10t":
-            target = pos + _sign(hi, 8)
-        elif fmt == "20t":
-            target = pos + _sign(self.u16(off + 2), 16)
-        elif fmt == "22x":
-            regs = (hi, self.u16(off + 2))
-        elif fmt == "21t":
-            regs = (hi,)
-            target = pos + _sign(self.u16(off + 2), 16)
-        elif fmt in ("21s", "21h"):
-            regs = (hi,)
-            literal = _sign(self.u16(off + 2), 16)
-        elif fmt == "21c":
-            regs = (hi,)
-            ref_index = self.u16(off + 2)
-        elif fmt == "23x":
-            regs = (hi, self.data[off + 2], self.data[off + 3])
-        elif fmt == "22b":
-            regs = (hi, self.data[off + 2])
-            literal = _sign(self.data[off + 3], 8)
-        elif fmt == "22t":
-            regs = (hi & 0xF, hi >> 4)
-            target = pos + _sign(self.u16(off + 2), 16)
-        elif fmt == "22s":
-            regs = (hi & 0xF, hi >> 4)
-            literal = _sign(self.u16(off + 2), 16)
-        elif fmt == "22c":
-            regs = (hi & 0xF, hi >> 4)
-            ref_index = self.u16(off + 2)
-        elif fmt == "30t":
-            target = pos + _sign(self.u32(off + 2), 32)
-        elif fmt == "32x":
-            regs = (self.u16(off + 2), self.u16(off + 4))
-        elif fmt == "31i":
-            regs = (hi,)
-            literal = _sign(self.u32(off + 2), 32)
-        elif fmt == "31t":
-            regs = (hi,)
-            target = pos + _sign(self.u32(off + 2), 32)
-        elif fmt == "31c":
-            regs = (hi,)
-            ref_index = self.u32(off + 2)
-        elif fmt in ("35c", "45cc"):
-            count = hi >> 4
-            g = hi & 0xF
-            ref_index = self.u16(off + 2)
-            arg_unit = self.u16(off + 4)
-            nibbles = (arg_unit & 0xF, (arg_unit >> 4) & 0xF, (arg_unit >> 8) & 0xF, (arg_unit >> 12) & 0xF, g)
-            regs = nibbles[: min(count, 5)]
-        elif fmt in ("3rc", "4rcc"):
-            count = hi
-            ref_index = self.u16(off + 2)
-            first = self.u16(off + 4)
-            regs = tuple(range(first, first + count))
-        elif fmt == "51l":
-            regs = (hi,)
-            literal = _sign(
-                self.u16(off + 2)
-                | (self.u16(off + 4) << 16)
-                | (self.u16(off + 6) << 32)
-                | (self.u16(off + 8) << 48),
-                64,
-            )
 
-        resolved = None
-        if ref_index is not None and ref_kind != "none":
-            try:
-                if ref_kind == "string":
-                    resolved = self.strings[ref_index]
-                elif ref_kind == "type":
-                    resolved = self.types[ref_index]
-                elif ref_kind == "field":
-                    resolved = self.fields[ref_index]
-                elif ref_kind == "method":
-                    resolved = self.methods[ref_index][0]
-            except IndexError:
-                resolved = None
+_S32 = 1 << 31
+_S64 = 1 << 63
 
-        return Instruction(
-            offset=pos,
-            opcode=opcode,
-            mnemonic=name,
-            width=width,
-            registers=regs,
-            ref_kind=ref_kind if resolved is not None else ("none" if ref_index is None else ref_kind),
-            resolved_ref=resolved,
-            literal=literal,
-            branch_target=target,
-            opaque=name.startswith("unused-"),
-        )
+# Operand decoders, one per encoding format: (units, pos, high byte of the
+# opcode unit) -> (registers, pool index, literal, branch target).  Signed
+# fields are sign-extended with (v ^ m) - m, m being the sign bit.
+_OPERANDS = {
+    "10x": lambda u, p, a: ((), None, None, None),
+    "12x": lambda u, p, a: ((a & 0xF, a >> 4), None, None, None),
+    "11n": lambda u, p, a: ((a & 0xF,), None, ((a >> 4) ^ 0x8) - 0x8, None),
+    "11x": lambda u, p, a: ((a,), None, None, None),
+    "10t": lambda u, p, a: ((), None, None, p + (a ^ 0x80) - 0x80),
+    "20t": lambda u, p, a: ((), None, None, p + (u[p + 1] ^ 0x8000) - 0x8000),
+    "22x": lambda u, p, a: ((a, u[p + 1]), None, None, None),
+    "21t": lambda u, p, a: ((a,), None, None, p + (u[p + 1] ^ 0x8000) - 0x8000),
+    "21s": lambda u, p, a: ((a,), None, (u[p + 1] ^ 0x8000) - 0x8000, None),
+    "21c": lambda u, p, a: ((a,), u[p + 1], None, None),
+    "23x": lambda u, p, a: ((a, u[p + 1] & 0xFF, u[p + 1] >> 8), None, None, None),
+    "22b": lambda u, p, a: ((a, u[p + 1] & 0xFF), None, ((u[p + 1] >> 8) ^ 0x80) - 0x80, None),
+    "22t": lambda u, p, a: ((a & 0xF, a >> 4), None, None, p + (u[p + 1] ^ 0x8000) - 0x8000),
+    "22s": lambda u, p, a: ((a & 0xF, a >> 4), None, (u[p + 1] ^ 0x8000) - 0x8000, None),
+    "22c": lambda u, p, a: ((a & 0xF, a >> 4), u[p + 1], None, None),
+    "30t": lambda u, p, a: ((), None, None, p + ((u[p + 1] | u[p + 2] << 16) ^ _S32) - _S32),
+    "32x": lambda u, p, a: ((u[p + 1], u[p + 2]), None, None, None),
+    "31i": lambda u, p, a: ((a,), None, ((u[p + 1] | u[p + 2] << 16) ^ _S32) - _S32, None),
+    "31t": lambda u, p, a: ((a,), None, None, p + ((u[p + 1] | u[p + 2] << 16) ^ _S32) - _S32),
+    "31c": lambda u, p, a: ((a,), u[p + 1] | u[p + 2] << 16, None, None),
+    "35c": lambda u, p, a: (_invoke_args(u[p + 2], a), u[p + 1], None, None),
+    "3rc": lambda u, p, a: (tuple(range(u[p + 2], u[p + 2] + a)), u[p + 1], None, None),
+    "51l": lambda u, p, a: (
+        (a,), None,
+        ((u[p + 1] | u[p + 2] << 16 | u[p + 3] << 32 | u[p + 4] << 48) ^ _S64) - _S64, None),
+}
+_OPERANDS["21h"] = _OPERANDS["21s"]
+_OPERANDS["45cc"] = _OPERANDS["35c"]
+_OPERANDS["4rcc"] = _OPERANDS["3rc"]
+
+
+def _invoke_args(unit: int, a: int) -> tuple[int, ...]:
+    """Argument registers C..G of a 35c/45cc invoke; A (high nibble of ``a``) counts them,
+    and a count above 5 keeps all five."""
+    return (unit & 0xF, unit >> 4 & 0xF, unit >> 8 & 0xF, unit >> 12, a & 0xF)[: a >> 4]
+
+
+# opcode -> (mnemonic, width, operand decoder, ref kind, opaque)
+_TABLE = tuple(
+    (name, op.FORMAT_WIDTH[fmt], _OPERANDS[fmt], ref, name.startswith("unused-"))
+    for name, fmt, ref in (op.OPCODES[code] for code in range(256))
+)
+
+# payload ident -> (mnemonic, width from the payload header)
+_PAYLOADS = {
+    op.PACKED_SWITCH_PAYLOAD: ("packed-switch-payload", lambda u, p: u[p + 1] * 2 + 4),
+    op.SPARSE_SWITCH_PAYLOAD: ("sparse-switch-payload", lambda u, p: u[p + 1] * 4 + 2),
+    op.FILL_ARRAY_PAYLOAD: (
+        "fill-array-data-payload", lambda u, p: (u[p + 1] * (u[p + 2] | u[p + 3] << 16) + 1) // 2 + 4),
+}
+
+
+def _payload(u: tuple[int, ...], pos: int, ident: int) -> Instruction:
+    name, width_of = _PAYLOADS.get(ident, (f"unknown-payload-{ident:04x}", lambda u, p: 1))
+    return Instruction(offset=pos, opcode=ident, mnemonic=name, width=width_of(u, pos), opaque=True)
 
 
 def method_body(model: CodeModel, key: str) -> list[Instruction]:
@@ -355,10 +303,6 @@ def _uleb128(data: bytes, off: int) -> tuple[int, int]:
         if not b & 0x80:
             return result, off
         shift += 7
-
-
-def _sign(value: int, bits: int) -> int:
-    return value - (1 << bits) if value & (1 << (bits - 1)) else value
 
 
 def decode_mutf8(raw: bytes) -> str:

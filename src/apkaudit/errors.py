@@ -52,6 +52,10 @@ class DexMagicError(DexError):
     pass
 
 
+class MalformedDexError(DexError):
+    """A DEX entry's structure points outside the data or outside its own pools."""
+
+
 class UnknownMethodError(DexError):
     pass
 

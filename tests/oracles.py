@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the analyzers.
 
 These re-derive expected results with deliberately different mechanics:
-the call-graph oracle re-enumerates adjacency by scanning classes per
+the DEX decoder oracle reads each instruction with one ``struct`` layout
+per encoding format and lets ``struct`` do the sign extension, the
+call-graph oracle re-enumerates adjacency by scanning classes per
 query, the behavior oracle is a flat grep-plus-gates pass, and the taint
 oracle is an inlining interpreter (no summaries, no fixpoint over methods,
 recursion realized by actual descent).
@@ -9,10 +11,126 @@ recursion realized by actual descent).
 
 from __future__ import annotations
 
+import struct
+
 from apkaudit.dex.model import CodeModel, parse_method_key
+from apkaudit.dex.opcodes import OPCODES
 
 REFLECTIVE = "<reflective-call>"
 _REFLECT = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
+
+
+# ---- DEX instruction decoder ---------------------------------------------
+
+# Whole-instruction struct layout per encoding format.  Field 0 is the opcode
+# byte; lower-case codes are signed; "x" skips a byte the format leaves unused.
+_LAYOUT = {
+    "10x": "<Bx", "12x": "<BB", "11n": "<BB", "11x": "<BB", "10t": "<Bb",
+    "20t": "<Bxh", "22x": "<BBH", "21t": "<BBh", "21s": "<BBh", "21h": "<BBh",
+    "21c": "<BBH", "23x": "<BBBB", "22b": "<BBBb", "22t": "<BBh", "22s": "<BBh",
+    "22c": "<BBH", "30t": "<Bxi", "32x": "<BxHH", "31i": "<BBi", "31t": "<BBi",
+    "31c": "<BBI", "35c": "<BBHH", "3rc": "<BBHH", "45cc": "<BBHHH", "4rcc": "<BBHHH",
+    "51l": "<BBq",
+}
+_PAYLOAD_NAMES = {0x0100: "packed-switch-payload", 0x0200: "sparse-switch-payload",
+                  0x0300: "fill-array-data-payload"}
+
+
+def decode_body_oracle(body: bytes, size: int, pools: dict[str, list[str]]) -> list[tuple]:
+    """Decode ``size`` code units at the start of ``body``.
+
+    Returns one tuple per instruction, in ``Instruction`` field order:
+    (offset, opcode, mnemonic, width, registers, ref_kind, resolved_ref,
+    literal, branch_target, opaque).  ``pools`` maps each ref kind but
+    "none" to its pool in index order.
+    """
+    out = []
+    pos = 0
+    while pos < size:
+        (unit,) = struct.unpack_from("<H", body, 2 * pos)
+        if unit & 0xFF == 0 and unit != 0:
+            ins = _payload_oracle(body, pos, unit)
+        else:
+            name, fmt, ref = OPCODES[unit & 0xFF]
+            f = struct.unpack_from(_LAYOUT[fmt], body, 2 * pos)
+            regs, index, literal, target = _operands_oracle(fmt, f, pos)
+            pool = pools.get(ref, [])
+            resolved = pool[index] if index is not None and index < len(pool) else None
+            width = struct.calcsize(_LAYOUT[fmt]) // 2
+            ins = (pos, unit & 0xFF, name, width, regs, ref, resolved, literal, target,
+                   name.startswith("unused-"))
+        out.append(ins)
+        pos += ins[3]
+    return out
+
+
+def _operands_oracle(fmt, f, pos):
+    """(registers, pool index, literal, branch target) from unpacked fields."""
+    lo, hi = (f[1] & 0xF, f[1] >> 4) if len(f) > 1 else (0, 0)
+    if fmt == "10x":
+        return (), None, None, None
+    if fmt == "12x":
+        return (lo, hi), None, None, None
+    if fmt == "11n":
+        return (lo,), None, hi - 16 if hi >= 8 else hi, None
+    if fmt == "11x":
+        return (f[1],), None, None, None
+    if fmt in ("10t", "20t", "30t"):
+        return (), None, None, pos + f[1]
+    if fmt in ("22x", "32x"):
+        return (f[1], f[2]), None, None, None
+    if fmt in ("21t", "31t"):
+        return (f[1],), None, None, pos + f[2]
+    if fmt in ("21s", "21h", "31i", "51l"):
+        return (f[1],), None, f[2], None
+    if fmt in ("21c", "31c"):
+        return (f[1],), f[2], None, None
+    if fmt == "23x":
+        return (f[1], f[2], f[3]), None, None, None
+    if fmt == "22b":
+        return (f[1], f[2]), None, f[3], None
+    if fmt == "22t":
+        return (lo, hi), None, None, pos + f[2]
+    if fmt == "22s":
+        return (lo, hi), None, f[2], None
+    if fmt == "22c":
+        return (lo, hi), f[2], None, None
+    if fmt in ("35c", "45cc"):
+        args = [(f[3] >> shift) & 0xF for shift in (0, 4, 8, 12)] + [lo]
+        return tuple(args[:hi]), f[2], None, None
+    if fmt in ("3rc", "4rcc"):
+        return tuple(f[3] + k for k in range(f[1])), f[2], None, None
+    raise AssertionError(fmt)
+
+
+def _payload_oracle(body, pos, ident):
+    if ident == 0x0300:
+        _ident, elem, n = struct.unpack_from("<HHI", body, 2 * pos)
+        width = 4 + (elem * n + 1) // 2
+    elif ident in (0x0100, 0x0200):
+        _ident, n = struct.unpack_from("<HH", body, 2 * pos)
+        width = 4 + 2 * n if ident == 0x0100 else 2 + 4 * n
+    else:
+        width = 1
+    name = _PAYLOAD_NAMES.get(ident, f"unknown-payload-{ident:04x}")
+    return (pos, ident, name, width, (), "none", None, None, None, True)
+
+
+def dump_body_oracle(key: str, decoded: list[tuple]) -> str:
+    """``dump-dex`` listing of a method from oracle tuples."""
+    lines = [key]
+    for off, _op, name, _w, regs, ref, resolved, literal, target, _opaque in decoded:
+        line = f"  {off:04x}: {name}"
+        if regs:
+            line += " " + ", ".join(f"v{r}" for r in regs)
+        if resolved is not None:
+            line += f" {resolved!r}" if ref == "string" else f" {resolved}"
+        if literal is not None:
+            line += f" #{literal}"
+        if target is not None:
+            line += f" -> {target:04x}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 # ---- call graph ----------------------------------------------------------

@@ -1,19 +1,34 @@
+import random
 import struct
+import zlib
 
 import pytest
 
 from apkaudit.container import open_apk
 from apkaudit.dex import load_app_code
-from apkaudit.dex.model import format_field_key, format_method_key, parse_method_key
+from apkaudit.dex.model import (
+    CodeModel,
+    DexClass,
+    DexMethod,
+    Instruction,
+    format_field_key,
+    format_method_key,
+    parse_method_key,
+)
+from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
 from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, parse_dex
 from apkaudit.errors import (
     AbstractMethodError,
+    DexError,
     DexMagicError,
+    MalformedDexError,
     NoDexEntryError,
     UnknownMethodError,
 )
+from apkaudit.report import analyze_apk
 
 from .fixtures.apk_writer import build_apk
+from .fixtures.corpus import manifest
 from .fixtures.dex_writer import (
     ACC_ABSTRACT,
     ACC_PUBLIC,
@@ -22,6 +37,7 @@ from .fixtures.dex_writer import (
     MethodDef,
     encode_mutf8,
 )
+from .oracles import decode_body_oracle, dump_body_oracle
 
 
 def test_method_key_roundtrip():
@@ -202,3 +218,163 @@ def test_dump_method_stable():
     assert out.splitlines()[0] == "La/Main;->go(I)V"
     assert "  0000: const-string v1 'hello'" in out
     assert out == dump_method(model, "La/Main;->go(I)V")
+
+
+# ---- every opcode against the reference decoder ---------------------------
+
+RAW_KEY = "La/Main;->raw()V"
+_MARKER = 0x5EED_C0DE_F00D_BEEF  # const-wide literal that locates the raw body in the file
+_INDEX_UNITS = {"21c": 1, "22c": 1, "35c": 1, "3rc": 1, "45cc": 1, "4rcc": 1, "31c": 2}
+
+
+def _raw_units(rng: random.Random, pools: dict[str, list[str]]) -> list[int]:
+    """Every opcode twice (sign bits set, then clear), the three payloads, an
+    unknown payload ident, and a wide const-wide as the last instruction."""
+    units: list[int] = []
+    for signed in (True, False):
+        for opcode in range(256):
+            _name, fmt, ref = OPCODES[opcode]
+            hi = 0 if opcode == 0 else rng.randrange(0x80) | (0x80 if signed else 0)
+            operands = [rng.randrange(0x8000) | (0x8000 if signed else 0)
+                        for _ in range(FORMAT_WIDTH[fmt] - 1)]
+            n_index = _INDEX_UNITS.get(fmt, 0)
+            if n_index:
+                size = len(pools.get(ref, ()))
+                # in range with the sign bits set, out of range with them clear
+                index = (rng.randrange(size) if signed and size
+                         else size + rng.randrange(1 << (16 * n_index - 1)))
+                operands[:n_index] = [index & 0xFFFF, index >> 16][:n_index]
+            units += [opcode | hi << 8, *operands]
+    n = rng.randrange(1, 4)
+    units += [0x0100, n] + [rng.randrange(0x10000) for _ in range(2 + 2 * n)]
+    n = rng.randrange(1, 4)
+    units += [0x0200, n] + [rng.randrange(0x10000) for _ in range(4 * n)]
+    elem, n = 2, 3
+    units += [0x0300, elem, n, 0] + [rng.randrange(0x10000) for _ in range((elem * n + 1) // 2)]
+    units += [0x2A00]  # unknown payload ident
+    units += [0x0018 | 0x07 << 8, 0xFFFF, 0x1234, 0x8000, 0xFFFE]  # const-wide, sign bit set
+    return units
+
+
+def _raw_writer(n_units: int) -> DexWriter:
+    """``_simple_writer`` plus method ``RAW_KEY``: a marker const-wide padded with nops."""
+    w = _simple_writer()
+    w.classes[0].methods.append(MethodDef("raw", (), "V", registers=8, code=(
+        [("const-wide", [0], _MARKER)] + [("nop", [])] * (n_units - 5))))
+    return w
+
+
+def _writer_pools(w: DexWriter) -> dict[str, list[str]]:
+    """The writer's string, type, field and method pools in index order."""
+    strings, types, _protos, fields, methods = w._collect()[:5]
+    return {
+        "string": strings,
+        "type": types,
+        "field": [format_field_key(c, n, t) for c, n, t in fields],
+        "method": [format_method_key(c, n, p, r) for c, n, p, r in methods],
+    }
+
+
+def _raw_dex(units: list[int], declared: int | None = None) -> tuple[bytes, int]:
+    """A valid dex whose method ``RAW_KEY`` holds ``units`` (declaring ``declared``
+    code units if given), and the file offset of that body."""
+    blob = bytearray(_raw_writer(len(units)).build())
+    marker = struct.pack("<5H", 0x0018, *(_MARKER >> s & 0xFFFF for s in (0, 16, 32, 48)))
+    assert blob.count(marker) == 1
+    base = blob.index(marker)
+    blob[base:base + 2 * len(units)] = struct.pack(f"<{len(units)}H", *units)
+    if declared is not None:
+        struct.pack_into("<I", blob, base - 4, declared)
+    struct.pack_into("<I", blob, 8, zlib.adler32(bytes(blob[12:])) & 0xFFFFFFFF)
+    return bytes(blob), base
+
+
+def _fields(ins: Instruction) -> tuple:
+    return (ins.offset, ins.opcode, ins.mnemonic, ins.width, ins.registers, ins.ref_kind,
+            ins.resolved_ref, ins.literal, ins.branch_target, ins.opaque)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_opcode_matches_reference_decoder(seed):
+    pools = _writer_pools(_raw_writer(5))
+    units = _raw_units(random.Random(seed), pools)
+    blob, base = _raw_dex(units)
+    model = parse_dex(blob)
+    assert model.warnings == []
+    expected = decode_body_oracle(blob[base:], len(units), pools)
+    got = [_fields(i) for i in method_body(model, RAW_KEY)]
+    assert got == expected
+    mnemonics = {t[2] for t in got}
+    assert {name for name, _f, _r in OPCODES.values()} <= mnemonics
+    assert {"packed-switch-payload", "sparse-switch-payload", "fill-array-data-payload",
+            "unknown-payload-2a00"} <= mnemonics
+    assert any(t[6] is not None for t in got) and any(t[5] != "none" and t[6] is None for t in got)
+    assert got[-1][2] == "const-wide" and got[-1][7] < 0
+    assert dump_method(model, RAW_KEY) == dump_body_oracle(RAW_KEY, expected)
+
+
+def test_wide_last_instruction_reads_past_declared_size():
+    units = [0x0012, 0x0018 | 0x03 << 8, 0x0001, 0x0002, 0x0003, 0x8004]
+    # the const-wide starts at the last declared unit and reads 4 units past it
+    blob, base = _raw_dex(units, declared=2)
+    body = method_body(parse_dex(blob), RAW_KEY)
+    expected = decode_body_oracle(blob[base:], 2, _writer_pools(_raw_writer(len(units))))
+    assert [_fields(i) for i in body] == expected
+    assert body[-1].mnemonic == "const-wide" and body[-1].literal == 0x8004_0003_0002_0001 - (1 << 64)
+
+
+def test_model_instances_have_no_dict():
+    model = parse_dex(_simple_writer().build())
+    cls = model.classes["La/Main;"]
+    meth = cls.methods[0]
+    for obj in (cls, meth, meth.instructions[0]):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert all(hasattr(t, "__slots__") for t in (DexClass, DexMethod, Instruction))
+
+
+# ---- malformed input ------------------------------------------------------
+
+
+def test_mutated_dex_gives_model_or_dex_error():
+    valid = _simple_writer().build()
+    rng = random.Random(20250401)
+    outcomes = {"model": 0, "error": 0}
+    for _ in range(300):
+        blob = bytearray(valid)
+        for _ in range(rng.randint(1, 4)):
+            blob[rng.randrange(0x70, len(blob))] = rng.randrange(256)
+        try:
+            result = parse_dex(bytes(blob))
+        except DexError as exc:
+            assert "classes.dex" in str(exc)
+            outcomes["error"] += 1
+        else:
+            assert isinstance(result, CodeModel)
+            outcomes["model"] += 1
+    assert outcomes["model"] and outcomes["error"]
+
+
+def _overrun_dex() -> bytes:
+    """A valid dex whose raw method declares more code units than the file holds."""
+    blob, base = _raw_dex([0x000E] * 8)
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, base - 4, 0xFFFFFFF0)
+    return bytes(blob)
+
+
+def test_insns_size_past_end_raises_malformed():
+    with pytest.raises(MalformedDexError, match=r"^classes2\.dex: malformed DEX \(IndexError") as info:
+        parse_dex(_overrun_dex(), origin="classes2.dex")
+    assert isinstance(info.value, DexError)
+
+
+def test_analyze_apk_reports_malformed_dex_as_warning(tmp_path):
+    p = build_apk(tmp_path / "overrun.apk", {
+        "AndroidManifest.xml": manifest("com.fix.overrun"),
+        "classes.dex": _overrun_dex(),
+    })
+    report = analyze_apk(p)
+    assert report.package == "com.fix.overrun"
+    dex_warnings = [w for w in report.warnings if w.startswith("dex:")]
+    assert len(dex_warnings) == 1
+    assert dex_warnings[0].startswith("dex: classes.dex: malformed DEX (IndexError")
