@@ -32,8 +32,6 @@ TYPE_NULL = 0x00
 TYPE_REFERENCE = 0x01
 TYPE_ATTRIBUTE = 0x02
 TYPE_STRING = 0x03
-TYPE_FLOAT = 0x04
-TYPE_INT_DEC = 0x10
 TYPE_INT_HEX = 0x11
 TYPE_INT_BOOLEAN = 0x12
 
@@ -235,10 +233,7 @@ def _typed_value(vtype: int, data: int, raw_ix: int, pool: list[str]):
         return "reference", data
     if vtype == TYPE_INT_HEX:
         return "flags", data
-    if vtype == TYPE_INT_DEC:
-        return "int", _signed32(data)
-    if vtype == TYPE_FLOAT:
-        return "int", _signed32(data)  # kept raw; manifests we audit never use floats
+    # decimal, float (kept raw; manifests we audit never use floats) and the rest
     return "int", _signed32(data)
 
 

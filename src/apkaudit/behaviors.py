@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .dex import CodeModel
 from .errors import RuleSchemaError, read_data_file
+from .findings import BehaviorFinding
 from .manifest import ManifestModel
 
 DEFAULT_RULES = Path(__file__).parent / "data" / "rules.json"
@@ -43,20 +44,6 @@ class RuleSet:
             if r.id == rule_id:
                 return r
         return None
-
-
-@dataclass(frozen=True)
-class BehaviorFinding:
-    category: str
-    rule_id: str
-    confidence: str  # high | medium
-    method: str  # MethodKey, "string-pool" or "manifest"
-    matched: str  # the configured pattern literal
-    component: str | None = None
-    apk_sha256: str = ""
-
-    def sort_key(self):
-        return (self.category, self.rule_id, self.method, self.component or "")
 
 
 def load_rules(path=None) -> RuleSet:

@@ -13,9 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .dex import CodeModel, parse_method_key
-
-# call-graph hops searched by the component audit and taint summaries
-DEFAULT_DEPTH = 5
+from .findings import DEFAULT_DEPTH  # noqa: F401 - re-exported
 
 REFLECTIVE_NODE = "<reflective-call>"
 _REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")

@@ -2,28 +2,22 @@
 
 Subcommands: acquire, scan, report, dump-manifest, dump-dex.
 Exit codes: 0 ran clean, 1 findings present, 2 errors.
+
+Each command imports the modules it runs, so ``report`` loads only the
+report data model.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from . import acquire as acquire_mod
-from .axml import decode_axml, dump_tree
-from .callgraph import DEFAULT_DEPTH
-from .container import open_apk, read_entry
-from .dex import load_app_code
-from .dex.parser import dump_method
-from .errors import ApkAuditError
-from .report import AnalysisConfig, AppReport, aggregate, analyze_apk, load_detection
-
-log = logging.getLogger(__name__)
+from .errors import ApkAuditError, ReportFormatError
+from .findings import DEFAULT_DEPTH, AppReport, aggregate
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -87,6 +81,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_acquire(args) -> int:
+    from . import acquire as acquire_mod
+
     if args.transcript:
         bridge = acquire_mod.TranscriptBridge(args.transcript)
     else:
@@ -108,11 +104,17 @@ def _cmd_acquire(args) -> int:
     return EXIT_CLEAN
 
 
-def _scan_one(path: str, config: AnalysisConfig) -> dict:
+def _scan_one(path: str, config) -> dict:
+    from .report import analyze_apk
+
     return analyze_apk(path, config).to_dict()
 
 
 def _cmd_scan(args) -> int:
+    import concurrent.futures
+
+    from .report import AnalysisConfig, load_detection
+
     config = AnalysisConfig(
         rules_path=args.rules,
         taint_path=args.susi,
@@ -174,7 +176,12 @@ def _cmd_report(args) -> int:
     for path in sorted(directory.glob("*.json")):
         if path.name == "corpus-index.json":
             continue
-        reports.append(AppReport.from_dict(json.loads(path.read_text())))
+        try:
+            reports.append(AppReport.from_dict(json.loads(path.read_text())))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ReportFormatError(
+                f"{path}: not an apkaudit report ({type(exc).__name__}: {exc})"
+            ) from exc
     summary = aggregate(reports)
     if args.format == "json":
         print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
@@ -184,6 +191,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_dump_manifest(args) -> int:
+    from .axml import decode_axml, dump_tree
+    from .container import open_apk, read_entry
+
     art = open_apk(args.apk)
     tree = decode_axml(read_entry(art, "AndroidManifest.xml"))
     print(dump_tree(tree), end="")
@@ -191,6 +201,9 @@ def _cmd_dump_manifest(args) -> int:
 
 
 def _cmd_dump_dex(args) -> int:
+    from .container import open_apk
+    from .dex.parser import dump_method, load_app_code
+
     art = open_apk(args.apk)
     code = load_app_code(art)
     if args.method:

@@ -8,12 +8,12 @@ APIs are searched through the call graph up to a configurable depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .callgraph import DEFAULT_DEPTH, CallGraph, reachable_hits
+from .callgraph import CallGraph, reachable_hits
 from .dex import CodeModel, KeyMatcher, parse_method_key
 from .errors import read_data_file
+from .findings import DEFAULT_DEPTH, ComponentFinding
 from .manifest import ManifestModel, is_exported, is_protected
 
 DEFAULT_APIS = Path(__file__).parent / "data" / "sensitive_apis.txt"
@@ -37,20 +37,6 @@ def load_sensitive_apis(path=None) -> KeyMatcher:
         pattern, _, label = line.partition(" ")
         entries.append((pattern, label.strip() or "sensitive"))
     return KeyMatcher(entries)
-
-
-@dataclass(frozen=True)
-class ComponentFinding:
-    component_class: str  # class descriptor
-    kind: str
-    sensitive_api: str
-    containing_method: str
-    path: tuple[str, ...]
-    data_kind: str
-    confidence: str = "high"
-
-    def sort_key(self):
-        return (self.component_class, self.sensitive_api, self.containing_method)
 
 
 def class_to_descriptor(class_name: str) -> str:

@@ -9,7 +9,6 @@ Signing Block (v2/v3) that sits just before the central directory.
 from __future__ import annotations
 
 import hashlib
-import logging
 import struct
 import zipfile
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ from .errors import (
     NotAZipError,
     read_data_file,
 )
-
-log = logging.getLogger(__name__)
 
 SIG_BLOCK_MAGIC = b"APK Sig Block 42"
 V2_BLOCK_ID = 0x7109871A

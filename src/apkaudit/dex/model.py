@@ -111,10 +111,6 @@ class DexMethod:
         return bool(self.access_flags & ACC_NATIVE)
 
     @property
-    def is_static(self) -> bool:
-        return bool(self.access_flags & ACC_STATIC)
-
-    @property
     def is_concrete(self) -> bool:
         return not (self.is_abstract or self.is_native)
 
@@ -126,10 +122,6 @@ class DexClass:
     interfaces: tuple[str, ...]
     access_flags: int
     methods: list[DexMethod] = field(default_factory=list)
-
-    @property
-    def is_interface(self) -> bool:
-        return bool(self.access_flags & ACC_INTERFACE)
 
 
 @dataclass

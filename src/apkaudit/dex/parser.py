@@ -2,7 +2,8 @@
 
 Reads the published little-endian DEX layout (versions 035-041), decodes
 method bodies into instruction streams, and merges classesN.dex files into
-one :class:`CodeModel`.
+one :class:`CodeModel`.  Each entry is parsed on its own: a malformed
+entry adds one ``dex:`` warning and no class, and the others still merge.
 
 Each method body is unpacked once into a tuple of 16-bit code units and
 decoded through ``_TABLE``, built once from :data:`opcodes.OPCODES`: for
@@ -12,12 +13,12 @@ is opaque.  An instruction's pool reference that is out of range resolves
 to ``None``.  Unused opcodes and unknown payloads are kept opaque at their
 correct width so the stream never desynchronizes.  Any other offset or
 index that points outside the data or a pool raises
-:class:`MalformedDexError` naming the entry.
+:class:`MalformedDexError` naming the entry.  Strings that are not valid
+MUTF-8 are decoded lossily and counted in one warning per entry.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 import struct
 import zlib
@@ -25,6 +26,7 @@ import zlib
 from ..container import ApkArtifact, read_entry
 from ..errors import (
     AbstractMethodError,
+    DexError,
     DexMagicError,
     MalformedDexError,
     NoDexEntryError,
@@ -40,15 +42,15 @@ from .model import (
     format_method_key,
 )
 
-log = logging.getLogger(__name__)
-
 NO_INDEX = 0xFFFFFFFF
 _DEX_NAME = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
 _MAGIC = re.compile(rb"^dex\n03[5-9]\x00|^dex\n04[01]\x00")
 
 
 def load_app_code(a: ApkArtifact) -> CodeModel:
-    """Parse and merge every classesN.dex entry of the artifact."""
+    """Parse and merge every classesN.dex entry of the artifact, in entry
+    order.  An entry that fails to parse becomes a ``dex:`` warning; when no
+    entry parses, the first entry's error is raised."""
     names = sorted(
         (n for n in a.entry_names() if _DEX_NAME.match(n)),
         key=lambda n: int(_DEX_NAME.match(n).group(1) or 1),
@@ -56,10 +58,16 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
     if not names:
         raise NoDexEntryError(f"{a.path}: no classes*.dex entry")
     model = CodeModel()
+    errors = []
     for name in names:
-        data = read_entry(a, name)
-        parse_dex(data, into=model, origin=name)
-        model.dex_count += 1
+        try:
+            parse_dex(read_entry(a, name), into=model, origin=name)
+            model.dex_count += 1
+        except DexError as exc:
+            errors.append(exc)
+            model.warnings.append(f"dex: {exc}")
+    if not model.dex_count:
+        raise errors[0]
     return model
 
 
@@ -68,13 +76,18 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
     if into is None:
         model.dex_count = 1
     d = _DexReader(data, origin)
-    d.check_header(model)
+    warnings = d.check_header()
     try:
         d.load_pools()
-        for cls in d.classes():
-            model.add_class(cls)
+        classes = list(d.classes())
     except (IndexError, struct.error, ValueError) as exc:
         raise MalformedDexError(f"{origin}: malformed DEX ({type(exc).__name__}: {exc})") from exc
+    # the model is only touched once the whole entry has parsed
+    model.warnings.extend(warnings)
+    if d.invalid_strings:
+        model.warnings.append(f"{origin}: {d.invalid_strings} invalid MUTF-8 string(s) replaced")
+    for cls in classes:
+        model.add_class(cls)
     model.string_pool.update(d.strings)
     return model
 
@@ -83,17 +96,17 @@ class _DexReader:
     def __init__(self, data: bytes, origin: str):
         self.data = data
         self.origin = origin
+        self.invalid_strings = 0
 
-    def check_header(self, model: CodeModel) -> None:
+    def check_header(self) -> list[str]:
         if len(self.data) < 0x70 or not _MAGIC.match(self.data[:8]):
             raise DexMagicError(f"{self.origin}: bad DEX magic {self.data[:8]!r}")
         (checksum,) = struct.unpack_from("<I", self.data, 8)
         actual = zlib.adler32(memoryview(self.data)[12:]) & 0xFFFFFFFF
-        if checksum != actual:
-            model.warnings.append(
-                f"{self.origin}: adler32 checksum mismatch "
-                f"(header 0x{checksum:08x}, actual 0x{actual:08x})"
-            )
+        if checksum == actual:
+            return []
+        return [f"{self.origin}: adler32 checksum mismatch "
+                f"(header 0x{checksum:08x}, actual 0x{actual:08x})"]
 
     def load_pools(self) -> None:
         d = self.data
@@ -136,7 +149,9 @@ class _DexReader:
     def _string_data(self, off: int) -> str:
         _n, off = _uleb128(self.data, off)
         end = self.data.index(b"\x00", off)
-        return decode_mutf8(self.data[off:end])
+        text, replaced = _decode_mutf8(self.data[off:end])
+        self.invalid_strings += replaced
+        return text
 
     def classes(self):
         for (class_idx, access, super_idx, interfaces_off, _source, _annotations,
@@ -307,13 +322,21 @@ def _uleb128(data: bytes, off: int) -> tuple[int, int]:
 
 def decode_mutf8(raw: bytes) -> str:
     """Decode MUTF-8 (CESU-8 with 0xC0 0x80 for NUL), lossy on bad input."""
+    return _decode_mutf8(raw)[0]
+
+
+def _decode_mutf8(raw: bytes) -> tuple[str, bool]:
+    """The decoded text, and whether any invalid sequence was replaced."""
     try:
         s = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", errors="surrogatepass")
         # collapse CESU-8 surrogate pairs into real code points
-        return s.encode("utf-16", "surrogatepass").decode("utf-16", errors="replace")
+        units = s.encode("utf-16", "surrogatepass")
     except (UnicodeDecodeError, UnicodeEncodeError):
-        log.warning("invalid MUTF-8 sequence, replacing")
-        return raw.decode("utf-8", errors="replace")
+        return raw.decode("utf-8", errors="replace"), True
+    try:
+        return units.decode("utf-16"), False
+    except UnicodeDecodeError:  # an unpaired surrogate
+        return units.decode("utf-16", errors="replace"), True
 
 
 def dump_method(model: CodeModel, key: str) -> str:

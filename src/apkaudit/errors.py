@@ -85,5 +85,9 @@ class TaintSpecError(ApkAuditError):
     """Source/sink list empty or unusable."""
 
 
+class ReportFormatError(ApkAuditError):
+    """A file in a report directory is not an apkaudit per-app report."""
+
+
 class BridgeError(ApkAuditError):
     """Device bridge command failed (no device, unauthorized, ...)."""

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .callgraph import DEFAULT_DEPTH, CallGraph
+from .callgraph import CallGraph
 from .dex import CodeModel, DexMethod, KeyMatcher
 from .errors import TaintSpecError, read_data_file
+from .findings import DEFAULT_DEPTH, LeakFinding
 from .manifest import ManifestModel
 
 log = logging.getLogger(__name__)
@@ -188,20 +189,6 @@ class Summary:
     ret_sources: frozenset[SrcToken] = frozenset()
     sink_hits: frozenset[SinkHit] = frozenset()
     param_fields: tuple[tuple[int, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class LeakFinding:
-    source: str
-    sink: str
-    channel: str
-    source_site: tuple[str, int]
-    sink_site: tuple[str, int]
-    path: tuple[str, ...]
-    data_kind: str
-
-    def sort_key(self):
-        return (self.source, self.sink, self.source_site, self.sink_site)
 
 
 def analyze_leaks(

@@ -168,3 +168,23 @@ def test_acquire_with_transcript(tmp_path, capsys):
     assert rc == EXIT_CLEAN
     idx2 = json.loads((out / "corpus-index.json").read_text())
     assert idx2["entries"] == idx["entries"]
+
+
+@pytest.mark.parametrize("content, reason", [
+    ("{not json", "JSONDecodeError: Expecting property name"),
+    ('{"schema_version": "1"}', "KeyError: 'sha256'"),
+    ("[1, 2]", "AttributeError: 'list' object has no attribute 'get'"),
+])
+def test_report_bad_file_is_an_error_not_a_traceback(corpus, tmp_path, capsys, content, reason):
+    out = tmp_path / "reports"
+    assert main(["scan", str(corpus["benign"]), "--out", str(out)]) == EXIT_CLEAN
+    bad = out / "zz-bad.json"
+    bad.write_text(content)
+    capsys.readouterr()
+    rc = main(["report", str(out), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {bad}: not an apkaudit report ({reason}")
+    assert line.endswith(")")

@@ -1,5 +1,6 @@
 import random
 import struct
+import zipfile
 import zlib
 
 import pytest
@@ -378,3 +379,78 @@ def test_analyze_apk_reports_malformed_dex_as_warning(tmp_path):
     dex_warnings = [w for w in report.warnings if w.startswith("dex:")]
     assert len(dex_warnings) == 1
     assert dex_warnings[0].startswith("dex: classes.dex: malformed DEX (IndexError")
+
+
+@pytest.mark.parametrize("name, findings", [
+    ("listing1_location", 2), ("sms_delete", 2), ("silent_install", 1),
+])
+def test_malformed_second_dex_keeps_first_entry_findings(corpus, tmp_path, name, findings):
+    with zipfile.ZipFile(corpus[name]) as zf:
+        entries = {n: zf.read(n) for n in zf.namelist() if not n.startswith("META-INF/")}
+    p = build_apk(tmp_path / f"{name}.apk", {**entries, "classes2.dex": _overrun_dex()})
+    report = analyze_apk(p)
+    found = report.leaks + report.behaviors + report.exported_components
+    assert len(found) == findings
+    dex_warnings = [w for w in report.warnings if w.startswith("dex:")]
+    assert len(dex_warnings) == 1
+    assert dex_warnings[0].startswith("dex: classes2.dex: malformed DEX (IndexError")
+    code = load_app_code(open_apk(p))
+    assert code.dex_count == 1
+    assert set(code.classes) == set(parse_dex(entries["classes.dex"]).classes)
+
+
+def test_malformed_entries_merge_in_order_and_all_bad_raises_first(tmp_path):
+    w1 = DexWriter()
+    w1.add_class("La/One;", methods=[MethodDef("a", (), "V", registers=1, code=[("return-void", [])])])
+    w3 = DexWriter()
+    w3.add_class("La/One;", methods=[MethodDef("b", (), "V", registers=1, code=[("return-void", [])])])
+    w3.add_class("La/Three;", methods=[MethodDef("c", (), "V", registers=1, code=[("return-void", [])])])
+    p = build_apk(tmp_path / "m.apk", {
+        "classes.dex": w1.build(), "classes2.dex": _overrun_dex(), "classes3.dex": w3.build(),
+    })
+    model = load_app_code(open_apk(p))
+    assert model.dex_count == 2
+    assert set(model.classes) == {"La/One;", "La/Three;"}
+    assert model.method("La/One;->a()V") is not None  # first definition wins
+    assert model.warnings[0].startswith("dex: classes2.dex: malformed DEX (")
+    assert model.warnings[1:] == ["duplicate class La/One; (first definition wins)"]
+
+    p = build_apk(tmp_path / "bad.apk", {"classes.dex": b"nope" * 40, "classes2.dex": _overrun_dex()})
+    with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic"):
+        load_app_code(open_apk(p))
+
+
+def _invalid_mutf8_dex() -> bytes:
+    """A dex holding two strings that are not valid MUTF-8: a stray 0xFF
+    byte and an unpaired surrogate."""
+    w = DexWriter()
+    w.add_class("La/Strs;", methods=[MethodDef("s", (), "V", registers=1, code=[
+        ("const-string", [0], "bad-one"),
+        ("const-string", [0], "bad-two"),
+        ("return-void", []),
+    ])])
+    blob = bytearray(w.build())
+    for old, new in ((b"bad-one", b"bad\xffone"), (b"bad-two", b"\xed\xa0\x80-two")):
+        assert blob.count(old) == 1
+        at = blob.index(old)
+        blob[at:at + len(old)] = new
+    struct.pack_into("<I", blob, 8, zlib.adler32(bytes(blob[12:])) & 0xFFFFFFFF)
+    return bytes(blob)
+
+
+def test_invalid_mutf8_counted_in_one_warning_per_entry(tmp_path, caplog):
+    assert decode_mutf8(b"bad\xffone") == "bad�one"
+    assert decode_mutf8(b"\xed\xa0\x80-two") == "�-two"
+    model = parse_dex(_invalid_mutf8_dex(), origin="classes2.dex")
+    assert model.warnings == ["classes2.dex: 2 invalid MUTF-8 string(s) replaced"]
+    assert {"bad�one", "�-two"} <= model.string_pool
+    assert parse_dex(_simple_writer().build()).warnings == []
+
+    p = build_apk(tmp_path / "strs.apk", {
+        "AndroidManifest.xml": manifest("com.fix.strs"),
+        "classes.dex": _simple_writer().build(),
+        "classes2.dex": _invalid_mutf8_dex(),
+    })
+    report = analyze_apk(p)
+    assert report.warnings == ["classes2.dex: 2 invalid MUTF-8 string(s) replaced"]
+    assert not [r for r in caplog.records if r.name.startswith("apkaudit")]

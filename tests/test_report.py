@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -168,3 +169,73 @@ def test_data_files_read_once_per_process(corpus, monkeypatch):
         "authorities.json", "extra_sinks.txt", "rules.json", "sensitive_apis.txt",
         "sources_sinks.txt",
     ]
+
+
+def _every_finding_report() -> AppReport:
+    sha = "c" * 64
+    return AppReport(
+        sha256=sha, package="com.x", version_name="1.2", version_code=12,
+        signer_label="Google", device="tecno",
+        leaks=[LeakFinding("Lsrc;->a()V", "Lsink;->b(I)V", "log", ("La;->m()V", 3),
+                           ("La;->n()V", 7), ("La;->m()V", "La;->n()V"), "device_id")],
+        behaviors=[BehaviorFinding("sms", "sms_delete", "medium", "string-pool", "content://sms",
+                                   apk_sha256=sha),
+                   BehaviorFinding("sms", "sms_recv", "high", "manifest", "SMS_RECEIVED",
+                                   component="Lcom/x/R;", apk_sha256=sha)],
+        exported_components=[ComponentFinding("Lcom/x/S;", "service", "Lapi;->c()V",
+                                              "Lcom/x/S;->run()V", ("Lcom/x/S;->run()V",),
+                                              "location", confidence="medium")],
+        warnings=["w1"],
+        timings={"total": 0.5},
+    )
+
+
+def test_app_report_dict_layout_and_roundtrip():
+    report = _every_finding_report()
+    doc = report.to_dict()
+    assert doc == {
+        "schema_version": "1", "sha256": "c" * 64, "package": "com.x", "version_name": "1.2",
+        "version_code": 12, "signer_label": "Google", "device": "tecno",
+        "findings": {
+            "leaks": [{"source": "Lsrc;->a()V", "sink": "Lsink;->b(I)V", "channel": "log",
+                       "source_site": ["La;->m()V", 3], "sink_site": ["La;->n()V", 7],
+                       "path": ["La;->m()V", "La;->n()V"], "data_kind": "device_id"}],
+            "behaviors": [
+                {"category": "sms", "rule_id": "sms_delete", "confidence": "medium",
+                 "method": "string-pool", "matched": "content://sms", "component": None},
+                {"category": "sms", "rule_id": "sms_recv", "confidence": "high",
+                 "method": "manifest", "matched": "SMS_RECEIVED", "component": "Lcom/x/R;"},
+            ],
+            "exported_components": [
+                {"class": "Lcom/x/S;", "kind": "service", "api": "Lapi;->c()V",
+                 "method": "Lcom/x/S;->run()V", "path": ["Lcom/x/S;->run()V"],
+                 "data_kind": "location", "confidence": "medium"}],
+        },
+        "warnings": ["w1"],
+        "timings": {"total": 0.5},
+    }
+    back = AppReport.from_dict(json.loads(report.to_json()))
+    assert back == report
+    assert back.to_json() == report.to_json()
+
+
+def test_app_report_from_dict_defaults():
+    doc = _every_finding_report().to_dict()
+    del doc["findings"]["behaviors"][1]["component"]
+    del doc["findings"]["exported_components"][0]["confidence"]
+    for key in ("package", "version_name", "version_code", "signer_label", "device",
+                "warnings", "timings"):
+        del doc[key]
+    back = AppReport.from_dict(doc)
+    assert back.behaviors[1].component is None
+    assert back.behaviors[1].apk_sha256 == "c" * 64
+    assert back.exported_components[0].confidence == "high"
+    assert (back.package, back.version_name, back.version_code, back.signer_label,
+            back.device, back.warnings, back.timings) == ("", "", 0, "", "", [], None)
+    assert "timings" not in back.to_dict()
+    bare = AppReport.from_dict({"sha256": "d" * 64})
+    assert bare == AppReport(sha256="d" * 64)
+
+    del doc["findings"]["leaks"][0]["data_kind"]  # required: no default
+    with pytest.raises(TypeError):
+        AppReport.from_dict(doc)
