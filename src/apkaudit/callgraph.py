@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .dex import CodeModel, parse_method_key
-from .findings import DEFAULT_DEPTH  # noqa: F401 - re-exported
 
 REFLECTIVE_NODE = "<reflective-call>"
 _REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")

@@ -124,7 +124,7 @@ def _cmd_scan(args) -> int:
         timings=args.timings,
     )
     target = Path(args.target)
-    paths = sorted(target.rglob("*.apk")) if target.is_dir() else [target]
+    paths = sorted(p for p in target.rglob("*.apk") if p.is_file()) if target.is_dir() else [target]
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR
@@ -133,23 +133,19 @@ def _cmd_scan(args) -> int:
 
     docs: list[dict] = []
     errors = 0
+    pool = None
     if len(paths) > 1 and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_scan_one, str(p), config): p for p in paths}
-            for fut in concurrent.futures.as_completed(futures):
-                try:
-                    docs.append(fut.result())
-                except ApkAuditError as exc:
-                    print(f"error: {futures[fut]}: {exc}", file=sys.stderr)
-                    errors += 1
-        docs.sort(key=lambda d: d["sha256"])
-    else:
-        for p in paths:
-            try:
-                docs.append(_scan_one(str(p), config))
-            except ApkAuditError as exc:
-                print(f"error: {p}: {exc}", file=sys.stderr)
-                errors += 1
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+    futures = [pool.submit(_scan_one, str(p), config) for p in paths] if pool else None
+    # collected in path order for any --jobs
+    for i, p in enumerate(paths):
+        try:
+            docs.append(futures[i].result() if futures else _scan_one(str(p), config))
+        except ApkAuditError as exc:
+            print(f"error: {p}: {exc}", file=sys.stderr)
+            errors += 1
+    if pool:
+        pool.shutdown()
 
     if args.out:
         out = Path(args.out)
@@ -172,6 +168,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_report(args) -> int:
     directory = Path(args.directory)
+    if not directory.is_dir():
+        print(f"error: {directory}: not a directory", file=sys.stderr)
+        return EXIT_ERROR
     reports = []
     for path in sorted(directory.glob("*.json")):
         if path.name == "corpus-index.json":

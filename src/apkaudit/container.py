@@ -1,7 +1,9 @@
 """APK container handling: entry enumeration, digests, signing certificates.
 
 APKs are ZIP files; enumeration and decompression go through ``zipfile``
-(which covers ZIP64 and data-descriptor entries).  Certificate extraction
+(which covers ZIP64 and data-descriptor entries).  Each APK is read from
+disk once: the hash, the signing-block search and the one ``ZipFile`` kept
+on the :class:`ApkArtifact` all work over that buffer.  Certificate extraction
 understands both the v1 scheme (PKCS#7 blobs under META-INF/) and the APK
 Signing Block (v2/v3) that sits just before the central directory.
 """
@@ -9,8 +11,11 @@ Signing Block (v2/v3) that sits just before the central directory.
 from __future__ import annotations
 
 import hashlib
+import io
+import lzma
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +24,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, pkcs7
 from cryptography.x509.oid import NameOID
 
 from .errors import (
+    CorruptEntryError,
     CrcMismatchError,
     EntryMissingError,
     MalformedSigningBlockError,
@@ -36,14 +42,6 @@ DEFAULT_AUTHORITY_MAP = Path(__file__).parent / "data" / "authorities.json"
 
 
 @dataclass(frozen=True)
-class EntryMeta:
-    name: str
-    compressed_size: int
-    uncompressed_size: int
-    crc32: int
-
-
-@dataclass(frozen=True)
 class SignerInfo:
     subject_cn: str
     subject_o: str
@@ -54,72 +52,68 @@ class SignerInfo:
 @dataclass
 class ApkArtifact:
     path: Path
-    entries: list[EntryMeta]
+    entries: dict[str, zipfile.ZipInfo]  # first entry of each name, in archive order
     sha256: str
+    archive: zipfile.ZipFile  # over the in-memory APK bytes
     signers: list[SignerInfo] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def has_manifest(self) -> bool:
-        return any(e.name == "AndroidManifest.xml" for e in self.entries)
-
-    def entry_names(self) -> set[str]:
-        return {e.name for e in self.entries}
-
 
 def open_apk(path) -> ApkArtifact:
-    """Open an APK, enumerate entries and hash the raw file bytes.
+    """Read an APK once: hash its bytes, enumerate its entries and find its
+    signers, all over the one buffer.
 
     Entries are not decompressed here; use :func:`read_entry` for that.
     """
     path = Path(path)
     data = path.read_bytes()
-    sha = hashlib.sha256(data).hexdigest()
     try:
-        zf = zipfile.ZipFile(path)
+        archive = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:
         raise NotAZipError(f"{path}: {exc}") from exc
 
-    entries: list[EntryMeta] = []
-    seen: set[str] = set()
+    entries: dict[str, zipfile.ZipInfo] = {}
     warnings: list[str] = []
-    with zf:
-        for info in zf.infolist():
-            if info.filename in seen:
-                warnings.append(f"duplicate entry dropped: {info.filename}")
-                continue
-            seen.add(info.filename)
-            entries.append(
-                EntryMeta(
-                    name=info.filename,
-                    compressed_size=info.compress_size,
-                    uncompressed_size=info.file_size,
-                    crc32=info.CRC,
-                )
-            )
-    art = ApkArtifact(path=path, entries=entries, sha256=sha, warnings=warnings)
-    art.signers = extract_signers(art)
+    for info in archive.infolist():
+        if info.filename in entries:
+            warnings.append(f"duplicate entry dropped: {info.filename}")
+        else:
+            entries[info.filename] = info
+    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), archive, warnings=warnings)
+    art.signers = extract_signers(art, data)
     return art
 
 
 def read_entry(a: ApkArtifact, name: str) -> bytes:
-    """Fully decompress one entry, verifying its CRC-32."""
-    if name not in a.entry_names():
+    """Fully decompress the kept entry of this name, verifying its CRC-32.
+
+    Any failure to decompress raises :class:`CorruptEntryError` (its
+    subclass :class:`CrcMismatchError` for a CRC-32 mismatch); the
+    artifact stays readable for its other entries.
+    """
+    # what a damaged entry raises inside zipfile: zlib.error and EOFError for
+    # bad deflate data, OSError for bad bzip2 data, LZMAError for bad LZMA
+    # data, ValueError for a header offset before the start of the buffer,
+    # RuntimeError for a set encryption flag or (NotImplementedError) an
+    # unknown compression method, and BadZipFile for a bad local header or CRC
+    info = a.entries.get(name)
+    if info is None:
         raise EntryMissingError(f"{a.path}: no entry {name!r}")
-    with zipfile.ZipFile(a.path) as zf:
-        try:
-            return zf.read(name)
-        except zipfile.BadZipFile as exc:
-            # zipfile reports CRC failures as BadZipFile("Bad CRC-32 ...")
-            if "CRC" in str(exc):
-                raise CrcMismatchError(f"{a.path}:{name}: {exc}") from exc
-            raise
+    try:
+        return a.archive.read(info)
+    except (
+        zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError, RuntimeError, ValueError
+    ) as exc:
+        crc = isinstance(exc, zipfile.BadZipFile) and "CRC" in str(exc)
+        error = CrcMismatchError if crc else CorruptEntryError
+        raise error(f"{a.path}:{name}: {type(exc).__name__}: {exc}") from exc
 
 
-def extract_signers(a: ApkArtifact) -> list[SignerInfo]:
+def extract_signers(a: ApkArtifact, data: bytes) -> list[SignerInfo]:
     """Collect distinct signing certificates, preferring the signing block.
 
-    Returns one :class:`SignerInfo` per distinct certificate across schemes.
+    ``data`` is the whole APK file.  Returns one :class:`SignerInfo` per
+    distinct certificate across schemes.
     A malformed signing block is recorded as a warning, never fatal.
     """
     signers: list[SignerInfo] = []
@@ -134,14 +128,14 @@ def extract_signers(a: ApkArtifact) -> list[SignerInfo]:
         signers.append(SignerInfo(subject_cn=cn, subject_o=o, fingerprint_sha256=fp, scheme=scheme))
 
     try:
-        for block_id, certs in _signing_block_certs(a.path):
+        for block_id, certs in _signing_block_certs(data):
             scheme = "v2" if block_id == V2_BLOCK_ID else "v3"
             for der in certs:
                 add(der, scheme)
     except MalformedSigningBlockError as exc:
         a.warnings.append(f"malformed signing block: {exc}")
 
-    for name in sorted(a.entry_names()):
+    for name in sorted(a.entries):
         if name.startswith("META-INF/") and name.upper().endswith(_V1_SUFFIXES):
             try:
                 blob = read_entry(a, name)
@@ -165,10 +159,9 @@ def _subject_fields(cert_der: bytes) -> tuple[str, str]:
     return first(NameOID.COMMON_NAME), first(NameOID.ORGANIZATION_NAME)
 
 
-def _signing_block_certs(path: Path):
-    """Yield (block_id, [cert_der, ...]) for every v2/v3 block found."""
-    raw = Path(path).read_bytes()
-    block = _find_signing_block(raw)
+def _signing_block_certs(data: bytes):
+    """Yield (block_id, [cert_der, ...]) for every v2/v3 block of an APK's bytes."""
+    block = _find_signing_block(data)
     if block is None:
         return
     pos = 0

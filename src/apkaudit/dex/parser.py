@@ -52,7 +52,7 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
     order.  An entry that fails to parse becomes a ``dex:`` warning; when no
     entry parses, the first entry's error is raised."""
     names = sorted(
-        (n for n in a.entry_names() if _DEX_NAME.match(n)),
+        (n for n in a.entries if _DEX_NAME.match(n)),
         key=lambda n: int(_DEX_NAME.match(n).group(1) or 1),
     )
     if not names:

@@ -16,7 +16,11 @@ class EntryMissingError(ApkAuditError):
     """Requested entry name not present in the archive."""
 
 
-class CrcMismatchError(ApkAuditError):
+class CorruptEntryError(ApkAuditError):
+    """An entry's local header or compressed data cannot be read back."""
+
+
+class CrcMismatchError(CorruptEntryError):
     """Entry decompressed but its CRC-32 does not match the directory record."""
 
 

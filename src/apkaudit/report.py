@@ -1,7 +1,6 @@
 """Per-app analysis pipeline: ``analyze_apk`` and the detection data it loads.
 
-The report data model and the corpus roll-up live in :mod:`apkaudit.findings`
-and are re-exported here.
+The report data model and the corpus roll-up live in :mod:`apkaudit.findings`.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from .callgraph import build_callgraph
 from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
 from .errors import ApkAuditError, AxmlError, DexError
-from .findings import (  # noqa: F401 - the data model, re-exported
-    CATEGORY_ORDER, DEFAULT_DEPTH, SCHEMA_VERSION, AppReport, BehaviorFinding, ComponentFinding,
-    CorpusSummary, LeakFinding, aggregate, format_percent,
-)
+from .findings import DEFAULT_DEPTH, AppReport
 from .leaks import TaintSpec, augment_for_internet, load_taint_spec
 from .manifest import ManifestModel, build_manifest
 

@@ -20,7 +20,8 @@ from apkaudit.dex.parser import parse_dex
 from apkaudit.leaks import analyze_leaks, load_taint_spec
 from apkaudit.manifest import build_manifest
 from apkaudit.acquire import index_corpus
-from apkaudit.report import AnalysisConfig, AppReport, aggregate, analyze_apk, format_percent
+from apkaudit.findings import AppReport, aggregate, format_percent
+from apkaudit.report import AnalysisConfig, analyze_apk
 
 from .conftest import EXTRA_SINKS, normalize_expected, normalize_findings
 from .fixtures.apk_writer import build_apk

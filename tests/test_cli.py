@@ -64,17 +64,33 @@ def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):
     assert doc["categories"]["leaks"]["count"] == 1
 
 
-def test_scan_parallel_matches_serial(corpus, tmp_path):
+def test_scan_parallel_matches_serial(corpus, tmp_path, capsys):
     src = tmp_path / "apks"
     src.mkdir()
-    for name in ("silent_install", "benign", "sms_delete"):
-        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    for name, path in corpus.items():
+        (src / f"{name}.apk").write_bytes(path.read_bytes())
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
     assert main(["scan", str(src), "--out", str(out1), "--jobs", "1"]) == EXIT_FINDINGS
     assert main(["scan", str(src), "--out", str(out2), "--jobs", "4"]) == EXIT_FINDINGS
     serial = {p.name: p.read_text() for p in out1.glob("*.json")}
     parallel = {p.name: p.read_text() for p in out2.glob("*.json")}
     assert serial == parallel
+    capsys.readouterr()
+    stdouts = []
+    for jobs in ("1", "2"):
+        assert main(["scan", str(src), "--jobs", jobs]) == EXIT_FINDINGS
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_skips_directories_named_apk(corpus, tmp_path, capsys, jobs):
+    src = tmp_path / "apks"
+    (src / "x.apk").mkdir(parents=True)
+    for name in ("benign", "unsigned"):
+        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    assert main(["scan", str(src), "--jobs", jobs]) == EXIT_CLEAN
+    assert len(json.loads(capsys.readouterr().out)) == 2
 
 
 BAD_DATA = {
@@ -188,3 +204,12 @@ def test_report_bad_file_is_an_error_not_a_traceback(corpus, tmp_path, capsys, c
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {bad}: not an apkaudit report ({reason}")
     assert line.endswith(")")
+
+
+def test_report_missing_directory_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    rc = main(["report", str(missing)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {missing}: not a directory"]

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import zipfile
 
@@ -13,7 +14,12 @@ from apkaudit.container import (
     open_apk,
     read_entry,
 )
-from apkaudit.errors import CrcMismatchError, EntryMissingError, NotAZipError
+from apkaudit.errors import (
+    CorruptEntryError,
+    CrcMismatchError,
+    EntryMissingError,
+    NotAZipError,
+)
 
 from .fixtures.apk_writer import SIG_MAGIC, build_apk, make_cert
 
@@ -22,11 +28,8 @@ def test_open_apk_enumerates_and_hashes(tmp_path):
     p = build_apk(tmp_path / "a.apk", {"AndroidManifest.xml": b"\x03\x00", "classes.dex": b"x"})
     art = open_apk(p)
     assert art.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
-    assert art.has_manifest
-    names = art.entry_names()
-    assert {"AndroidManifest.xml", "classes.dex"} <= names
-    meta = {e.name: e for e in art.entries}
-    assert meta["classes.dex"].uncompressed_size == 1
+    assert {"AndroidManifest.xml", "classes.dex"} <= art.entries.keys()
+    assert art.entries["classes.dex"].file_size == 1
 
 
 def test_not_a_zip(tmp_path):
@@ -55,8 +58,64 @@ def test_crc_mismatch(tmp_path):
     raw[at] ^= 0xFF
     p.write_bytes(bytes(raw))
     art = open_apk(p)
-    with pytest.raises(CrcMismatchError):
+    with pytest.raises(CrcMismatchError) as err:
         read_entry(art, "data.txt")
+    assert isinstance(err.value, CorruptEntryError)
+    assert str(err.value) == f"{p}:data.txt: BadZipFile: Bad CRC-32 for file 'data.txt'"
+
+
+def _damage(raw: bytearray, name: bytes, how: str) -> None:
+    """Damage the entry ``name`` of a deflated zip in place."""
+    cd = raw.find(b"PK\x01\x02")
+    while raw[cd + 46 : cd + 46 + len(name)] != name:
+        cd = raw.find(b"PK\x01\x02", cd + 4)
+    local = struct.unpack_from("<I", raw, cd + 42)[0]
+    data = local + 30 + len(name) + struct.unpack_from("<H", raw, local + 28)[0]
+    if how == "deflate data":
+        raw[data : data + 4] = b"\xff" * 4
+    elif how == "encrypted flag":
+        raw[cd + 8] |= 1
+    elif how == "compression method":
+        struct.pack_into("<H", raw, cd + 10, 99)
+    elif how == "bzip2 method":
+        struct.pack_into("<H", raw, cd + 10, zipfile.ZIP_BZIP2)
+    elif how == "lzma method":
+        # an LZMA header whose filter properties byte is out of range
+        struct.pack_into("<H", raw, cd + 10, zipfile.ZIP_LZMA)
+        raw[data : data + 9] = b"\x09\x14\x05\x00" + b"\xff" * 5
+
+
+@pytest.mark.parametrize(
+    "how", ["deflate data", "encrypted flag", "compression method", "bzip2 method", "lzma method"]
+)
+def test_corrupt_entry_is_coded_and_artifact_stays_readable(tmp_path, how):
+    p = build_apk(tmp_path / "c.apk", {"bad": b"B" * 3000, "good": b"G" * 3000}, sign=None)
+    raw = bytearray(p.read_bytes())
+    _damage(raw, b"bad", how)
+    p.write_bytes(bytes(raw))
+    art = open_apk(p)
+    with pytest.raises(CorruptEntryError) as err:
+        read_entry(art, "bad")
+    assert type(err.value) is CorruptEntryError
+    assert str(err.value).startswith(f"{p}:bad: ")
+    # the shared ZipFile still serves the other entry, and the same one again
+    assert read_entry(art, "good") == b"G" * 3000
+    with pytest.raises(CorruptEntryError):
+        read_entry(art, "bad")
+
+
+def test_central_directory_offset_past_its_start_is_coded(tmp_path):
+    p = build_apk(tmp_path / "c.apk", {"a": b"A" * 3000, "b": b"B" * 3000}, sign=None)
+    raw = bytearray(p.read_bytes())
+    # zipfile still finds the directory, but every local header offset now
+    # lands before the start of the buffer
+    eocd = raw.rfind(b"PK\x05\x06")
+    struct.pack_into("<I", raw, eocd + 16, struct.unpack_from("<I", raw, eocd + 16)[0] + 10000)
+    p.write_bytes(bytes(raw))
+    art = open_apk(p)
+    for name in ("a", "b"):
+        with pytest.raises(CorruptEntryError, match=f"^{re.escape(str(p))}:{name}: ValueError: "):
+            read_entry(art, name)
 
 
 def test_duplicate_entries_warn_and_dedupe(tmp_path):
@@ -65,8 +124,9 @@ def test_duplicate_entries_warn_and_dedupe(tmp_path):
         zf.writestr("classes.dex", b"one")
         zf.writestr("classes.dex", b"two")
     art = open_apk(p)
-    assert [e.name for e in art.entries].count("classes.dex") == 1
+    assert list(art.entries) == ["classes.dex"]
     assert any("duplicate entry" in w for w in art.warnings)
+    assert read_entry(art, "classes.dex") == b"one"  # the kept entry, not the last
 
 
 @pytest.mark.parametrize("scheme", ["v1", "v2"])

@@ -1,21 +1,23 @@
+import io
 import json
 import random
+import zipfile
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding
 
-from apkaudit.errors import NotAZipError
-from apkaudit.report import (
-    AnalysisConfig,
+from apkaudit.container import open_apk
+from apkaudit.errors import ApkAuditError, NotAZipError
+from apkaudit.findings import (
     AppReport,
+    BehaviorFinding,
+    ComponentFinding,
+    LeakFinding,
     aggregate,
-    analyze_apk,
     format_percent,
-    load_detection,
 )
-from apkaudit.behaviors import BehaviorFinding
-from apkaudit.components import ComponentFinding
-from apkaudit.leaks import LeakFinding
+from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
@@ -138,6 +140,52 @@ def test_analyze_degrades_with_bad_dex(tmp_path, corpus):
     report = analyze_apk(corpus["corrupt_dex"])
     assert any("adler32" in w for w in report.warnings)
     assert report.has_findings  # analysis still ran on the damaged dex
+
+
+def test_mutated_apks_give_a_report_or_an_apkaudit_error(corpus, tmp_path):
+    raw = corpus["listing5_leak"].read_bytes()
+    rng = random.Random(3)
+    p = tmp_path / "m.apk"
+    outcomes = {"report": 0, "error": 0}
+    for _ in range(400):
+        buf = bytearray(raw)
+        for _ in range(rng.randint(1, 4)):
+            buf[rng.randrange(len(buf))] = rng.randrange(256)
+        p.write_bytes(bytes(buf))
+        try:
+            analyze_apk(p)
+            outcomes["report"] += 1
+        except ApkAuditError:
+            outcomes["error"] += 1
+    assert outcomes["report"] and outcomes["error"]
+
+
+def test_analyze_reads_the_apk_once(corpus, tmp_path, monkeypatch):
+    from .fixtures.apk_writer import _splice_signing_block, _v2_block, make_cert
+
+    p = tmp_path / "multidex_v2.apk"
+    p.write_bytes(corpus["multidex"].read_bytes())  # v1-signed, two dex entries
+    _splice_signing_block(p, _v2_block(make_cert("V2", "V2Org")[0].public_bytes(Encoding.DER)))
+    assert [s.scheme for s in open_apk(p).signers] == ["v2", "v1"]
+    opens, archives = [], []
+    real_open, real_zipfile = io.open, zipfile.ZipFile
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(p):
+            opens.append(args)
+        return real_open(file, *args, **kwargs)
+
+    class CountingZipFile(real_zipfile):
+        def __init__(self, *args, **kwargs):
+            archives.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+    report = analyze_apk(p)
+    assert report.package and report.behaviors  # the manifest and both dex entries were read
+    assert len(opens) == 1
+    assert len(archives) == 1
 
 
 def test_timings_only_behind_flag(corpus):
