@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dex import CodeModel
+from .dex import REF, REF_KIND, CodeModel
 from .errors import RuleSchemaError, read_data_file
 from .findings import BehaviorFinding
 from .manifest import ManifestModel
@@ -170,10 +170,10 @@ def _collect_sites(code: CodeModel) -> _Sites:
     for cls in code.classes.values():
         for m in cls.methods:
             for ins in m.instructions:
-                if ins.ref_kind == "string" and ins.resolved_ref is not None:
-                    const_strings.append((m.key, cls.descriptor, ins.resolved_ref))
-                    used.add(ins.resolved_ref)
-                elif ins.ref_kind == "method" and ins.resolved_ref is not None:
-                    method_refs.append((m.key, cls.descriptor, ins.resolved_ref))
+                if ins[REF_KIND] == "string" and ins[REF] is not None:
+                    const_strings.append((m.key, cls.descriptor, ins[REF]))
+                    used.add(ins[REF])
+                elif ins[REF_KIND] == "method" and ins[REF] is not None:
+                    method_refs.append((m.key, cls.descriptor, ins[REF]))
     pool_only = sorted(code.string_pool - used)
     return _Sites(const_strings, method_refs, pool_only)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .dex import CodeModel, parse_method_key
+from .dex import MNEMONIC, OFFSET, REF, REF_KIND, CodeModel, parse_method_key
 
 REFLECTIVE_NODE = "<reflective-call>"
 _REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
@@ -54,17 +54,23 @@ def build_callgraph(m: CodeModel) -> CallGraph:
             if parent:
                 g.subclasses.setdefault(parent, set()).add(cls.descriptor)
 
+    # the targets of one (mnemonic, ref) pair are the same at every call site
+    resolved: dict[tuple[str, str], list[str]] = {}
     for cls in m.classes.values():
         for meth in cls.methods:
             if not meth.is_concrete:
                 continue
             for ins in meth.instructions:
-                if not ins.is_invoke or ins.resolved_ref is None:
+                if ins[REF_KIND] != "method" or ins[REF] is None:
                     continue
-                for target in _resolve(m, g, ins.mnemonic, ins.resolved_ref):
+                site = (ins[MNEMONIC], ins[REF])
+                targets = resolved.get(site)
+                if targets is None:
+                    targets = resolved[site] = _resolve(m, g, *site)
+                for target in targets:
                     if target not in g.internal:
                         g.external.add(target)
-                    g.add_edge(meth.key, target, ins.offset)
+                    g.add_edge(meth.key, target, ins[OFFSET])
     return g
 
 

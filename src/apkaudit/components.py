@@ -8,10 +8,11 @@ APIs are searched through the call graph up to a configurable depth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from pathlib import Path
 
 from .callgraph import CallGraph, reachable_hits
-from .dex import CodeModel, KeyMatcher, parse_method_key
+from .dex import REF, REF_KIND, CodeModel, KeyMatcher, parse_method_key
 from .errors import read_data_file
 from .findings import DEFAULT_DEPTH, ComponentFinding
 from .manifest import ManifestModel, is_exported, is_protected
@@ -54,12 +55,13 @@ def audit_components(
     findings: dict[tuple[str, str, str], ComponentFinding] = {}
     warnings: list[str] = []
     labels: dict[str, str] | None = None  # sensitive call-graph node → label
+    descriptors = sorted(code.classes)
 
     for comp in man.components:
         if not is_exported(comp, man.target_sdk) or is_protected(comp):
             continue
         desc = class_to_descriptor(comp.class_name)
-        roots = _component_roots(code, desc)
+        roots = _component_roots(code, descriptors, desc)
         if not roots:
             warnings.append(f"declared component class absent from code: {comp.class_name}")
             continue
@@ -69,26 +71,27 @@ def audit_components(
         for root in sorted(roots):
             meth = code.method(root)
             for ins in meth.instructions:
-                if ins.ref_kind != "method" or ins.resolved_ref is None:
+                if ins[REF_KIND] != "method" or ins[REF] is None:
                     continue
-                label = apis.match(ins.resolved_ref)
+                api = ins[REF]
+                label = apis.match(api)
                 if label is None:
                     continue
-                label, conf = _refine_query(ins.resolved_ref, label, meth)
-                key = (desc, ins.resolved_ref, root)
+                label, conf = _refine_query(api, label, meth)
+                key = (desc, api, root)
                 findings.setdefault(
                     key,
                     ComponentFinding(
                         component_class=desc,
                         kind=comp.kind,
-                        sensitive_api=ins.resolved_ref,
+                        sensitive_api=api,
                         containing_method=root,
                         path=(root,),
                         data_kind=label,
                         confidence=conf,
                     ),
                 )
-                direct_apis.add(ins.resolved_ref)
+                direct_apis.add(api)
 
         # call-graph search for APIs not hit directly
         if labels is None:
@@ -115,16 +118,18 @@ def audit_components(
     return sorted(findings.values(), key=ComponentFinding.sort_key), warnings
 
 
-def _component_roots(code: CodeModel, desc: str) -> set[str]:
-    """Concrete methods of the component class and its inner classes."""
+def _component_roots(code: CodeModel, descriptors: list[str], desc: str) -> set[str]:
+    """Concrete methods of the component class and its inner classes, the
+    classes whose descriptor starts with ``desc[:-1] + "$"``; ``descriptors``
+    is the sorted list of the model's class descriptors, where those sit in
+    one run."""
     inner_prefix = desc[:-1] + "$"
-    roots: set[str] = set()
-    for cls_desc, cls in code.classes.items():
-        if cls_desc == desc or cls_desc.startswith(inner_prefix):
-            for m in cls.methods:
-                if m.is_concrete:
-                    roots.add(m.key)
-    return roots
+    names = [desc] if desc in code.classes else []
+    i = bisect_left(descriptors, inner_prefix)
+    while i < len(descriptors) and descriptors[i].startswith(inner_prefix):
+        names.append(descriptors[i])
+        i += 1
+    return {m.key for name in names for m in code.classes[name].methods if m.is_concrete}
 
 
 def _refine_query(api_key: str, label: str, meth) -> tuple[str, str]:
@@ -135,8 +140,8 @@ def _refine_query(api_key: str, label: str, meth) -> tuple[str, str]:
         return label, "high"
     if meth is not None:
         for ins in meth.instructions:
-            if ins.ref_kind == "string" and ins.resolved_ref:
+            if ins[REF_KIND] == "string" and ins[REF]:
                 for uri, uri_label in SENSITIVE_URIS.items():
-                    if ins.resolved_ref.startswith(uri):
+                    if ins[REF].startswith(uri):
                         return uri_label, "high"
     return label, "medium"

@@ -24,6 +24,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, pkcs7
 from cryptography.x509.oid import NameOID
 
 from .errors import (
+    ApkReadError,
     CorruptEntryError,
     CrcMismatchError,
     EntryMissingError,
@@ -64,9 +65,13 @@ def open_apk(path) -> ApkArtifact:
     signers, all over the one buffer.
 
     Entries are not decompressed here; use :func:`read_entry` for that.
+    A file that cannot be read raises :class:`ApkReadError`.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ApkReadError(f"{path}: {exc.strerror or exc}") from exc
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:

@@ -1,8 +1,20 @@
 """Code model shared by the analyzers: classes, methods, instructions.
 
-``Instruction``, ``DexMethod`` and ``DexClass`` are slotted, so none of the
-instances carries a ``__dict__``: a large system app decodes to over a
-hundred thousand instructions, all held until its report is done.
+An instruction is a plain ``tuple`` of ten fields, read by the index
+constants below: offset (in 16-bit code units from the method start),
+opcode, mnemonic, width, registers (a tuple of ints), ref kind (none |
+string | type | field | method), resolved ref (method key, field key,
+string or type; ``None`` when unresolved), literal, branch target and
+opaque.  A large system app decodes to over a hundred thousand
+instructions, all held until its report is done.  A tuple of ints, strings,
+``None`` and bools cannot form a reference cycle, and CPython's cycle
+collector stops tracking a plain tuple once it finds that all its items are
+untracked; a tuple subclass (``NamedTuple``) or a slotted class stays tracked
+and is walked again by every full collection.  Plain tuples keep that walk
+off the code model and hold less memory than slotted objects.
+
+``DexMethod`` and ``DexClass`` are slotted, so none of the instances
+carries a ``__dict__``.
 """
 
 from __future__ import annotations
@@ -72,22 +84,13 @@ def format_field_key(class_desc: str, name: str, type_desc: str) -> str:
     return f"{class_desc}->{name}:{type_desc}"
 
 
-@dataclass(slots=True)
-class Instruction:
-    offset: int  # in 16-bit code units from method start
-    opcode: int
-    mnemonic: str
-    width: int
-    registers: tuple[int, ...] = ()
-    ref_kind: str = "none"  # none | string | type | field | method
-    resolved_ref: str | None = None  # MethodKey / field key / string / type
-    literal: int | None = None
-    branch_target: int | None = None
-    opaque: bool = False
+# Instruction fields, in tuple order.  Ref kind "method" is set only on the
+# invoke-* opcodes, so ``ins[REF_KIND] == "method"`` marks an invoke.
+OFFSET, OPCODE, MNEMONIC, WIDTH, REGISTERS, REF_KIND, REF, LITERAL, TARGET, OPAQUE = range(10)
 
-    @property
-    def is_invoke(self) -> bool:
-        return self.ref_kind == "method" and self.mnemonic.startswith("invoke-")
+# annotation alias: (offset, opcode, mnemonic, width, registers, ref kind,
+# resolved ref, literal, branch target, opaque)
+Instruction = tuple
 
 
 @dataclass(slots=True)
@@ -131,6 +134,8 @@ class CodeModel:
     dex_count: int = 0
     warnings: list[str] = field(default_factory=list)
     _method_index: dict[str, DexMethod] = field(default_factory=dict, repr=False)
+    # one object per distinct register tuple, shared by all of the app's instructions
+    register_tuples: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def add_class(self, cls: DexClass) -> bool:
         if cls.descriptor in self.classes:

@@ -2,19 +2,28 @@
 
 Reads the published little-endian DEX layout (versions 035-041), decodes
 method bodies into instruction streams, and merges classesN.dex files into
-one :class:`CodeModel`.  Each entry is parsed on its own: a malformed
-entry adds one ``dex:`` warning and no class, and the others still merge.
+one :class:`CodeModel`.  Each entry is read and parsed on its own: an entry
+that cannot be decompressed or is malformed adds one ``dex:`` warning and
+no class, and the others still merge.
 
 Each method body is unpacked once into a tuple of 16-bit code units and
 decoded through ``_TABLE``, built once from :data:`opcodes.OPCODES`: for
 each of the 256 opcodes it holds the mnemonic, the width, the operand
 decoder of its encoding format, the reference kind and whether the opcode
-is opaque.  An instruction's pool reference that is out of range resolves
-to ``None``.  Unused opcodes and unknown payloads are kept opaque at their
-correct width so the stream never desynchronizes.  Any other offset or
-index that points outside the data or a pool raises
-:class:`MalformedDexError` naming the entry.  Strings that are not valid
-MUTF-8 are decoded lossily and counted in one warning per entry.
+is opaque.  Each instruction becomes a plain tuple in the field order of
+:mod:`.model` (offset, opcode, mnemonic, width, registers, ref kind,
+resolved ref, literal, branch target, opaque), and equal register tuples
+are stored once per app (``CodeModel.register_tuples``).  The cycle
+collector then stops tracking the instructions after its first pass over
+them, instead of walking every one of them again in each full collection,
+and the model holds less memory.
+
+An instruction's pool reference that is out of range resolves to ``None``.
+Unused opcodes and unknown payloads are kept opaque at their correct width
+so the stream never desynchronizes.  Any other offset or index that points
+outside the data or a pool raises :class:`MalformedDexError` naming the
+entry.  Strings that are not valid MUTF-8 are decoded lossily and counted
+in one warning per entry.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import zlib
 from ..container import ApkArtifact, read_entry
 from ..errors import (
     AbstractMethodError,
+    CorruptEntryError,
     DexError,
     DexMagicError,
     MalformedDexError,
@@ -34,6 +44,14 @@ from ..errors import (
 )
 from . import opcodes as op
 from .model import (
+    LITERAL,
+    MNEMONIC,
+    OFFSET,
+    REF,
+    REF_KIND,
+    REGISTERS,
+    TARGET,
+    WIDTH,
     CodeModel,
     DexClass,
     DexMethod,
@@ -49,8 +67,8 @@ _MAGIC = re.compile(rb"^dex\n03[5-9]\x00|^dex\n04[01]\x00")
 
 def load_app_code(a: ApkArtifact) -> CodeModel:
     """Parse and merge every classesN.dex entry of the artifact, in entry
-    order.  An entry that fails to parse becomes a ``dex:`` warning; when no
-    entry parses, the first entry's error is raised."""
+    order.  An entry that cannot be decompressed or fails to parse becomes a
+    ``dex:`` warning; when no entry parses, the first entry's error is raised."""
     names = sorted(
         (n for n in a.entries if _DEX_NAME.match(n)),
         key=lambda n: int(_DEX_NAME.match(n).group(1) or 1),
@@ -63,7 +81,7 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
         try:
             parse_dex(read_entry(a, name), into=model, origin=name)
             model.dex_count += 1
-        except DexError as exc:
+        except (CorruptEntryError, DexError) as exc:
             errors.append(exc)
             model.warnings.append(f"dex: {exc}")
     if not model.dex_count:
@@ -75,7 +93,7 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
     model = into if into is not None else CodeModel()
     if into is None:
         model.dex_count = 1
-    d = _DexReader(data, origin)
+    d = _DexReader(data, origin, model.register_tuples)
     warnings = d.check_header()
     try:
         d.load_pools()
@@ -93,9 +111,10 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
 
 
 class _DexReader:
-    def __init__(self, data: bytes, origin: str):
+    def __init__(self, data: bytes, origin: str, register_tuples: dict):
         self.data = data
         self.origin = origin
+        self.register_tuples = register_tuples
         self.invalid_strings = 0
 
     def check_header(self) -> list[str]:
@@ -209,6 +228,7 @@ class _DexReader:
         n = max(0, min(size + 4, (len(self.data) - base) // 2))
         u = struct.unpack_from(f"<{n}H", self.data, base)
         pools = self.pools
+        shared = self.register_tuples
         out: list[Instruction] = []
         pos = 0
         while pos < size:
@@ -216,15 +236,16 @@ class _DexReader:
             opcode = unit & 0xFF
             if opcode == 0 and unit:
                 ins = _payload(u, pos, unit)
+                width = ins[WIDTH]
             else:
                 name, width, operands, ref_kind, opaque = _TABLE[opcode]
                 regs, idx, literal, target = operands(u, pos, unit >> 8)
+                regs = shared.setdefault(regs, regs)
                 pool = pools[ref_kind]
                 resolved = pool[idx] if idx is not None and idx < len(pool) else None
-                ins = Instruction(pos, opcode, name, width, regs, ref_kind, resolved, literal,
-                                  target, opaque)
+                ins = (pos, opcode, name, width, regs, ref_kind, resolved, literal, target, opaque)
             out.append(ins)
-            pos += ins.width
+            pos += width
         return out
 
 
@@ -295,7 +316,7 @@ _PAYLOADS = {
 
 def _payload(u: tuple[int, ...], pos: int, ident: int) -> Instruction:
     name, width_of = _PAYLOADS.get(ident, (f"unknown-payload-{ident:04x}", lambda u, p: 1))
-    return Instruction(offset=pos, opcode=ident, mnemonic=name, width=width_of(u, pos), opaque=True)
+    return (pos, ident, name, width_of(u, pos), (), "none", None, None, None, True)
 
 
 def method_body(model: CodeModel, key: str) -> list[Instruction]:
@@ -343,14 +364,14 @@ def dump_method(model: CodeModel, key: str) -> str:
     """Stable textual listing of one method body (debug CLI)."""
     lines = [key]
     for ins in method_body(model, key):
-        parts = [f"  {ins.offset:04x}: {ins.mnemonic}"]
-        if ins.registers:
-            parts.append(" " + ", ".join(f"v{r}" for r in ins.registers))
-        if ins.resolved_ref is not None:
-            parts.append(f" {ins.resolved_ref!r}" if ins.ref_kind == "string" else f" {ins.resolved_ref}")
-        if ins.literal is not None:
-            parts.append(f" #{ins.literal}")
-        if ins.branch_target is not None:
-            parts.append(f" -> {ins.branch_target:04x}")
+        parts = [f"  {ins[OFFSET]:04x}: {ins[MNEMONIC]}"]
+        if ins[REGISTERS]:
+            parts.append(" " + ", ".join(f"v{r}" for r in ins[REGISTERS]))
+        if ins[REF] is not None:
+            parts.append(f" {ins[REF]!r}" if ins[REF_KIND] == "string" else f" {ins[REF]}")
+        if ins[LITERAL] is not None:
+            parts.append(f" #{ins[LITERAL]}")
+        if ins[TARGET] is not None:
+            parts.append(f" -> {ins[TARGET]:04x}")
         lines.append("".join(parts))
     return "\n".join(lines) + "\n"

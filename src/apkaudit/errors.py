@@ -8,6 +8,10 @@ class ApkAuditError(Exception):
     """Base class for everything raised by this package."""
 
 
+class ApkReadError(ApkAuditError):
+    """The APK file cannot be read (missing, a directory, no permission, I/O error)."""
+
+
 class NotAZipError(ApkAuditError):
     """File is not a ZIP container (bad magic / no central directory)."""
 

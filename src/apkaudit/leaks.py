@@ -27,7 +27,17 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .callgraph import CallGraph
-from .dex import CodeModel, DexMethod, KeyMatcher
+from .dex import (
+    MNEMONIC,
+    OFFSET,
+    OPAQUE,
+    REF,
+    REF_KIND,
+    REGISTERS,
+    CodeModel,
+    DexMethod,
+    KeyMatcher,
+)
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
 from .manifest import ManifestModel
@@ -286,22 +296,23 @@ class _Engine:
         targets: dict[str, None] = {}
         reads: dict[str, None] = {}
         for i, ins in enumerate(m.instructions):
-            if ins.opaque:
+            if ins[OPAQUE]:
                 continue
-            kind = _KINDS.get(ins.mnemonic)
+            mnemonic = ins[MNEMONIC]
+            kind = _KINDS.get(mnemonic)
             if kind is None:
-                kind = _KINDS[ins.mnemonic] = _effect_kind(ins.mnemonic)
+                kind = _KINDS[mnemonic] = _effect_kind(mnemonic)
             if kind == _INVOKE or kind == _INVOKE_STATIC:
-                target = ins.resolved_ref
-                if not ins.is_invoke or target is None:
+                target = ins[REF]
+                if ins[REF_KIND] != "method" or target is None:
                     continue
                 if target not in self.matches:
                     self.matches[target] = (
                         self.spec.match_sink(target), self.spec.match_source(target)
                     )
                 targets[target] = None
-            elif kind == _FIELD_GET and ins.resolved_ref:
-                reads[ins.resolved_ref] = None
+            elif kind == _FIELD_GET and ins[REF]:
+                reads[ins[REF]] = None
             kinds[i] = kind
         self.kinds[m.key] = bytes(kinds)
         return tuple(targets), tuple(reads)
@@ -332,7 +343,7 @@ class _Engine:
             return regs.get(r, empty)
 
         for kind, ins in zip(self.kinds[m.key], m.instructions):
-            r = ins.registers
+            r = ins[REGISTERS]
             if kind == _COPY:
                 regs[r[0]] = get(r[1])
             elif kind == _MOVE_RESULT:
@@ -351,11 +362,11 @@ class _Engine:
                     else:
                         ret_sources.add(t)
             elif kind == _FIELD_GET:
-                fk = ins.resolved_ref
+                fk = ins[REF]
                 stored = self.field_store.get(fk, set()) if fk else set()
                 regs[r[0]] = frozenset(self._rebase(t, m.key) for t in stored)
             elif kind == _FIELD_PUT:
-                fk = ins.resolved_ref
+                fk = ins[REF]
                 if fk:
                     for t in get(r[0]):
                         if isinstance(t, ParamToken):
@@ -380,8 +391,8 @@ class _Engine:
         return summary, field_writes, findings
 
     def _invoke(self, m, ins, kind, regs, get, symbolic, sink_hits, param_fields, field_writes, findings):
-        target = ins.resolved_ref
-        arg_tokens = [get(r) for r in ins.registers]
+        target = ins[REF]
+        arg_tokens = [get(r) for r in ins[REGISTERS]]
         all_tokens = frozenset().union(*arg_tokens) if arg_tokens else frozenset()
         result: set = set()
         channel, label = self.matches[target]
@@ -390,10 +401,10 @@ class _Engine:
             for i, tokens in enumerate(arg_tokens):
                 for t in tokens:
                     if isinstance(t, SrcToken):
-                        findings.append(self._finding(t, target, channel, (m.key, ins.offset), t.path))
+                        findings.append(self._finding(t, target, channel, (m.key, ins[OFFSET]), t.path))
                     elif symbolic:
                         sink_hits.add(
-                            SinkHit(t.index, target, channel, (m.key, ins.offset), (m.key,))
+                            SinkHit(t.index, target, channel, (m.key, ins[OFFSET]), (m.key,))
                         )
 
         callee_summary = self.summaries.get(target) if self.depth >= 1 else None
@@ -432,13 +443,13 @@ class _Engine:
             result |= all_tokens
 
         if label is not None:
-            result.add(SrcToken(source=target, label=label, site=(m.key, ins.offset), path=(m.key,)))
+            result.add(SrcToken(source=target, label=label, site=(m.key, ins[OFFSET]), path=(m.key,)))
 
         # builder-style writes: a tainted argument taints the receiver
-        if kind == _INVOKE and len(ins.registers) > 1:
+        if kind == _INVOKE and len(ins[REGISTERS]) > 1:
             extra = frozenset().union(*arg_tokens[1:])
             if extra:
-                recv = ins.registers[0]
+                recv = ins[REGISTERS][0]
                 regs[recv] = get(recv) | extra
 
         return frozenset(result)

@@ -13,7 +13,16 @@ from __future__ import annotations
 
 import struct
 
-from apkaudit.dex.model import CodeModel, parse_method_key
+from apkaudit.dex.model import (
+    MNEMONIC,
+    OFFSET,
+    OPAQUE,
+    REF,
+    REF_KIND,
+    REGISTERS,
+    CodeModel,
+    parse_method_key,
+)
 from apkaudit.dex.opcodes import OPCODES
 
 REFLECTIVE = "<reflective-call>"
@@ -39,7 +48,7 @@ _PAYLOAD_NAMES = {0x0100: "packed-switch-payload", 0x0200: "sparse-switch-payloa
 def decode_body_oracle(body: bytes, size: int, pools: dict[str, list[str]]) -> list[tuple]:
     """Decode ``size`` code units at the start of ``body``.
 
-    Returns one tuple per instruction, in ``Instruction`` field order:
+    Returns one tuple per instruction, in the decoder's instruction field order:
     (offset, opcode, mnemonic, width, registers, ref_kind, resolved_ref,
     literal, branch_target, opaque).  ``pools`` maps each ref kind but
     "none" to its pool in index order.
@@ -145,10 +154,10 @@ def callgraph_edges_oracle(m: CodeModel) -> set[tuple[str, str, int]]:
             if not meth.is_concrete:
                 continue
             for ins in meth.instructions:
-                if ins.ref_kind != "method" or not ins.mnemonic.startswith("invoke-") or ins.resolved_ref is None:
+                if ins[REF_KIND] != "method" or not ins[MNEMONIC].startswith("invoke-") or ins[REF] is None:
                     continue
-                for tgt in _oracle_resolve(m, internal, ins.mnemonic, ins.resolved_ref):
-                    edges.add((meth.key, tgt, ins.offset))
+                for tgt in _oracle_resolve(m, internal, ins[MNEMONIC], ins[REF]):
+                    edges.add((meth.key, tgt, ins[OFFSET]))
     return edges
 
 
@@ -205,11 +214,11 @@ def behavior_oracle(code: CodeModel, man, rules) -> set[tuple]:
     for cls in code.classes.values():
         for meth in cls.methods:
             for ins in meth.instructions:
-                if ins.ref_kind == "string" and ins.resolved_ref is not None:
-                    const_sites.append((meth.key, cls.descriptor, ins.resolved_ref))
-                    used.add(ins.resolved_ref)
-                elif ins.ref_kind == "method" and ins.resolved_ref is not None:
-                    ref_sites.append((meth.key, cls.descriptor, ins.resolved_ref))
+                if ins[REF_KIND] == "string" and ins[REF] is not None:
+                    const_sites.append((meth.key, cls.descriptor, ins[REF]))
+                    used.add(ins[REF])
+                elif ins[REF_KIND] == "method" and ins[REF] is not None:
+                    ref_sites.append((meth.key, cls.descriptor, ins[REF]))
     pool_only = code.string_pool - used
 
     hits: dict[str, list[tuple[str, str, str]]] = {}
@@ -279,60 +288,60 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
             return regs.get(r, set())
 
         for ins in m.instructions:
-            op = ins.mnemonic
-            if ins.opaque:
+            op = ins[MNEMONIC]
+            if ins[OPAQUE]:
                 continue
             if op.startswith("move-result"):
-                regs[ins.registers[0]] = pending
+                regs[ins[REGISTERS][0]] = pending
                 pending = set()
             elif op == "move-exception":
-                regs[ins.registers[0]] = set()
+                regs[ins[REGISTERS][0]] = set()
             elif op.startswith("move"):
-                regs[ins.registers[0]] = set(get(ins.registers[1]))
+                regs[ins[REGISTERS][0]] = set(get(ins[REGISTERS][1]))
             elif op.startswith("const") or op in ("new-instance", "new-array"):
-                regs[ins.registers[0]] = set()
+                regs[ins[REGISTERS][0]] = set()
             elif op.startswith("return") and op != "return-void":
-                ret |= get(ins.registers[0])
+                ret |= get(ins[REGISTERS][0])
             elif op.startswith("aget"):
-                regs[ins.registers[0]] = set(get(ins.registers[1]))
+                regs[ins[REGISTERS][0]] = set(get(ins[REGISTERS][1]))
             elif op.startswith("aput"):
-                regs[ins.registers[1]] = get(ins.registers[1]) | get(ins.registers[0])
+                regs[ins[REGISTERS][1]] = get(ins[REGISTERS][1]) | get(ins[REGISTERS][0])
             elif op.startswith(("iget", "sget")):
-                stored = field_store.get(ins.resolved_ref, set()) if ins.resolved_ref else set()
-                regs[ins.registers[0]] = {
+                stored = field_store.get(ins[REF], set()) if ins[REF] else set()
+                regs[ins[REGISTERS][0]] = {
                     _OTok(s, l, st, p if p and p[-1] == m.key else p + (m.key,))
                     for (s, l, st, p) in stored
                 }
             elif op.startswith(("iput", "sput")):
-                if ins.resolved_ref and store_fields:
-                    for t in get(ins.registers[0]):
-                        field_store.setdefault(ins.resolved_ref, set()).add(t.key())
-            elif ins.is_invoke and ins.resolved_ref is not None:
+                if ins[REF] and store_fields:
+                    for t in get(ins[REGISTERS][0]):
+                        field_store.setdefault(ins[REF], set()).add(t.key())
+            elif ins[REF_KIND] == "method" and op.startswith("invoke-") and ins[REF] is not None:
                 pending = do_invoke(m, ins, regs, get, stack, suffix_len, emit, store_fields)
             elif op in ("filled-new-array", "filled-new-array/range"):
-                pending = set().union(*(get(r) for r in ins.registers)) if ins.registers else set()
+                pending = set().union(*(get(r) for r in ins[REGISTERS])) if ins[REGISTERS] else set()
             elif op == "array-length":
-                regs[ins.registers[0]] = set(get(ins.registers[1]))
+                regs[ins[REGISTERS][0]] = set(get(ins[REGISTERS][1]))
             elif op == "instance-of":
-                regs[ins.registers[0]] = set()
+                regs[ins[REGISTERS][0]] = set()
             elif _binop(op):
                 if op.endswith("/2addr"):
-                    regs[ins.registers[0]] = get(ins.registers[0]) | get(ins.registers[1])
+                    regs[ins[REGISTERS][0]] = get(ins[REGISTERS][0]) | get(ins[REGISTERS][1])
                 elif "lit" in op:
-                    regs[ins.registers[0]] = set(get(ins.registers[1]))
+                    regs[ins[REGISTERS][0]] = set(get(ins[REGISTERS][1]))
                 else:
-                    regs[ins.registers[0]] = get(ins.registers[1]) | get(ins.registers[2])
+                    regs[ins[REGISTERS][0]] = get(ins[REGISTERS][1]) | get(ins[REGISTERS][2])
             elif op.startswith("cmp"):
-                regs[ins.registers[0]] = get(ins.registers[1]) | get(ins.registers[2])
+                regs[ins[REGISTERS][0]] = get(ins[REGISTERS][1]) | get(ins[REGISTERS][2])
             elif _unop(op):
-                regs[ins.registers[0]] = set(get(ins.registers[1]))
+                regs[ins[REGISTERS][0]] = set(get(ins[REGISTERS][1]))
         # tokens identical to an entry token return unchanged; others are
         # extended with the caller on the way up (handled by the caller)
         return ret, entry_ids
 
     def do_invoke(m, ins, regs, get, stack, suffix_len, emit, store_fields):
-        target = ins.resolved_ref
-        arg_tokens = [get(r) for r in ins.registers]
+        target = ins[REF]
+        arg_tokens = [get(r) for r in ins[REGISTERS]]
         all_tokens = set().union(*arg_tokens) if arg_tokens else set()
         result: set = set()
 
@@ -342,7 +351,7 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
                 # sinks in the interpreted method itself are unconditional;
                 # only the inlined call chain counts against the depth bound
                 if suffix_len == 0 or len(t.path) + suffix_len - 1 <= depth:
-                    findings.add((t.source, target, channel, t.site, (m.key, ins.offset), t.label))
+                    findings.add((t.source, target, channel, t.site, (m.key, ins[OFFSET]), t.label))
 
         callee = code.method(target)
         if depth >= 1 and callee is not None and callee.is_concrete and target not in stack:
@@ -366,12 +375,12 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
 
         label = spec.match_source(target)
         if label is not None:
-            result.add(_OTok(target, label, (m.key, ins.offset), (m.key,)))
+            result.add(_OTok(target, label, (m.key, ins[OFFSET]), (m.key,)))
 
-        if not ins.mnemonic.startswith(("invoke-static", "invoke-custom")) and len(ins.registers) > 1:
+        if not ins[MNEMONIC].startswith(("invoke-static", "invoke-custom")) and len(ins[REGISTERS]) > 1:
             extra = set().union(*arg_tokens[1:])
             if extra:
-                regs[ins.registers[0]] = get(ins.registers[0]) | extra
+                regs[ins[REGISTERS][0]] = get(ins[REGISTERS][0]) | extra
         return result
 
     # phase 1: field store to a bounded fixpoint (same bound as the engine)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,36 @@ def test_scan_not_a_zip_exit_error(tmp_path, capsys):
     rc = main(["scan", str(bad)])
     assert rc == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "dump-manifest", "dump-dex"])
+def test_missing_apk_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    missing = tmp_path / "no" / "such.apk"
+    rc = main([command, str(missing)])
+    assert rc == EXIT_ERROR
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"{missing}: No such file or directory")
+
+
+def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, capsys, monkeypatch):
+    src = tmp_path / "apks"
+    src.mkdir()
+    for name in ("benign", "silent_install", "unsigned"):
+        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    unreadable = src / "silent_install.apk"
+    read_bytes = Path.read_bytes
+
+    def deny(self):
+        if self == unreadable:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", deny)
+    rc = main(["scan", str(src), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.err.splitlines() == [f"error: {unreadable}: {unreadable}: Permission denied"]
+    assert len(json.loads(captured.out)) == 2
 
 
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):

@@ -1,6 +1,11 @@
 from apkaudit.axml import decode_axml
 from apkaudit.callgraph import build_callgraph
-from apkaudit.components import audit_components, class_to_descriptor, load_sensitive_apis
+from apkaudit.components import (
+    _component_roots,
+    audit_components,
+    class_to_descriptor,
+    load_sensitive_apis,
+)
 from apkaudit.dex import KeyMatcher
 from apkaudit.dex.parser import parse_dex
 from apkaudit.manifest import build_manifest
@@ -109,6 +114,16 @@ def test_inner_classes_are_roots():
     ])])
     findings, _ = _audit(man, w)
     assert {f.containing_method for f in findings} == {"Lx/app/Main$Task;->run()V"}
+
+
+def test_component_roots_are_the_class_and_its_inner_classes():
+    w = DexWriter()
+    for desc in ("La/B$C$D;", "La/BX;", "La/B$CX;", "La/B;", "La/B$C;", "La/B$C$D$E;"):
+        w.add_class(desc, methods=[MethodDef("m", (), "V", registers=1, code=[("return-void", [])])])
+    code = parse_dex(w.build())
+    roots = _component_roots(code, sorted(code.classes), "La/B$C;")
+    assert roots == {"La/B$C;->m()V", "La/B$C$D;->m()V", "La/B$C$D$E;->m()V"}
+    assert _component_roots(code, sorted(code.classes), "La/Ghost;") == set()
 
 
 def test_absent_component_class_warns():

@@ -15,6 +15,7 @@ from apkaudit.container import (
     read_entry,
 )
 from apkaudit.errors import (
+    ApkReadError,
     CorruptEntryError,
     CrcMismatchError,
     EntryMissingError,
@@ -37,6 +38,16 @@ def test_not_a_zip(tmp_path):
     p.write_bytes(b"this is definitely not a zip archive")
     with pytest.raises(NotAZipError):
         open_apk(p)
+
+
+def test_unreadable_path_is_coded(tmp_path):
+    missing = tmp_path / "missing.apk"
+    with pytest.raises(ApkReadError) as err:
+        open_apk(missing)
+    assert str(err.value) == f"{missing}: No such file or directory"
+    with pytest.raises(ApkReadError) as err:
+        open_apk(tmp_path)
+    assert str(err.value) == f"{tmp_path}: Is a directory"
 
 
 def test_read_entry_roundtrip_and_missing(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import random
+import re
 import struct
 import zipfile
 import zlib
@@ -8,10 +10,16 @@ import pytest
 from apkaudit.container import open_apk
 from apkaudit.dex import load_app_code
 from apkaudit.dex.model import (
+    LITERAL,
+    MNEMONIC,
+    OFFSET,
+    REF,
+    REGISTERS,
+    TARGET,
+    WIDTH,
     CodeModel,
     DexClass,
     DexMethod,
-    Instruction,
     format_field_key,
     format_method_key,
     parse_method_key,
@@ -20,6 +28,7 @@ from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
 from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, parse_dex
 from apkaudit.errors import (
     AbstractMethodError,
+    CorruptEntryError,
     DexError,
     DexMagicError,
     MalformedDexError,
@@ -39,6 +48,7 @@ from .fixtures.dex_writer import (
     encode_mutf8,
 )
 from .oracles import decode_body_oracle, dump_body_oracle
+from .test_container import _damage
 
 
 def test_method_key_roundtrip():
@@ -91,14 +101,14 @@ def test_decoded_stream_matches_assembly_input():
         ("goto", (), None, None),
         ("return-void", (), None, None),
     ]
-    got = [(i.mnemonic, i.registers, i.resolved_ref, i.literal) for i in body]
+    got = [(i[MNEMONIC], i[REGISTERS], i[REF], i[LITERAL]) for i in body]
     assert got == expected
     # offsets are cumulative widths; both branches land on return-void
     widths = [2, 1, 2, 3, 5, 2, 2, 2, 3, 1, 2, 2, 1]
     offsets = [sum(widths[:k]) for k in range(len(widths) + 1)]
-    assert [i.offset for i in body] == offsets[: len(body)]
-    assert body[11].branch_target == body[13].offset
-    assert body[12].branch_target == body[13].offset
+    assert [i[OFFSET] for i in body] == offsets[: len(body)]
+    assert body[11][TARGET] == body[13][OFFSET]
+    assert body[12][TARGET] == body[13][OFFSET]
 
 
 def test_payload_widths_keep_stream_aligned():
@@ -119,12 +129,12 @@ def test_payload_widths_keep_stream_aligned():
         ]),
     ])
     body = method_body(parse_dex(w.build()), "La/P;->f()V")
-    names = [i.mnemonic for i in body]
+    names = [i[MNEMONIC] for i in body]
     assert names == [
         "const/4", "packed-switch", "sparse-switch", "fill-array-data", "return-void",
         "packed-switch-payload", "sparse-switch-payload", "fill-array-data-payload",
     ]
-    widths = {i.mnemonic: i.width for i in body}
+    widths = {i[MNEMONIC]: i[WIDTH] for i in body}
     assert widths["packed-switch-payload"] == 3 * 2 + 4
     assert widths["sparse-switch-payload"] == 2 * 4 + 2
     assert widths["fill-array-data-payload"] == (4 * 3 + 1) // 2 + 4
@@ -290,11 +300,6 @@ def _raw_dex(units: list[int], declared: int | None = None) -> tuple[bytes, int]
     return bytes(blob), base
 
 
-def _fields(ins: Instruction) -> tuple:
-    return (ins.offset, ins.opcode, ins.mnemonic, ins.width, ins.registers, ins.ref_kind,
-            ins.resolved_ref, ins.literal, ins.branch_target, ins.opaque)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_opcode_matches_reference_decoder(seed):
     pools = _writer_pools(_raw_writer(5))
@@ -303,7 +308,7 @@ def test_every_opcode_matches_reference_decoder(seed):
     model = parse_dex(blob)
     assert model.warnings == []
     expected = decode_body_oracle(blob[base:], len(units), pools)
-    got = [_fields(i) for i in method_body(model, RAW_KEY)]
+    got = method_body(model, RAW_KEY)
     assert got == expected
     mnemonics = {t[2] for t in got}
     assert {name for name, _f, _r in OPCODES.values()} <= mnemonics
@@ -320,8 +325,8 @@ def test_wide_last_instruction_reads_past_declared_size():
     blob, base = _raw_dex(units, declared=2)
     body = method_body(parse_dex(blob), RAW_KEY)
     expected = decode_body_oracle(blob[base:], 2, _writer_pools(_raw_writer(len(units))))
-    assert [_fields(i) for i in body] == expected
-    assert body[-1].mnemonic == "const-wide" and body[-1].literal == 0x8004_0003_0002_0001 - (1 << 64)
+    assert body == expected
+    assert body[-1][MNEMONIC] == "const-wide" and body[-1][LITERAL] == 0x8004_0003_0002_0001 - (1 << 64)
 
 
 def test_model_instances_have_no_dict():
@@ -330,7 +335,28 @@ def test_model_instances_have_no_dict():
     meth = cls.methods[0]
     for obj in (cls, meth, meth.instructions[0]):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
-    assert all(hasattr(t, "__slots__") for t in (DexClass, DexMethod, Instruction))
+    assert all(hasattr(t, "__slots__") for t in (DexClass, DexMethod))
+    # a record is untracked once its register tuple is, so two passes
+    gc.collect()
+    gc.collect()
+    assert not any(gc.is_tracked(ins) for ins in meth.instructions)
+
+
+def test_equal_register_tuples_are_one_object_per_app(tmp_path):
+    w2 = DexWriter()
+    w2.add_class("La/Two;", methods=[MethodDef("b", (), "V", registers=1, code=[
+        ("const/4", [0], 1), ("return-void", []),
+    ])])
+    p = build_apk(tmp_path / "m.apk", {"classes.dex": _simple_writer().build(), "classes2.dex": w2.build()})
+    code = load_app_code(open_apk(p))
+    assert code.dex_count == 2
+    instructions = [ins for m in code.all_methods() for ins in m.instructions]
+    # equal register tuples are one object, in both dex entries
+    first: dict[tuple, tuple] = {}
+    for ins in instructions:
+        assert first.setdefault(ins[REGISTERS], ins[REGISTERS]) is ins[REGISTERS]
+    zero = [ins[REGISTERS] for ins in instructions if ins[REGISTERS] == (0,)]
+    assert len(zero) == 4 and len({id(r) for r in zero}) == 1
 
 
 # ---- malformed input ------------------------------------------------------
@@ -417,6 +443,38 @@ def test_malformed_entries_merge_in_order_and_all_bad_raises_first(tmp_path):
 
     p = build_apk(tmp_path / "bad.apk", {"classes.dex": b"nope" * 40, "classes2.dex": _overrun_dex()})
     with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic"):
+        load_app_code(open_apk(p))
+
+
+@pytest.mark.parametrize("name, findings", [
+    ("listing1_location", 2), ("sms_delete", 2), ("silent_install", 1),
+])
+def test_undecompressable_second_dex_keeps_first_entry_findings(corpus, tmp_path, name, findings):
+    with zipfile.ZipFile(corpus[name]) as zf:
+        entries = {n: zf.read(n) for n in zf.namelist() if not n.startswith("META-INF/")}
+    p = build_apk(tmp_path / f"{name}.apk", {**entries, "classes2.dex": _simple_writer().build()})
+    raw = bytearray(p.read_bytes())
+    _damage(raw, b"classes2.dex", "deflate data")
+    p.write_bytes(bytes(raw))
+    report = analyze_apk(p)
+    found = report.leaks + report.behaviors + report.exported_components
+    assert len(found) == findings
+    dex_warnings = [w for w in report.warnings if w.startswith("dex:")]
+    assert len(dex_warnings) == 1
+    assert dex_warnings[0].startswith(f"dex: {p}:classes2.dex: error: ")
+    code = load_app_code(open_apk(p))
+    assert code.dex_count == 1
+    assert set(code.classes) == set(parse_dex(entries["classes.dex"]).classes)
+
+
+def test_undecompressable_only_dex_raises(corpus, tmp_path):
+    with zipfile.ZipFile(corpus["listing1_location"]) as zf:
+        entries = {n: zf.read(n) for n in zf.namelist() if not n.startswith("META-INF/")}
+    p = build_apk(tmp_path / "one.apk", entries)
+    raw = bytearray(p.read_bytes())
+    _damage(raw, b"classes.dex", "deflate data")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CorruptEntryError, match=f"^{re.escape(str(p))}:classes.dex: "):
         load_app_code(open_apk(p))
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
+from apkaudit.dex import REF, REF_KIND
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
@@ -442,6 +443,6 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
         second.append(key)
     assert 0 < len(second) < len(methods)
 
-    targets = {ins.resolved_ref for m in methods for ins in m.instructions if ins.is_invoke}
+    targets = {ins[REF] for m in methods for ins in m.instructions if ins[REF_KIND] == "method"}
     assert len(matched) == len(set(matched))
     assert {key for _, key in matched} <= targets
