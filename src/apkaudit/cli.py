@@ -111,8 +111,6 @@ def _scan_one(path: str, config) -> dict:
 
 
 def _cmd_scan(args) -> int:
-    import concurrent.futures
-
     from .report import AnalysisConfig, load_detection
 
     config = AnalysisConfig(
@@ -124,7 +122,8 @@ def _cmd_scan(args) -> int:
         timings=args.timings,
     )
     target = Path(args.target)
-    paths = sorted(p for p in target.rglob("*.apk") if p.is_file()) if target.is_dir() else [target]
+    is_dir = target.is_dir()
+    paths = sorted(p for p in target.rglob("*.apk") if p.is_file()) if is_dir else [target]
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR
@@ -135,6 +134,8 @@ def _cmd_scan(args) -> int:
     errors = 0
     pool = None
     if len(paths) > 1 and args.jobs > 1:
+        import concurrent.futures
+
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
     futures = [pool.submit(_scan_one, str(p), config) for p in paths] if pool else None
     # collected in path order for any --jobs
@@ -142,7 +143,9 @@ def _cmd_scan(args) -> int:
         try:
             docs.append(futures[i].result() if futures else _scan_one(str(p), config))
         except ApkAuditError as exc:
-            print(f"error: {p}: {exc}", file=sys.stderr)
+            # container errors already start with the path
+            msg = str(exc) if str(exc).startswith(f"{p}:") else f"{p}: {exc}"
+            print(f"error: {msg}", file=sys.stderr)
             errors += 1
     if pool:
         pool.shutdown()
@@ -157,7 +160,7 @@ def _cmd_scan(args) -> int:
     if args.format == "table":
         reports = [AppReport.from_dict(d) for d in docs]
         print(aggregate(reports).render_table(), end="")
-    elif not args.out:
+    elif not args.out and (docs or is_dir):
         print(json.dumps(docs, indent=2, sort_keys=True))
 
     if errors:

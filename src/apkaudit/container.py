@@ -6,6 +6,12 @@ disk once: the hash, the signing-block search and the one ``ZipFile`` kept
 on the :class:`ApkArtifact` all work over that buffer.  Certificate extraction
 understands both the v1 scheme (PKCS#7 blobs under META-INF/) and the APK
 Signing Block (v2/v3) that sits just before the central directory.
+
+Certificates are read with a small strict DER walker (``_pkcs7_certs``,
+``_subject_fields``): definite minimal lengths, the tag of every element it
+reads checked, fixed-depth loops.  It takes from a certificate only its
+bytes (for the fingerprint) and the first subject CN and O (for the
+authority label).  Nothing is verified: no signature, digest or chain.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from cryptography import x509
-from cryptography.hazmat.primitives.serialization import Encoding, pkcs7
-from cryptography.x509.oid import NameOID
 
 from .errors import (
     ApkReadError,
@@ -124,44 +126,140 @@ def extract_signers(a: ApkArtifact, data: bytes) -> list[SignerInfo]:
     signers: list[SignerInfo] = []
     seen_fp: set[str] = set()
 
-    def add(cert_der: bytes, scheme: str) -> None:
+    def add(cert_der: bytes, cn_o: tuple[str, str], scheme: str) -> None:
         fp = hashlib.sha256(cert_der).hexdigest()
         if fp in seen_fp:
             return
         seen_fp.add(fp)
-        cn, o = _subject_fields(cert_der)
-        signers.append(SignerInfo(subject_cn=cn, subject_o=o, fingerprint_sha256=fp, scheme=scheme))
+        signers.append(SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
 
     try:
         for block_id, certs in _signing_block_certs(data):
             scheme = "v2" if block_id == V2_BLOCK_ID else "v3"
             for der in certs:
-                add(der, scheme)
+                try:
+                    cn_o = _subject_fields(der)
+                except DerError:
+                    cn_o = ("", "")
+                add(der, cn_o, scheme)
     except MalformedSigningBlockError as exc:
         a.warnings.append(f"malformed signing block: {exc}")
 
     for name in sorted(a.entries):
         if name.startswith("META-INF/") and name.upper().endswith(_V1_SUFFIXES):
             try:
-                blob = read_entry(a, name)
-                for cert in pkcs7.load_der_pkcs7_certificates(blob):
-                    add(cert.public_bytes(Encoding.DER), "v1")
-            except Exception as exc:  # noqa: BLE001 - per-entry, keep going
+                # a blob holding any malformed certificate adds none of them
+                certs = [(der, _subject_fields(der)) for der in _pkcs7_certs(read_entry(a, name))]
+            except (CorruptEntryError, DerError) as exc:
                 a.warnings.append(f"unparsable v1 signature {name}: {exc}")
+                continue
+            for der, cn_o in certs:
+                add(der, cn_o, "v1")
     return signers
 
 
+class DerError(ValueError):
+    """A certificate or PKCS#7 blob that is not strict DER of the expected shape."""
+
+
+_OID_SIGNED_DATA = bytes.fromhex("2a864886f70d010702")  # 1.2.840.113549.1.7.2
+_OID_CN = bytes.fromhex("550403")  # 2.5.4.3
+_OID_O = bytes.fromhex("55040a")  # 2.5.4.10
+# the ASN.1 types an X.509 name attribute value may carry, by tag: the two
+# wide string types have their own encodings, and the others (UTF8String,
+# PrintableString, T61String, IA5String, ...) are read as UTF-8
+_NAME_VALUE_CODECS = {
+    **dict.fromkeys((0x03, 0x04, 0x0C, 0x12, 0x13, 0x14, 0x16, 0x17, 0x18, 0x1A), "utf-8"),
+    0x1C: "utf-32-be",  # UniversalString
+    0x1E: "utf-16-be",  # BMPString
+}
+
+
+def _tlv(buf: bytes, pos: int, end: int, tags) -> tuple[int, int, int]:
+    """Read the DER header at ``pos`` of an element that must carry one of
+    ``tags`` and end by ``end``: returns (tag, content start, content end)."""
+    if pos + 2 > end:
+        raise DerError(f"element header past end at offset {pos}")
+    tag, n = buf[pos], buf[pos + 1]
+    if tag not in tags:
+        raise DerError(f"unexpected tag 0x{tag:02x} at offset {pos}")
+    pos += 2
+    if n & 0x80:
+        k = n & 0x7F
+        if not 1 <= k <= 4 or pos + k > end:  # k == 0 is BER's indefinite length
+            raise DerError(f"bad length form 0x{n:02x} at offset {pos - 1}")
+        n = int.from_bytes(buf[pos : pos + k], "big")
+        if n < 0x80 or buf[pos] == 0:
+            raise DerError(f"non-minimal length at offset {pos - 1}")
+        pos += k
+    if pos + n > end:
+        raise DerError(f"element at offset {pos} overruns its container")
+    return tag, pos, pos + n
+
+
+def _elem(buf: bytes, pos: int, end: int, tag: int) -> tuple[int, int]:
+    """Content (start, end) of the element at ``pos``, which must have this tag."""
+    return _tlv(buf, pos, end, (tag,))[1:]
+
+
+def _only(buf: bytes, pos: int, end: int, tag: int) -> int:
+    """Content start of the element at ``pos``, which must fill ``[pos, end)``."""
+    start, stop = _elem(buf, pos, end, tag)
+    if stop != end:
+        raise DerError(f"{end - stop} byte(s) after the element at offset {pos}")
+    return start
+
+
+def _pkcs7_certs(blob: bytes) -> list[bytes]:
+    """The certificates of a PKCS#7 SignedData blob, as DER slices in blob order."""
+    end = len(blob)
+    pos = _only(blob, 0, end, 0x30)  # ContentInfo
+    oid, pos = _elem(blob, pos, end, 0x06)
+    if blob[oid:pos] != _OID_SIGNED_DATA:
+        raise DerError("content type is not signedData")
+    pos = _only(blob, _only(blob, pos, end, 0xA0), end, 0x30)  # [0] EXPLICIT SignedData
+    for tag in (0x02, 0x31, 0x30):  # version, digestAlgorithms, contentInfo
+        pos = _elem(blob, pos, end, tag)[1]
+    if pos == end or blob[pos] != 0xA0:
+        raise DerError("no certificates")
+    cert, stop = _elem(blob, pos, end, 0xA0)  # [0] IMPLICIT SET OF Certificate
+    certs = []
+    while cert < stop:
+        nxt = _elem(blob, cert, stop, 0x30)[1]
+        certs.append(blob[cert:nxt])
+        cert = nxt
+    if stop < end and blob[stop] == 0xA1:  # [1] IMPLICIT crls
+        stop = _elem(blob, stop, end, 0xA1)[1]
+    _only(blob, stop, end, 0x31)  # signerInfos
+    return certs
+
+
 def _subject_fields(cert_der: bytes) -> tuple[str, str]:
-    try:
-        cert = x509.load_der_x509_certificate(cert_der)
-    except Exception:  # noqa: BLE001
-        return "", ""
-
-    def first(oid) -> str:
-        attrs = cert.subject.get_attributes_for_oid(oid)
-        return str(attrs[0].value) if attrs else ""
-
-    return first(NameOID.COMMON_NAME), first(NameOID.ORGANIZATION_NAME)
+    """The first subject CN and the first subject O of a certificate, in RDN
+    order; "" for one it lacks."""
+    end = len(cert_der)
+    pos, end = _elem(cert_der, _only(cert_der, 0, end, 0x30), end, 0x30)  # TBSCertificate
+    if pos < end and cert_der[pos] == 0xA0:  # [0] EXPLICIT version
+        pos = _elem(cert_der, pos, end, 0xA0)[1]
+    for tag in (0x02, 0x30, 0x30, 0x30):  # serial, signature, issuer, validity
+        pos = _elem(cert_der, pos, end, tag)[1]
+    rdn, end = _elem(cert_der, pos, end, 0x30)  # subject RDNSequence
+    fields: dict[bytes, str] = {}
+    while rdn < end:
+        atv, rdn = _elem(cert_der, rdn, end, 0x31)  # SET OF AttributeTypeAndValue
+        while atv < rdn:
+            pos, atv = _elem(cert_der, atv, rdn, 0x30)
+            oid, pos = _elem(cert_der, pos, atv, 0x06)
+            tag, value, stop = _tlv(cert_der, pos, atv, _NAME_VALUE_CODECS)
+            if stop != atv:
+                raise DerError(f"{atv - stop} byte(s) after the attribute value at offset {pos}")
+            key = cert_der[oid:pos]
+            if key in (_OID_CN, _OID_O) and key not in fields:
+                try:
+                    fields[key] = cert_der[value:stop].decode(_NAME_VALUE_CODECS[tag])
+                except UnicodeDecodeError as exc:
+                    raise DerError(f"name attribute value at offset {pos}: {exc}") from None
+    return fields.get(_OID_CN, ""), fields.get(_OID_O, "")
 
 
 def _signing_block_certs(data: bytes):

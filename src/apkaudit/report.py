@@ -17,7 +17,7 @@ from .behaviors import RuleSet
 from .callgraph import build_callgraph
 from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
-from .errors import ApkAuditError, AxmlError, DexError
+from .errors import ApkAuditError, AxmlError, CorruptEntryError, DexError
 from .findings import DEFAULT_DEPTH, AppReport
 from .leaks import TaintSpec, augment_for_internet, load_taint_spec
 from .manifest import ManifestModel, build_manifest
@@ -93,7 +93,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         try:
             code = load_app_code(art)
             report.warnings.extend(code.warnings)
-        except DexError as exc:
+        except (CorruptEntryError, DexError) as exc:
             report.warnings.append(f"dex: {exc}")
         timings["dex"] = time.monotonic() - t
 

@@ -92,19 +92,23 @@ def _lv(data: bytes) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-def _v2_block(cert_der: bytes, scheme_id: int = V2_ID) -> bytes:
-    """Signing-block bytes holding one signer with one certificate.
+def _v2_block(
+    cert_der: bytes, scheme_id: int = V2_ID, more_certs: tuple[bytes, ...] = ()
+) -> bytes:
+    """Signing-block bytes holding one signer with one certificate, then one
+    more signer for each of ``more_certs``.
 
     Digests/signatures are placeholders; only the nested length-prefixed
-    structure and the certificate matter to consumers here.
+    structure and the certificates matter to consumers here.
     """
     digests = _lv(_lv(struct.pack("<I", 0x0103) + _lv(b"\x00" * 32)))
-    certs = _lv(_lv(cert_der))
-    signed_data = _lv(digests + certs + _lv(b""))  # + empty additional attrs
     signatures = _lv(_lv(struct.pack("<I", 0x0103) + _lv(b"\x00" * 64)))
     public_key = _lv(b"\x00" * 16)
-    signer = _lv(signed_data + signatures + public_key)
-    signers = _lv(signer)
+    signers = b""
+    for der in (cert_der, *more_certs):
+        signed_data = _lv(digests + _lv(_lv(der)) + _lv(b""))  # + empty additional attrs
+        signers += _lv(signed_data + signatures + public_key)
+    signers = _lv(signers)
     pair = struct.pack("<Q", 4 + len(signers)) + struct.pack("<I", scheme_id) + signers
     size = len(pair) + 8 + 16  # pairs + trailing size copy + magic
     return struct.pack("<Q", size) + pair + struct.pack("<Q", size) + SIG_MAGIC

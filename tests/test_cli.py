@@ -39,8 +39,28 @@ def test_missing_apk_is_an_error_not_a_traceback(tmp_path, capsys, command):
     missing = tmp_path / "no" / "such.apk"
     rc = main([command, str(missing)])
     assert rc == EXIT_ERROR
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and line.endswith(f"{missing}: No such file or directory")
+    assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
+
+
+@pytest.mark.parametrize("content", [None, b"nope"], ids=["missing", "not-a-zip"])
+def test_failed_single_apk_scan_names_the_path_once_and_prints_no_json(tmp_path, capsys, content):
+    apk = tmp_path / "such.apk"
+    if content is not None:
+        apk.write_bytes(content)
+    assert main(["scan", str(apk)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    reason = "No such file or directory" if content is None else "File is not a zip file"
+    assert captured.err.splitlines() == [f"error: {apk}: {reason}"]
+    assert captured.out == ""
+
+
+def test_directory_scan_of_failures_prints_an_empty_array(tmp_path, capsys):
+    bad = tmp_path / "bad.apk"
+    bad.write_bytes(b"nope")
+    assert main(["scan", str(tmp_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {bad}: File is not a zip file"]
+    assert json.loads(captured.out) == []
 
 
 def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, capsys, monkeypatch):
@@ -60,7 +80,7 @@ def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, ca
     rc = main(["scan", str(src), "--jobs", "1"])
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
-    assert captured.err.splitlines() == [f"error: {unreadable}: {unreadable}: Permission denied"]
+    assert captured.err.splitlines() == [f"error: {unreadable}: Permission denied"]
     assert len(json.loads(captured.out)) == 2
 
 

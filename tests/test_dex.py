@@ -478,6 +478,21 @@ def test_undecompressable_only_dex_raises(corpus, tmp_path):
         load_app_code(open_apk(p))
 
 
+def test_undecompressable_only_dex_is_a_dex_warning_in_the_report(corpus, tmp_path):
+    with zipfile.ZipFile(corpus["listing1_location"]) as zf:
+        entries = {n: zf.read(n) for n in zf.namelist() if not n.startswith("META-INF/")}
+    p = build_apk(tmp_path / "one.apk", entries, cn="Infinix", org="Infinix Mobility")
+    raw = bytearray(p.read_bytes())
+    _damage(raw, b"classes.dex", "deflate data")
+    p.write_bytes(bytes(raw))
+    report = analyze_apk(p)
+    assert report.package == analyze_apk(corpus["listing1_location"]).package != ""
+    assert report.signer_label == "Infinix"
+    dex = [w for w in report.warnings if w.startswith("dex: ")]
+    assert len(dex) == 1 and dex[0].startswith(f"dex: {p}:classes.dex: error: ")
+    assert not report.has_findings
+
+
 def _invalid_mutf8_dex() -> bytes:
     """A dex holding two strings that are not valid MUTF-8: a stray 0xFF
     byte and an unpaired surrogate."""

@@ -1,10 +1,13 @@
-"""`apkaudit report` and `import apkaudit.cli` load only the report data model."""
+"""`apkaudit report` and `import apkaudit.cli` load only the report data model,
+and the analysing commands run on the standard library alone."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from apkaudit.cli import EXIT_CLEAN, EXIT_FINDINGS, main
 
@@ -86,3 +89,28 @@ def test_scan_table_aggregates_as_report_does(corpus, tmp_path, capsys):
     assert capsys.readouterr().out == TABLE
     assert main(["report", str(out)]) == EXIT_CLEAN
     assert capsys.readouterr().out == TABLE
+
+
+# runs the CLI with `cryptography` unimportable, then prints the loaded modules
+_WITHOUT_CRYPTOGRAPHY = """\
+import json, sys
+sys.modules["cryptography"] = None
+from apkaudit.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("command", ["scan", "dump-manifest"])
+def test_one_apk_commands_need_only_the_standard_library(corpus, capsys, command):
+    apk = str(corpus["silent_install"])
+    rc = main([command, apk])
+    in_process = capsys.readouterr().out
+    proc = _python("-c", _WITHOUT_CRYPTOGRAPHY, command, apk)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stdout == in_process
+    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "apkaudit.container" in modules
+    assert not {m for m in modules if m.startswith("cryptography.")}
+    assert "concurrent.futures" not in modules
