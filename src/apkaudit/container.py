@@ -1,29 +1,39 @@
 """APK container handling: entry enumeration, digests, signing certificates.
 
-APKs are ZIP files; enumeration and decompression go through ``zipfile``
-(which covers ZIP64 and data-descriptor entries).  Each APK is read from
-disk once: the hash, the signing-block search and the one ``ZipFile`` kept
-on the :class:`ApkArtifact` all work over that buffer.  Certificate extraction
-understands both the v1 scheme (PKCS#7 blobs under META-INF/) and the APK
-Signing Block (v2/v3) that sits just before the central directory.
+APKs are ZIP files, read with a small strict reader over the one buffer of
+the APK's bytes; each APK is read from disk once, and the hash, the
+directory walk, the signing-block search and every entry read work over
+that buffer.  ``_read_directory`` finds the end record in the last 64 KiB
++ 22 bytes (following a ZIP64 locator if there is one), walks the central
+directory once into one :class:`ZipEntry` per record and keeps the first
+entry of each name.  As in ``zipfile``, names are UTF-8 when flag bit 11 is
+set and cp437 otherwise, end at a NUL, and local-header offsets are shifted
+by the bytes prepended to the archive; a ZIP64 extra field is read only for
+a size or offset of 0xFFFFFFFF.  :func:`read_entry` inflates only the entry
+it is asked for: it checks the local header's signature and name, rejects
+encrypted and patched-data entries, inflates STORED or DEFLATE data (the
+only methods Android's own reader accepts) and checks the declared size and
+the CRC-32.  Nothing beyond the CRC-32 is verified.
 
-Certificates are read with a small strict DER walker (``_pkcs7_certs``,
-``_subject_fields``): definite minimal lengths, the tag of every element it
-reads checked, fixed-depth loops.  It takes from a certificate only its
-bytes (for the fingerprint) and the first subject CN and O (for the
-authority label).  Nothing is verified: no signature, digest or chain.
+Certificate extraction understands both the v1 scheme (PKCS#7 blobs under
+META-INF/) and the APK Signing Block (v2/v3) that sits just before the
+central directory.  Certificates are read with a small strict DER walker
+(``_pkcs7_certs``, ``_subject_fields``): definite minimal lengths, the tag
+of every element it reads checked, fixed-depth loops.  It takes from a
+certificate only its bytes (for the fingerprint) and the first subject CN
+and O (for the authority label).  Nothing is verified: no signature, digest
+or chain.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import lzma
 import struct
-import zipfile
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     ApkReadError,
@@ -43,6 +53,36 @@ _V1_SUFFIXES = (".RSA", ".DSA", ".EC")
 
 DEFAULT_AUTHORITY_MAP = Path(__file__).parent / "data" / "authorities.json"
 
+# ZIP records (APPNOTE 4.3): signature and the fields this reader uses
+_END = struct.Struct("<4s8xLL2x")  # end of central directory: size, offset
+_END_SIG = b"PK\x05\x06"
+_ZIP64_LOCATOR = struct.Struct("<4sLQL")  # disk, end record offset, disks
+_ZIP64_END = struct.Struct("<4s36xQQ")  # ZIP64 end record: size, offset
+_DIRECTORY = struct.Struct("<L4xHH4xLLLHHH8xL")  # one central directory record
+_DIRECTORY_SIG = 0x02014B50
+_LOCAL = struct.Struct("<L22xHH")  # local file header: name and extra lengths
+_LOCAL_SIG = 0x04034B50
+_EXTRA = struct.Struct("<HH")  # extra field header: id, length
+_U64 = struct.Struct("<Q")
+_MAX32 = 0xFFFFFFFF
+_UTF8_NAME = 0x800  # flag bit 11
+_ENCRYPTED = 0x1  # flag bit 0
+_PATCHED = 0x20  # flag bit 5
+_STORED, _DEFLATED = 0, 8
+
+
+class ZipEntry(NamedTuple):
+    """One central directory record, with its local-header offset shifted
+    to a position in the APK's bytes."""
+
+    raw_name: bytes
+    flags: int
+    method: int
+    crc: int
+    compress_size: int
+    file_size: int
+    header_offset: int
+
 
 @dataclass(frozen=True)
 class SignerInfo:
@@ -55,9 +95,9 @@ class SignerInfo:
 @dataclass
 class ApkArtifact:
     path: Path
-    entries: dict[str, zipfile.ZipInfo]  # first entry of each name, in archive order
+    entries: dict[str, ZipEntry]  # first entry of each name, in archive order
     sha256: str
-    archive: zipfile.ZipFile  # over the in-memory APK bytes
+    archive: bytes  # the APK's bytes
     signers: list[SignerInfo] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -67,61 +107,172 @@ def open_apk(path) -> ApkArtifact:
     signers, all over the one buffer.
 
     Entries are not decompressed here; use :func:`read_entry` for that.
-    A file that cannot be read raises :class:`ApkReadError`.
+    A file that cannot be read raises :class:`ApkReadError`, one whose ZIP
+    directory cannot be read :class:`NotAZipError`.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ApkReadError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        archive = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
-        raise NotAZipError(f"{path}: {exc}") from exc
-
-    entries: dict[str, zipfile.ZipInfo] = {}
     warnings: list[str] = []
-    for info in archive.infolist():
-        if info.filename in entries:
-            warnings.append(f"duplicate entry dropped: {info.filename}")
-        else:
-            entries[info.filename] = info
-    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), archive, warnings=warnings)
-    art.signers = extract_signers(art, data)
+    try:
+        end, entries = _read_directory(data, warnings)
+    except struct.error as exc:
+        raise NotAZipError(f"{path}: truncated record: {exc}") from exc
+    except ValueError as exc:
+        raise NotAZipError(f"{path}: {exc}") from exc
+    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), data, warnings=warnings)
+    art.signers = extract_signers(art, end)
     return art
 
 
-def read_entry(a: ApkArtifact, name: str) -> bytes:
-    """Fully decompress the kept entry of this name, verifying its CRC-32.
+def _read_directory(data: bytes, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]]:
+    """The end record's position and the first entry of each name, in
+    directory order.  Raises ValueError or struct.error."""
+    end = len(data) - _END.size
+    if not (end >= 0 and data.startswith(_END_SIG, end) and data.endswith(b"\0\0")):
+        # an archive comment of up to 64 KiB follows the end record
+        end = data.rfind(_END_SIG, max(end - 0x10000, 0))
+        if end < 0 or end + _END.size > len(data):
+            raise ValueError("File is not a zip file")  # no end of central directory record
+    size, offset = _END.unpack_from(data, end)[1:]
+    stop = end  # where the directory ends
+    locator = end - _ZIP64_LOCATOR.size
+    if locator >= 0:
+        sig, disk, _, disks = _ZIP64_LOCATOR.unpack_from(data, locator)
+        if sig == b"PK\x06\x07":
+            if disk != 0 or disks > 1:
+                raise ValueError("archive spans multiple disks")
+            if locator >= _ZIP64_END.size:
+                sig, size64, offset64 = _ZIP64_END.unpack_from(data, locator - _ZIP64_END.size)
+                if sig == b"PK\x06\x06":
+                    size, offset, stop = size64, offset64, locator - _ZIP64_END.size
+    start = stop - size
+    if start < 0:
+        raise ValueError("central directory starts before the file")
+    shift = start - offset  # bytes prepended to the archive
+    directory = data[start:stop]
 
-    Any failure to decompress raises :class:`CorruptEntryError` (its
-    subclass :class:`CrcMismatchError` for a CRC-32 mismatch); the
-    artifact stays readable for its other entries.
+    entries: dict[str, ZipEntry] = {}
+    bad_names = 0
+    unpack, record = _DIRECTORY.unpack_from, _DIRECTORY.size
+    new_entry = tuple.__new__  # ZipEntry(...) without the Python-level __new__
+    pos = 0
+    while pos < size:
+        sig, flags, method, crc, csize, usize, name_len, extra_len, comment_len, local = unpack(
+            directory, pos
+        )
+        if sig != _DIRECTORY_SIG:
+            raise ValueError(f"bad central directory record signature at offset {start + pos}")
+        pos += record
+        raw = directory[pos : pos + name_len]
+        if raw.isascii():
+            name = raw.decode("ascii")
+        elif flags & _UTF8_NAME:
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                name = raw.decode("utf-8", "replace")
+                bad_names += 1
+        else:
+            name = raw.decode("cp437")
+        if "\0" in name:
+            name = name[: name.index("\0")]
+        pos += name_len
+        if _MAX32 in (csize, usize, local):
+            usize, csize, local = _zip64_fields(directory[pos : pos + extra_len], usize, csize, local)
+        pos += extra_len + comment_len
+        if name in entries:
+            warnings.append(f"duplicate entry dropped: {name}")
+        else:
+            entries[name] = new_entry(ZipEntry, (raw, flags, method, crc, csize, usize, local + shift))
+    if bad_names:
+        warnings.append(f"{bad_names} entry name(s) not valid UTF-8 replaced")
+    return end, entries
+
+
+def _zip64_fields(extra: bytes, usize: int, csize: int, local: int) -> tuple[int, int, int]:
+    """Take each of the sizes and the offset that is 0xFFFFFFFF from the
+    first ZIP64 extra field, in that order; without one, keep all three."""
+    pos = 0
+    while pos + _EXTRA.size <= len(extra):
+        tag, n = _EXTRA.unpack_from(extra, pos)
+        pos += _EXTRA.size
+        if tag == 1:
+            fields = extra[pos : pos + n]
+            at = 0
+            if usize == _MAX32:
+                usize, at = _U64.unpack_from(fields, at)[0], at + 8
+            if csize == _MAX32:
+                csize, at = _U64.unpack_from(fields, at)[0], at + 8
+            if local == _MAX32:
+                local = _U64.unpack_from(fields, at)[0]
+            break
+        pos += n
+    return usize, csize, local
+
+
+def read_entry(a: ApkArtifact, name: str) -> bytes:
+    """Fully decompress the kept entry of this name, verifying its size and
+    CRC-32.
+
+    Any failure raises :class:`CorruptEntryError` (its subclass
+    :class:`CrcMismatchError` for a CRC-32 mismatch) with the message
+    ``<path>:<entry>: <reason>``; the artifact stays readable for its
+    other entries.
     """
-    # what a damaged entry raises inside zipfile: zlib.error and EOFError for
-    # bad deflate data, OSError for bad bzip2 data, LZMAError for bad LZMA
-    # data, ValueError for a header offset before the start of the buffer,
-    # RuntimeError for a set encryption flag or (NotImplementedError) an
-    # unknown compression method, and BadZipFile for a bad local header or CRC
-    info = a.entries.get(name)
-    if info is None:
+    entry = a.entries.get(name)
+    if entry is None:
         raise EntryMissingError(f"{a.path}: no entry {name!r}")
     try:
-        return a.archive.read(info)
-    except (
-        zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError, RuntimeError, ValueError
-    ) as exc:
-        crc = isinstance(exc, zipfile.BadZipFile) and "CRC" in str(exc)
-        error = CrcMismatchError if crc else CorruptEntryError
-        raise error(f"{a.path}:{name}: {type(exc).__name__}: {exc}") from exc
+        return _entry_data(a.archive, entry)
+    except CorruptEntryError as exc:
+        raise type(exc)(f"{a.path}:{name}: {exc}") from None
 
 
-def extract_signers(a: ApkArtifact, data: bytes) -> list[SignerInfo]:
+def _entry_data(data: bytes, entry: ZipEntry) -> bytes:
+    """The bytes of one entry of the APK's bytes; raises CorruptEntryError
+    with the bare reason."""
+    raw, flags, method, crc, csize, size, local = entry
+    if flags & _ENCRYPTED:
+        raise CorruptEntryError("encrypted entry (flag bit 0)")
+    if flags & _PATCHED:
+        raise CorruptEntryError("compressed patched data (flag bit 5)")
+    if not 0 <= local <= len(data) - _LOCAL.size:
+        raise CorruptEntryError(f"local header offset {local} outside the file")
+    sig, name_len, extra_len = _LOCAL.unpack_from(data, local)
+    if sig != _LOCAL_SIG:
+        raise CorruptEntryError(f"bad local header signature at offset {local}")
+    start = local + _LOCAL.size
+    if data[start : start + name_len] != raw:
+        raise CorruptEntryError("local header name differs from the central directory's")
+    start += name_len + extra_len
+    body = data[start : start + csize]
+    if method == _DEFLATED:
+        try:
+            # one byte over the declared size tells a longer stream apart; a
+            # ZIP64 size can exceed the largest max_length zlib takes
+            body = zlib.decompressobj(-15).decompress(body, min(size + 1, sys.maxsize))
+        except zlib.error as exc:  # as "error: Error -3 while decompressing data: ..."
+            raise CorruptEntryError(f"{type(exc).__name__}: {exc}") from None
+    elif method != _STORED:
+        raise CorruptEntryError(f"unsupported compression method {method}")
+    if len(body) != size:
+        more = "more than " if len(body) > size else ""
+        raise CorruptEntryError(f"{more}{len(body)} byte(s) where {size} are declared")
+    if zlib.crc32(body) != crc:
+        raise CrcMismatchError(f"CRC-32 is 0x{zlib.crc32(body):08x}, declared 0x{crc:08x}")
+    return body
+
+
+def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
     """Collect distinct signing certificates, preferring the signing block.
 
-    ``data`` is the whole APK file.  Returns one :class:`SignerInfo` per
-    distinct certificate across schemes.
-    A malformed signing block is recorded as a warning, never fatal.
+    ``end`` is the position of the end of central directory record in the
+    APK's bytes.  Returns one :class:`SignerInfo` per distinct certificate
+    across schemes.  A malformed signing block is recorded as a warning,
+    never fatal.
     """
     signers: list[SignerInfo] = []
     seen_fp: set[str] = set()
@@ -134,7 +285,7 @@ def extract_signers(a: ApkArtifact, data: bytes) -> list[SignerInfo]:
         signers.append(SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
 
     try:
-        for block_id, certs in _signing_block_certs(data):
+        for block_id, certs in _signing_block_certs(a.archive, end):
             scheme = "v2" if block_id == V2_BLOCK_ID else "v3"
             for der in certs:
                 try:
@@ -262,9 +413,9 @@ def _subject_fields(cert_der: bytes) -> tuple[str, str]:
     return fields.get(_OID_CN, ""), fields.get(_OID_O, "")
 
 
-def _signing_block_certs(data: bytes):
+def _signing_block_certs(data: bytes, end: int):
     """Yield (block_id, [cert_der, ...]) for every v2/v3 block of an APK's bytes."""
-    block = _find_signing_block(data)
+    block = _find_signing_block(data, end)
     if block is None:
         return
     pos = 0
@@ -282,11 +433,10 @@ def _signing_block_certs(data: bytes):
             yield block_id, _scheme_block_certs(value, block_id)
 
 
-def _find_signing_block(raw: bytes) -> bytes | None:
-    eocd = raw.rfind(b"PK\x05\x06")
-    if eocd < 0:
-        return None
-    cd_offset = struct.unpack_from("<I", raw, eocd + 16)[0]
+def _find_signing_block(raw: bytes, end: int) -> bytes | None:
+    """The signing block before the directory offset that the end record at
+    ``end`` gives, or None."""
+    cd_offset = _END.unpack_from(raw, end)[2]
     if cd_offset < 32 or cd_offset > len(raw):
         return None
     if raw[cd_offset - 16 : cd_offset] != SIG_BLOCK_MAGIC:

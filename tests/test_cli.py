@@ -1,4 +1,6 @@
+import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,47 @@ def test_directory_scan_of_failures_prints_an_empty_array(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {bad}: File is not a zip file"]
     assert json.loads(captured.out) == []
+
+
+def _with_invalid_utf8_name(src: Path, out: Path) -> Path:
+    """A copy of the APK ``src`` plus one entry whose name is flagged UTF-8
+    (flag bit 11) but holds the invalid bytes 0xFF 0xFE."""
+    with zipfile.ZipFile(src) as zf:
+        entries = {n: zf.read(n) for n in zf.namelist() if not n.startswith("META-INF/")}
+    build_apk(out, {**entries, "assets/\u00e9.bin": b"payload"})
+    raw = bytearray(out.read_bytes())
+    old = "assets/\u00e9.bin".encode()
+    with zipfile.ZipFile(out) as zf:  # only the two headers; CERT.SF lists the name too
+        spots = [zf.getinfo(old.decode()).header_offset + 30, raw.index(old, zf.start_dir)]
+    for at in spots:
+        assert raw[at : at + len(old)] == old
+        raw[at : at + len(old)] = b"assets/\xff\xfe.bin"
+    out.write_bytes(bytes(raw))
+    return out
+
+
+def test_invalid_utf8_entry_name_is_replaced_with_a_warning(corpus, tmp_path, capsys):
+    apk = _with_invalid_utf8_name(corpus["silent_install"], tmp_path / "bad-name.apk")
+    assert main(["scan", str(apk)]) == EXIT_FINDINGS
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [doc] = json.loads(captured.out)
+    assert "1 entry name(s) not valid UTF-8 replaced" in doc["warnings"]
+    assert doc["package"] and doc["findings"]["behaviors"]
+
+
+def test_invalid_utf8_entry_name_does_not_stop_a_directory_scan(corpus, tmp_path, capsys):
+    src = tmp_path / "apks"
+    src.mkdir()
+    _with_invalid_utf8_name(corpus["benign"], src / "bad-name.apk")
+    other = src / "silent_install.apk"
+    other.write_bytes(corpus["silent_install"].read_bytes())
+    out = tmp_path / "reports"
+    assert main(["scan", str(src), "--out", str(out), "--jobs", "1"]) == EXIT_FINDINGS
+    assert capsys.readouterr().err == ""
+    docs = [json.loads(r.read_text()) for r in out.glob("*.json")]
+    assert len(docs) == 2
+    assert any(d["sha256"] == hashlib.sha256(other.read_bytes()).hexdigest() for d in docs)
 
 
 def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, capsys, monkeypatch):

@@ -91,10 +91,13 @@ def test_scan_table_aggregates_as_report_does(corpus, tmp_path, capsys):
     assert capsys.readouterr().out == TABLE
 
 
-# runs the CLI with `cryptography` unimportable, then prints the loaded modules
-_WITHOUT_CRYPTOGRAPHY = """\
+# runs the CLI with `cryptography` and the ZIP and compression modules
+# unimportable, then prints the loaded modules; blocked rather than checked
+# for absence, because a `site` .pth file may import zipfile at start-up
+_WITHOUT_OPTIONAL_MODULES = """\
 import json, sys
-sys.modules["cryptography"] = None
+for name in ("cryptography", "zipfile", "lzma", "bz2"):
+    sys.modules[name] = None
 from apkaudit.cli import main
 rc = main(sys.argv[1:])
 print(json.dumps(sorted(sys.modules)), file=sys.stderr)
@@ -102,12 +105,12 @@ sys.exit(rc)
 """
 
 
-@pytest.mark.parametrize("command", ["scan", "dump-manifest"])
+@pytest.mark.parametrize("command", ["scan", "dump-manifest", "dump-dex"])
 def test_one_apk_commands_need_only_the_standard_library(corpus, capsys, command):
     apk = str(corpus["silent_install"])
     rc = main([command, apk])
     in_process = capsys.readouterr().out
-    proc = _python("-c", _WITHOUT_CRYPTOGRAPHY, command, apk)
+    proc = _python("-c", _WITHOUT_OPTIONAL_MODULES, command, apk)
     assert proc.returncode == rc, proc.stderr
     assert proc.stdout == in_process
     modules = set(json.loads(proc.stderr.splitlines()[-1]))
