@@ -95,11 +95,6 @@ def list_device_packages(bridge, serial: str) -> tuple[list[DevicePackage], int]
     """Enumerate installed packages; returns (packages, skipped_line_count)."""
     all_out = bridge.shell(serial, "pm list packages -f")
     system_out = bridge.shell(serial, "pm list packages -f -s")
-    # the -3 pass is only consulted for consistency; system tagging uses -s
-    try:
-        bridge.shell(serial, "pm list packages -f -3")
-    except BridgeError:
-        pass
     system_paths = {path for path, _name, ok in _parse_pm_lines(system_out) if ok}
 
     packages: list[DevicePackage] = []

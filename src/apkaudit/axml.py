@@ -3,18 +3,16 @@
 The format is a sequence of chunks: a file header (type 0x0003), a string
 pool, an optional resource-id map, then namespace/element chunks in document
 order.  All integers are little-endian.  Unknown chunk types are skipped
-with a warning; a missing or broken string pool is fatal for the manifest.
+and counted in one warning; a missing or broken string pool is fatal for
+the manifest.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass, field
 
 from .errors import BadStringPoolError, TruncatedChunkError
-
-log = logging.getLogger(__name__)
 
 CHUNK_XML = 0x0003
 CHUNK_STRING_POOL = 0x0001
@@ -89,6 +87,7 @@ def decode_axml(data: bytes) -> XmlTree:
     ns_stack: list[tuple[str, str]] = []  # (prefix, uri)
     elem_stack: list[AxmlElement] = []
     root: AxmlElement | None = None
+    unknown: list[int] = []  # types of the skipped chunks
 
     pos = 8
     while pos + 8 <= min(fsize, len(data)):
@@ -127,15 +126,15 @@ def decode_axml(data: bytes) -> XmlTree:
         elif ctype == CHUNK_CDATA:
             pass  # text nodes carry nothing we audit
         else:
-            warnings.append(f"unknown chunk type 0x{ctype:04x} skipped")
+            unknown.append(ctype)
         pos += csize
 
     if pool is None:
         raise BadStringPoolError("no string pool chunk")
     if root is None:
         raise TruncatedChunkError("no root element")
-    for w in warnings:
-        log.warning("%s", w)
+    if unknown:
+        warnings.append(f"{len(unknown)} chunk(s) skipped, first unknown chunk type 0x{unknown[0]:04x}")
     return XmlTree(root=root, string_pool=pool, warnings=warnings)
 
 

@@ -36,11 +36,6 @@ class CallGraph:
     def nodes(self) -> set[str]:
         return self.internal | self.external
 
-    def dump(self) -> str:
-        """Edge list in stable order (debug flag)."""
-        lines = [f"{c} -> {t} @{s}" for c, t, s in sorted(self.edges)]
-        return "\n".join(lines) + "\n" if lines else ""
-
 
 def build_callgraph(m: CodeModel) -> CallGraph:
     g = CallGraph()

@@ -147,6 +147,10 @@ def _cmd_scan(args) -> int:
             msg = str(exc) if str(exc).startswith(f"{p}:") else f"{p}: {exc}"
             print(f"error: {msg}", file=sys.stderr)
             errors += 1
+        except Exception as exc:
+            # an analyser fault in one app must not cost the rest of the corpus
+            print(f"error: {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            errors += 1
     if pool:
         pool.shutdown()
 

@@ -296,16 +296,16 @@ def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
     except MalformedSigningBlockError as exc:
         a.warnings.append(f"malformed signing block: {exc}")
 
-    for name in sorted(a.entries):
-        if name.startswith("META-INF/") and name.upper().endswith(_V1_SUFFIXES):
-            try:
-                # a blob holding any malformed certificate adds none of them
-                certs = [(der, _subject_fields(der)) for der in _pkcs7_certs(read_entry(a, name))]
-            except (CorruptEntryError, DerError) as exc:
-                a.warnings.append(f"unparsable v1 signature {name}: {exc}")
-                continue
-            for der, cn_o in certs:
-                add(der, cn_o, "v1")
+    v1_names = [n for n in a.entries if n.startswith("META-INF/") and n.upper().endswith(_V1_SUFFIXES)]
+    for name in sorted(v1_names):
+        try:
+            # a blob holding any malformed certificate adds none of them
+            certs = [(der, _subject_fields(der)) for der in _pkcs7_certs(read_entry(a, name))]
+        except (CorruptEntryError, DerError) as exc:
+            a.warnings.append(f"unparsable v1 signature {name}: {exc}")
+            continue
+        for der, cn_o in certs:
+            add(der, cn_o, "v1")
     return signers
 
 

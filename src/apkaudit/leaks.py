@@ -6,12 +6,16 @@ writes and reads of the same field key.  Phase 2 is depth-bounded and
 summary-based: each method summary records which parameter slots taint the
 return value and which reach a sink inside, and callers apply summaries at
 call sites.  Summaries are computed callees first, and cycles are cut by
-repeating that sweep up to a bounded number of times.  After the first
-sweep a method is re-analysed only when its inputs changed: the summary of
-a method it calls, or the field store bucket of a field it reads.  Each call
-target is matched against the source/sink list once per app.  A last pass
-collects the findings; it covers only methods that can reach a sink, that
-is, those that call a sink or a method whose summary reaches one.
+repeating that sweep up to a bounded number of times.  Each sweep analyses
+only the dirty methods: every method is dirty at the start, and a method
+turns dirty again when its inputs change, that is, the summary of a method
+it calls or the field store bucket of a field it reads.  Each call target is
+matched against the source/sink list once per app.  A last pass runs the
+same analysis against the final summaries and field store and keeps only
+its findings; it covers only methods that can reach a sink, that is, those
+that call a sink or a method whose summary reaches one.  Of the witnesses of
+one flow (source, sink and their sites) the least by (length, path) is
+reported, so the report does not depend on set iteration order.
 
 Taint is tracked per named register slot; the second register of a wide
 value is not modeled separately.  Any invoke with a tainted argument taints
@@ -40,7 +44,6 @@ from .dex import (
 )
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
-from .manifest import ManifestModel
 
 log = logging.getLogger(__name__)
 
@@ -167,13 +170,6 @@ def _java_to_descriptor(t: str) -> str:
     return "[" * dims + base
 
 
-def augment_for_internet(spec: TaintSpec, man: ManifestModel, extra: TaintSpec | None) -> TaintSpec:
-    """Supplementary sinks only apply to apps holding the INTERNET permission."""
-    if extra is None or INTERNET_PERMISSION not in man.uses_permissions:
-        return spec
-    return spec.union(extra)
-
-
 class SrcToken(NamedTuple):
     source: str  # matched method key
     label: str
@@ -222,52 +218,49 @@ class _Engine:
     def run(self) -> list[LeakFinding]:
         methods = [m for m in self.code.all_methods() if m.is_concrete]
         order = self._bottom_up_order(methods)
-        inputs = {m.key: self._prepare(m) for m in order}
+        callers: dict[str, list[str]] = {}  # invoke target -> calling methods
+        readers: dict[str, list[str]] = {}  # field key -> reading methods
+        for m in order:
+            targets, reads = self._prepare(m)
+            for t in targets:
+                callers.setdefault(t, []).append(m.key)
+            for fk in reads:
+                readers.setdefault(fk, []).append(m.key)
 
         # _analyze is a pure function of a method's callee summaries and read
-        # field buckets, so a method none of whose inputs changed since it was
-        # last analysed would repeat its summary and field writes: skip it
-        tick = 0
-        summary_tick: dict[str, int] = {}
-        field_tick: dict[str, int] = {}
-        analysed_at: dict[str, int] = {}
-        for sweep in range(SUMMARY_ITERATIONS):
-            changed = False
+        # field buckets, so a method is analysed again only when one of them
+        # changed after its last analysis: the change marks it dirty
+        dirty = {m.key for m in order}
+        for _ in range(SUMMARY_ITERATIONS):
+            if not dirty:
+                break
             for m in order:
-                if sweep:
-                    at = analysed_at[m.key]
-                    targets, reads = inputs[m.key]
-                    if not (
-                        any(summary_tick.get(t, 0) > at for t in targets)
-                        or any(field_tick.get(fk, 0) > at for fk in reads)
-                    ):
-                        continue
-                analysed_at[m.key] = tick
-                summary, field_writes, _ = self._analyze(m, symbolic=True)
+                if m.key not in dirty:
+                    continue
+                dirty.discard(m.key)
+                summary, field_writes, _ = self._analyze(m)
                 if self.summaries.get(m.key) != summary:
                     self.summaries[m.key] = summary
-                    tick += 1
-                    summary_tick[m.key] = tick
-                    changed = True
+                    dirty.update(callers.get(m.key, ()))
                 for fk, tokens in field_writes.items():
                     bucket = self.field_store.setdefault(fk, set())
                     if not tokens <= bucket:
                         bucket.update(tokens)
-                        tick += 1
-                        field_tick[fk] = tick
-                        changed = True
-            if not changed:
-                break
+                        dirty.update(readers.get(fk, ()))
 
         # only a call to a sink, or to a callee whose summary reaches one, can
-        # emit a finding; order is kept so the first witness per key is too
+        # emit a finding; of a flow's witnesses the least (length, path) is kept
+        sinking = {key for t, keys in callers.items() if self._reaches_sink(t) for key in keys}
         findings: dict[tuple, LeakFinding] = {}
         for m in order:
-            if not any(self._reaches_sink(t) for t in inputs[m.key][0]):
+            if m.key not in sinking:
                 continue
-            _, _, found = self._analyze(m, symbolic=False)
+            _, _, found = self._analyze(m)
             for f in found:
-                findings.setdefault((f.source, f.sink, f.source_site, f.sink_site), f)
+                flow = (f.source, f.sink, f.source_site, f.sink_site)
+                held = findings.get(flow)
+                if held is None or (len(f.path), f.path) < (len(held.path), held.path):
+                    findings[flow] = f
         return sorted(findings.values(), key=LeakFinding.sort_key)
 
     def _bottom_up_order(self, methods: list[DexMethod]) -> list[DexMethod]:
@@ -323,12 +316,9 @@ class _Engine:
         summary = self.summaries.get(target) if self.depth >= 1 else None
         return summary is not None and bool(summary.sink_hits)
 
-    def _analyze(self, m: DexMethod, symbolic: bool):
-        regs: dict[int, frozenset] = {}
-        if symbolic:
-            base = m.registers - m.ins
-            for i in range(m.ins):
-                regs[base + i] = frozenset({ParamToken(i)})
+    def _analyze(self, m: DexMethod):
+        base = m.registers - m.ins
+        regs: dict[int, frozenset] = {base + i: frozenset({ParamToken(i)}) for i in range(m.ins)}
 
         empty: frozenset = frozenset()
         pending = empty
@@ -351,7 +341,7 @@ class _Engine:
                 pending = empty
             elif kind == _INVOKE or kind == _INVOKE_STATIC:
                 pending = self._invoke(
-                    m, ins, kind, regs, get, symbolic, sink_hits, param_fields, field_writes, findings
+                    m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings
                 )
             elif kind == _CLEAR:
                 regs[r[0]] = empty
@@ -390,7 +380,7 @@ class _Engine:
         )
         return summary, field_writes, findings
 
-    def _invoke(self, m, ins, kind, regs, get, symbolic, sink_hits, param_fields, field_writes, findings):
+    def _invoke(self, m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings):
         target = ins[REF]
         arg_tokens = [get(r) for r in ins[REGISTERS]]
         all_tokens = frozenset().union(*arg_tokens) if arg_tokens else frozenset()
@@ -398,11 +388,11 @@ class _Engine:
         channel, label = self.matches[target]
 
         if channel is not None:
-            for i, tokens in enumerate(arg_tokens):
+            for tokens in arg_tokens:
                 for t in tokens:
                     if isinstance(t, SrcToken):
                         findings.append(self._finding(t, target, channel, (m.key, ins[OFFSET]), t.path))
-                    elif symbolic:
+                    else:
                         sink_hits.add(
                             SinkHit(t.index, target, channel, (m.key, ins[OFFSET]), (m.key,))
                         )
@@ -421,8 +411,8 @@ class _Engine:
                                 findings.append(
                                     self._finding(t, hit.sink, hit.channel, hit.site, full)
                                 )
-                        elif symbolic:
-                            sink_hits.add(replace_hit(hit, t.index, suffix))
+                        else:
+                            sink_hits.add(hit._replace(param=t.index, suffix=suffix))
             for i in callee_summary.ret_params:
                 if i < len(arg_tokens):
                     result |= arg_tokens[i]
@@ -434,8 +424,7 @@ class _Engine:
                 if i < len(arg_tokens):
                     for t in arg_tokens[i]:
                         if isinstance(t, ParamToken):
-                            if symbolic:
-                                param_fields.add((t.index, fk))
+                            param_fields.add((t.index, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
         elif all_tokens:
@@ -470,10 +459,6 @@ class _Engine:
         if t.path and t.path[-1] == method_key:
             return t
         return t._replace(path=t.path + (method_key,))
-
-
-def replace_hit(hit: SinkHit, param: int, suffix: tuple[str, ...]) -> SinkHit:
-    return SinkHit(param, hit.sink, hit.channel, hit.site, suffix)
 
 
 # Effect kinds of an instruction on the register taint; _NONE (0) is also

@@ -19,7 +19,7 @@ from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
 from .errors import ApkAuditError, AxmlError, CorruptEntryError, DexError
 from .findings import DEFAULT_DEPTH, AppReport
-from .leaks import TaintSpec, augment_for_internet, load_taint_spec
+from .leaks import INTERNET_PERMISSION, TaintSpec, load_taint_spec
 from .manifest import ManifestModel, build_manifest
 
 
@@ -41,7 +41,7 @@ class Detection:
     rules: RuleSet
     apis: KeyMatcher
     spec: TaintSpec
-    extra_sinks: TaintSpec | None
+    internet_spec: TaintSpec  # spec plus the supplementary sinks, for INTERNET apps
 
 
 @functools.lru_cache(maxsize=8)
@@ -49,14 +49,13 @@ def load_detection(config: AnalysisConfig) -> Detection:
     """Read the data files of a config once per process; later calls with an
     equal config return the same object.  A missing or malformed file raises
     ApkAuditError, and nothing is cached for that config."""
+    authorities = AuthorityMap.load()
+    rules = behaviors_mod.load_rules(config.rules_path)
+    apis = components_mod.load_sensitive_apis(config.apis_path)
+    spec = load_taint_spec(config.taint_path)
     extra = config.extra_sinks_path
-    return Detection(
-        authorities=AuthorityMap.load(),
-        rules=behaviors_mod.load_rules(config.rules_path),
-        apis=components_mod.load_sensitive_apis(config.apis_path),
-        spec=load_taint_spec(config.taint_path),
-        extra_sinks=load_taint_spec(extra, origin="supplementary") if extra else None,
-    )
+    internet_spec = spec.union(load_taint_spec(extra, origin="supplementary")) if extra else spec
+    return Detection(authorities, rules, apis, spec, internet_spec)
 
 
 def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") -> AppReport:
@@ -79,6 +78,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
     man: ManifestModel | None = None
     try:
         tree = decode_axml(read_entry(art, "AndroidManifest.xml"))
+        report.warnings.extend(f"manifest: {w}" for w in tree.warnings)
         man = build_manifest(tree)
         report.package = man.package
         report.version_name = man.version_name
@@ -114,7 +114,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         timings["components"] = time.monotonic() - t
 
         t = time.monotonic()
-        spec = augment_for_internet(data.spec, man, data.extra_sinks)
+        spec = data.internet_spec if INTERNET_PERMISSION in man.uses_permissions else data.spec
         report.warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
         report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
         timings["leaks"] = time.monotonic() - t

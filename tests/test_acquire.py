@@ -58,7 +58,6 @@ def _transcript(tmp_path, with_files=True):
         "shell": {
             "pm list packages -f": PM_ALL,
             "pm list packages -f -s": PM_SYSTEM,
-            "pm list packages -f -3": "package:/data/app/com.game-x1/base.apk=com.game\n",
         },
         "files": {
             "/system/app/Gallery/Gallery.apk": apks.get("Gallery", ""),
@@ -69,8 +68,16 @@ def _transcript(tmp_path, with_files=True):
 
 
 def test_list_device_packages(tmp_path):
-    bridge = TranscriptBridge(_transcript(tmp_path, with_files=False))
+    commands = []
+
+    class RecordingBridge(TranscriptBridge):
+        def shell(self, serial, command):
+            commands.append(command)
+            return super().shell(serial, command)
+
+    bridge = RecordingBridge(_transcript(tmp_path, with_files=False))
     pkgs, skipped = list_device_packages(bridge, "SER1")
+    assert commands == ["pm list packages -f", "pm list packages -f -s"]
     assert skipped == 2  # the two malformed lines
     by_name = {p.package: p for p in pkgs}
     assert set(by_name) == {"com.vendor.gallery", "com.game", "com.vendor.radio"}

@@ -131,9 +131,3 @@ def test_reachable_hits_monotone_in_depth():
         assert prev <= now
         prev = now
     assert prev  # eventually found
-
-
-def test_dump_stable():
-    g = build_callgraph(_hierarchy_model())
-    assert g.dump() == g.dump()
-    assert g.dump().splitlines() == sorted(g.dump().splitlines())

@@ -127,6 +127,31 @@ def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, ca
     assert len(json.loads(captured.out)) == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_survives_an_analyser_fault_in_one_app(corpus, tmp_path, capsys, monkeypatch, jobs):
+    import apkaudit.report
+
+    src = tmp_path / "apks"
+    src.mkdir()
+    for name in ("benign", "silent_install", "unsigned"):
+        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    faulty = src / "silent_install.apk"
+    analyze_apk = apkaudit.report.analyze_apk
+
+    def analyze_or_fail(path, config=None, device=""):
+        if Path(path) == faulty:
+            raise RuntimeError("analyser fault")
+        return analyze_apk(path, config, device)
+
+    # forked --jobs workers inherit the patched module
+    monkeypatch.setattr(apkaudit.report, "analyze_apk", analyze_or_fail)
+    out = tmp_path / "reports"
+    rc = main(["scan", str(src), "--out", str(out), "--jobs", jobs])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {faulty}: RuntimeError: analyser fault"]
+    assert len(list(out.glob("*.json"))) == 2
+
+
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):
     src = tmp_path / "apks"
     src.mkdir()

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from apkaudit import leaks
@@ -9,7 +15,6 @@ from apkaudit.leaks import (
     LeakFinding,
     TaintSpec,
     analyze_leaks,
-    augment_for_internet,
     load_taint_spec,
 )
 from apkaudit.leaks import _susi_to_key
@@ -78,23 +83,6 @@ def test_default_spec_loads():
     assert spec.match_source(SRC) == "imei"
     assert spec.match_sink(SINK) == "log"
     assert spec.warnings == []
-
-
-class _Man:
-    def __init__(self, perms):
-        self.uses_permissions = set(perms)
-
-
-def test_augment_for_internet():
-    base = TaintSpec(sinks=[("La/A;->x", "log", "default")])
-    extra = TaintSpec(sinks=[("La/Net;->post", "network", "supplementary")])
-    no_net = _Man([])
-    with_net = _Man(["android.permission.INTERNET"])
-    assert augment_for_internet(base, no_net, extra) is base
-    assert augment_for_internet(base, with_net, None) is base
-    merged = augment_for_internet(base, with_net, extra)
-    assert ("La/Net;->post", "network", "supplementary") in merged.sinks
-    assert ("La/A;->x", "log", "default") in merged.sinks
 
 
 # ---------------------------------------------------------------- engine
@@ -409,12 +397,12 @@ def test_fixpoint_model_exact_findings(depth, expected):
 
 
 def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
-    analyzed: list[tuple[str, bool]] = []
+    analyzed: list[str] = []
     analyze = leaks._Engine._analyze
 
-    def counting_analyze(self, m, symbolic):
-        analyzed.append((m.key, symbolic))
-        return analyze(self, m, symbolic)
+    def counting_analyze(self, m):
+        analyzed.append(m.key)
+        return analyze(self, m)
 
     matched: list[tuple[str, str]] = []
 
@@ -433,11 +421,10 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
     code, _ = _run(_fixpoint_model())
 
     methods = [m for m in code.all_methods() if m.is_concrete]
-    symbolic = [key for key, sym in analyzed if sym]
-    order = symbolic[: len(methods)]  # the first pass analyses every method once, in order
+    order = analyzed[: len(methods)]  # the first pass analyses every method once, in order
     assert sorted(order) == sorted(m.key for m in methods)
     second: list[str] = []
-    for key in symbolic[len(methods):]:
+    for key in analyzed[len(methods):]:
         if second and order.index(key) <= order.index(second[-1]):
             break  # the third pass starts over
         second.append(key)
@@ -446,3 +433,70 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
     targets = {ins[REF] for m in methods for ins in m.instructions if ins[REF_KIND] == "method"}
     assert len(matched) == len(set(matched))
     assert {key for _, key in matched} <= targets
+
+
+# ---------------------------------------------------------------- witnesses
+
+WIT_SRC = "Lt/W;->src()Ljava/lang/String;"
+WIT_MAIN = "Lt/W;->main()V"
+WIT_HELPERS = "fbdahgce"  # not in key order
+
+
+def _wit_helper(name: str) -> str:
+    return f"Lt/W;->{name}()Ljava/lang/String;"
+
+
+def _returns_call(target: str) -> list:
+    return [("invoke-virtual", [2], target), ("move-result-object", [0]), ("return-object", [0])]
+
+
+def _witness_model():
+    """Eight helpers return the one source call of src to main's sink, so
+    the flow has eight witnesses of equal length."""
+    main = [("new-instance", [1], "Ljava/lang/StringBuilder;")]
+    for name in WIT_HELPERS:
+        main += [
+            ("invoke-virtual", [2], _wit_helper(name)),
+            ("move-result-object", [0]),
+            ("invoke-virtual", [1, 0],
+             "Ljava/lang/StringBuilder;->append(Ljava/lang/String;)Ljava/lang/StringBuilder;"),
+        ]
+    main += [("invoke-static", [1], SINK), ("return-void", [])]
+    w = DexWriter()
+    w.add_class("Lt/W;", methods=[
+        MethodDef("src", (), "Ljava/lang/String;", registers=3, code=_returns_call(SRC)),
+        *(MethodDef(name, (), "Ljava/lang/String;", registers=3, code=_returns_call(WIT_SRC))
+          for name in WIT_HELPERS),
+        MethodDef("main", (), "V", registers=3, code=main),
+    ])
+    return w
+
+
+_WITNESS_SCRIPT = """
+import json, sys
+from apkaudit.callgraph import build_callgraph
+from apkaudit.dex.parser import parse_dex
+from apkaudit.leaks import analyze_leaks, load_taint_spec
+with open(sys.argv[1], "rb") as f:
+    code = parse_dex(f.read())
+found = analyze_leaks(code, build_callgraph(code), load_taint_spec())
+print(json.dumps([[f.source_site, f.sink_site, f.path] for f in found]))
+"""
+
+
+def test_witness_is_the_least_path_under_any_hash_seed(tmp_path):
+    blob = tmp_path / "classes.dex"
+    blob.write_bytes(_witness_model().build())
+    env = {**os.environ, "PYTHONPATH": str(Path(leaks.__file__).parents[1])}
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _WITNESS_SCRIPT, str(blob)],
+            env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(6)
+    }
+    assert len(outputs) == 1, outputs
+    [(source_site, _sink_site, path)] = json.loads(outputs.pop())
+    assert source_site == [WIT_SRC, 0]
+    assert path == [WIT_SRC, _wit_helper("a"), WIT_MAIN]

@@ -1,12 +1,14 @@
 import io
 import json
 import random
+import struct
 import zipfile
 from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.serialization import Encoding
 
+from apkaudit import leaks
 from apkaudit.container import open_apk
 from apkaudit.errors import ApkAuditError, NotAZipError
 from apkaudit.findings import (
@@ -17,6 +19,7 @@ from apkaudit.findings import (
     aggregate,
     format_percent,
 )
+from apkaudit.leaks import TaintSpec
 from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 
 from .conftest import EXTRA_SINKS
@@ -216,6 +219,50 @@ def test_data_files_read_once_per_process(corpus, monkeypatch):
     assert sorted(reads) == [
         "authorities.json", "extra_sinks.txt", "rules.json", "sensitive_apis.txt",
         "sources_sinks.txt",
+    ]
+
+
+def test_supplementary_sinks_apply_only_to_internet_apps(corpus, monkeypatch):
+    unions, specs = [], []
+    union, analyze_leaks = TaintSpec.union, leaks.analyze_leaks
+
+    def counting_union(self, other):
+        unions.append(other)
+        return union(self, other)
+
+    def recording(code, g, spec, depth):
+        specs.append(spec)
+        return analyze_leaks(code, g, spec, depth)
+
+    monkeypatch.setattr(TaintSpec, "union", counting_union)
+    monkeypatch.setattr(leaks, "analyze_leaks", recording)
+    load_detection.cache_clear()
+    with_extra, plain = AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS)), AnalysisConfig()
+    for config in (with_extra, plain):
+        for name in ("listing5_leak", "benign", "listing5_leak"):  # listing5 holds INTERNET
+            analyze_apk(corpus[name], config)
+    assert len(unions) == 1  # the merged spec is built once per config, not once per app
+
+    extra, base = load_detection(with_extra), load_detection(plain)
+    assert ("Lcom/fix/listing5/Net;->post", "network", "supplementary") in extra.internet_spec.sinks
+    assert set(extra.spec.sinks) < set(extra.internet_spec.sinks)
+    assert base.internet_spec is base.spec  # no supplementary sinks: INTERNET apps get the spec
+    expected = [extra.internet_spec, extra.spec, extra.internet_spec, base.spec, base.spec, base.spec]
+    assert [id(s) for s in specs] == [id(s) for s in expected]
+
+
+def test_manifest_tree_warnings_reach_the_report(corpus, tmp_path):
+    with zipfile.ZipFile(corpus["benign"]) as z:
+        entries = {name: z.read(name) for name in ("AndroidManifest.xml", "classes.dex")}
+    blob = bytearray(entries["AndroidManifest.xml"])
+    at = 8 + struct.unpack_from("<I", blob, 12)[0]  # after the string pool chunk
+    blob[at:at] = struct.pack("<HHI", 0x0BAD, 8, 8) + struct.pack("<HHI", 0x0BAE, 8, 8)
+    struct.pack_into("<I", blob, 4, len(blob))
+    entries["AndroidManifest.xml"] = bytes(blob)
+    report = analyze_apk(build_apk(tmp_path / "unknown_chunks.apk", entries))
+    assert report.package == "com.fix.benign"
+    assert [w for w in report.warnings if w.startswith("manifest:")] == [
+        "manifest: 2 chunk(s) skipped, first unknown chunk type 0x0bad"
     ]
 
 
