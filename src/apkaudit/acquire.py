@@ -13,8 +13,8 @@ import os
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .container import AuthorityMap, open_apk
 from .errors import BridgeError, NotAZipError
@@ -27,8 +27,7 @@ _SYSTEM_PREFIXES = ("/system/", "/system_ext/", "/product/", "/vendor/", "/odm/"
 _NESTED_SYSTEM = {"product", "system_ext", "vendor", "preload"}
 
 
-@dataclass(frozen=True)
-class DevicePackage:
+class DevicePackage(NamedTuple):
     package: str
     device_path: str
     partition_folder: str
@@ -147,10 +146,12 @@ def _looks_system(path: str) -> bool:
     return path.startswith(_SYSTEM_PREFIXES)
 
 
-@dataclass
 class PullResult:
-    pulled: list[Path] = field(default_factory=list)
-    failures: dict[str, str] = field(default_factory=dict)  # package → reason
+    __slots__ = ("pulled", "failures")
+
+    def __init__(self):
+        self.pulled: list[Path] = []
+        self.failures: dict[str, str] = {}  # package → reason
 
 
 def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> PullResult:
@@ -191,11 +192,13 @@ def _sibling_apks(bridge, folder: str) -> list[str]:
     return []
 
 
-@dataclass
 class CorpusIndex:
-    entries: dict[str, dict] = field(default_factory=dict)  # sha256 → metadata
-    created: str = ""
-    updated: str = ""
+    __slots__ = ("entries", "created", "updated")
+
+    def __init__(self, created: str = "", updated: str = ""):
+        self.entries: dict[str, dict] = {}  # sha256 → metadata
+        self.created = created
+        self.updated = updated
 
     def to_json(self) -> str:
         doc = {

@@ -10,7 +10,7 @@ the manifest.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadStringPoolError, TruncatedChunkError
 
@@ -38,8 +38,7 @@ NO_INDEX = 0xFFFFFFFF
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
 
 
-@dataclass(frozen=True)
-class AxmlAttribute:
+class AxmlAttribute(NamedTuple):
     namespace: str  # resolved URI, "" for default
     name: str
     kind: str  # string | int | bool | reference | flags
@@ -47,12 +46,14 @@ class AxmlAttribute:
     resource_id: int | None = None  # attribute-name resource id, when mapped
 
 
-@dataclass
 class AxmlElement:
-    namespace: str
-    name: str
-    attributes: list[AxmlAttribute] = field(default_factory=list)
-    children: list["AxmlElement"] = field(default_factory=list)
+    __slots__ = ("namespace", "name", "attributes", "children")
+
+    def __init__(self, namespace: str, name: str):
+        self.namespace = namespace
+        self.name = name
+        self.attributes: list[AxmlAttribute] = []
+        self.children: list[AxmlElement] = []
 
     def attr(self, name: str, namespace: str | None = ANDROID_NS):
         for a in self.attributes:
@@ -64,11 +65,13 @@ class AxmlElement:
         return [c for c in self.children if c.name == name]
 
 
-@dataclass
 class XmlTree:
-    root: AxmlElement
-    string_pool: list[str]
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("root", "string_pool", "warnings")
+
+    def __init__(self, root: AxmlElement, string_pool: list[str], warnings: list[str]):
+        self.root = root
+        self.string_pool = string_pool
+        self.warnings = warnings
 
 
 def decode_axml(data: bytes) -> XmlTree:

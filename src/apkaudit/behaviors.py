@@ -9,8 +9,8 @@ being dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .dex import REF, REF_KIND, CodeModel
 from .errors import RuleSchemaError, read_data_file
@@ -25,8 +25,7 @@ MATCH_SPACES = {"string_pool", "const_string", "method_ref"}
 SMS_RECEIVED_ACTION = "android.provider.Telephony.SMS_RECEIVED"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     category: str
     pattern: str
@@ -35,9 +34,11 @@ class Rule:
     co_occurrence: str | None = None
 
 
-@dataclass
 class RuleSet:
-    rules: list[Rule] = field(default_factory=list)
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: list[Rule]):
+        self.rules = rules
 
     def by_id(self, rule_id: str) -> Rule | None:
         for r in self.rules:
@@ -96,9 +97,7 @@ def _parse_rules(raw) -> RuleSet:
     return rs
 
 
-def scan_behaviors(
-    code: CodeModel, man: ManifestModel, rs: RuleSet, apk_sha256: str = ""
-) -> list[BehaviorFinding]:
+def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet) -> list[BehaviorFinding]:
     sites = _collect_sites(code)
     findings: list[BehaviorFinding] = []
 
@@ -107,21 +106,22 @@ def scan_behaviors(
     per_rule: dict[str, list[tuple[str, str, str]]] = {}  # rule → (method, class, conf)
 
     for rule in rs.rules:
+        pattern = rule.pattern
         hits: list[tuple[str, str, str]] = []
         if rule.match_space in ("const_string", "string_pool"):
             for method_key, class_desc, s in sites.const_strings:
-                if rule.pattern in s:
+                if pattern in s:
                     hits.append((method_key, class_desc, "high"))
             for s in sites.pool_only:
-                if rule.pattern in s:
+                if pattern in s:
                     hits.append(("string-pool", "", "medium"))
                     break
         elif rule.match_space == "method_ref":
             for method_key, class_desc, ref in sites.method_refs:
-                if rule.pattern in ref:
+                if pattern in ref:
                     hits.append((method_key, class_desc, "high"))
         # manifest side channel for the SMS broadcast action
-        if rule.pattern == "Telephony.SMS_RECEIVED":
+        if pattern == "Telephony.SMS_RECEIVED":
             for comp in man.components:
                 if SMS_RECEIVED_ACTION in comp.actions:
                     hits.append(("manifest", comp.class_name, "high"))
@@ -150,14 +150,12 @@ def scan_behaviors(
                     method=method_key,
                     matched=rule.pattern,
                     component=class_desc if method_key == "manifest" else None,
-                    apk_sha256=apk_sha256,
                 )
             )
     return sorted(findings, key=BehaviorFinding.sort_key)
 
 
-@dataclass
-class _Sites:
+class _Sites(NamedTuple):
     const_strings: list[tuple[str, str, str]]  # (method key, class, string)
     method_refs: list[tuple[str, str, str]]  # (method key, class, callee key)
     pool_only: list[str]  # pool strings never used as a const-string operand

@@ -10,7 +10,6 @@ outgoing edges.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .dex import MNEMONIC, OFFSET, REF, REF_KIND, CodeModel, parse_method_key
 
@@ -18,13 +17,15 @@ REFLECTIVE_NODE = "<reflective-call>"
 _REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
 
 
-@dataclass
 class CallGraph:
-    internal: set[str] = field(default_factory=set)
-    external: set[str] = field(default_factory=set)
-    edges: set[tuple[str, str, int]] = field(default_factory=set)  # (caller, callee, site)
-    subclasses: dict[str, set[str]] = field(default_factory=dict)
-    adjacency: dict[str, set[str]] = field(default_factory=dict)
+    __slots__ = ("internal", "external", "edges", "subclasses", "adjacency")
+
+    def __init__(self):
+        self.internal: set[str] = set()
+        self.external: set[str] = set()
+        self.edges: set[tuple[str, str, int]] = set()  # (caller, callee, site)
+        self.subclasses: dict[str, set[str]] = {}
+        self.adjacency: dict[str, set[str]] = {}
 
     def add_edge(self, caller: str, callee: str, site: int) -> None:
         self.edges.add((caller, callee, site))
@@ -131,11 +132,12 @@ def reachable_hits(
         while queue:
             current, path = queue.popleft()
             hops = len(path) - 1
-            for callee in sorted(g.callees(current)):
+            callees = sorted(g.callees(current))
+            for callee in callees:
                 if callee in targets:
                     hits.setdefault((root, callee), path)
             if hops < depth:
-                for callee in sorted(g.callees(current)):
+                for callee in callees:
                     if callee in g.internal and callee not in visited:
                         visited.add(callee)
                         queue.append((callee, path + [callee]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,6 @@ EXIT_ERROR = 2
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="apkaudit", description=__doc__)
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_acq = sub.add_parser("acquire", help="pull pre-installed packages from a device")
@@ -63,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return {
             "acquire": _cmd_acquire,
@@ -81,7 +75,12 @@ def main(argv=None) -> int:
 
 
 def _cmd_acquire(args) -> int:
+    import logging
+
     from . import acquire as acquire_mod
+
+    # only acquire logs: skipped pm lines and unreadable files, on stderr
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
     if args.transcript:
         bridge = acquire_mod.TranscriptBridge(args.transcript)

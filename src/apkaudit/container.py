@@ -31,7 +31,6 @@ import hashlib
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -84,22 +83,24 @@ class ZipEntry(NamedTuple):
     header_offset: int
 
 
-@dataclass(frozen=True)
-class SignerInfo:
+class SignerInfo(NamedTuple):
     subject_cn: str
     subject_o: str
     fingerprint_sha256: str
     scheme: str  # "v1" | "v2" | "v3"
 
 
-@dataclass
 class ApkArtifact:
-    path: Path
-    entries: dict[str, ZipEntry]  # first entry of each name, in archive order
-    sha256: str
-    archive: bytes  # the APK's bytes
-    signers: list[SignerInfo] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("path", "entries", "sha256", "archive", "signers", "warnings")
+
+    def __init__(self, path: Path, entries: dict[str, ZipEntry], sha256: str, archive: bytes,
+                 warnings: list[str]):
+        self.path = path
+        self.entries = entries  # first entry of each name, in archive order
+        self.sha256 = sha256
+        self.archive = archive  # the APK's bytes
+        self.signers: list[SignerInfo] = []
+        self.warnings = warnings
 
 
 def open_apk(path) -> ApkArtifact:
@@ -122,7 +123,7 @@ def open_apk(path) -> ApkArtifact:
         raise NotAZipError(f"{path}: truncated record: {exc}") from exc
     except ValueError as exc:
         raise NotAZipError(f"{path}: {exc}") from exc
-    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), data, warnings=warnings)
+    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), data, warnings)
     art.signers = extract_signers(art, end)
     return art
 

@@ -13,13 +13,11 @@ untracked; a tuple subclass (``NamedTuple``) or a slotted class stays tracked
 and is walked again by every full collection.  Plain tuples keep that walk
 off the code model and hold less memory than slotted objects.
 
-``DexMethod`` and ``DexClass`` are slotted, so none of the instances
-carries a ``__dict__``.
+``DexMethod``, ``DexClass`` and ``CodeModel`` are plain classes with
+``__slots__``, so none of the instances carries a ``__dict__``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 ACC_STATIC = 0x0008
 ACC_NATIVE = 0x0100
@@ -93,17 +91,21 @@ OFFSET, OPCODE, MNEMONIC, WIDTH, REGISTERS, REF_KIND, REF, LITERAL, TARGET, OPAQ
 Instruction = tuple
 
 
-@dataclass(slots=True)
 class DexMethod:
-    key: str
-    class_desc: str
-    name: str
-    params: tuple[str, ...]
-    return_type: str
-    access_flags: int
-    registers: int = 0
-    ins: int = 0
-    instructions: list[Instruction] = field(default_factory=list)
+    __slots__ = ("key", "class_desc", "name", "params", "return_type", "access_flags",
+                 "registers", "ins", "instructions")
+
+    def __init__(self, key: str, class_desc: str, name: str, params: tuple[str, ...],
+                 return_type: str, access_flags: int):
+        self.key = key
+        self.class_desc = class_desc
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.access_flags = access_flags
+        self.registers = 0
+        self.ins = 0
+        self.instructions: list[Instruction] = []
 
     @property
     def is_abstract(self) -> bool:
@@ -118,24 +120,30 @@ class DexMethod:
         return not (self.is_abstract or self.is_native)
 
 
-@dataclass(slots=True)
 class DexClass:
-    descriptor: str
-    superclass: str | None
-    interfaces: tuple[str, ...]
-    access_flags: int
-    methods: list[DexMethod] = field(default_factory=list)
+    __slots__ = ("descriptor", "superclass", "interfaces", "access_flags", "methods")
+
+    def __init__(self, descriptor: str, superclass: str | None, interfaces: tuple[str, ...],
+                 access_flags: int):
+        self.descriptor = descriptor
+        self.superclass = superclass
+        self.interfaces = interfaces
+        self.access_flags = access_flags
+        self.methods: list[DexMethod] = []
 
 
-@dataclass
 class CodeModel:
-    classes: dict[str, DexClass] = field(default_factory=dict)
-    string_pool: set[str] = field(default_factory=set)
-    dex_count: int = 0
-    warnings: list[str] = field(default_factory=list)
-    _method_index: dict[str, DexMethod] = field(default_factory=dict, repr=False)
-    # one object per distinct register tuple, shared by all of the app's instructions
-    register_tuples: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, repr=False)
+    __slots__ = ("classes", "string_pool", "dex_count", "warnings", "_method_index",
+                 "register_tuples")
+
+    def __init__(self):
+        self.classes: dict[str, DexClass] = {}
+        self.string_pool: set[str] = set()
+        self.dex_count = 0
+        self.warnings: list[str] = []
+        self._method_index: dict[str, DexMethod] = {}
+        # one object per distinct register tuple, shared by all of the app's instructions
+        self.register_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def add_class(self, cls: DexClass) -> bool:
         if cls.descriptor in self.classes:

@@ -1,14 +1,16 @@
 """Report data model: findings, per-app reports and the corpus summary.
 
-This module imports only ``json`` and ``dataclasses``, so ``apkaudit report``
-rolls up saved reports without loading any analyser.  The pipeline that
-produces an :class:`AppReport` lives in :mod:`apkaudit.report`.
+This module imports only ``json`` and ``typing``, so ``apkaudit report``
+rolls up saved reports without loading any analyser.  The finding types are
+``NamedTuple``s, and ``AppReport`` and ``CorpusSummary`` are classes with
+``__slots__`` and a written ``__init__``.  The pipeline that produces an
+:class:`AppReport` lives in :mod:`apkaudit.report`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 SCHEMA_VERSION = "1"
 
@@ -26,8 +28,7 @@ CATEGORY_ORDER = [
 ]
 
 
-@dataclass(frozen=True)
-class LeakFinding:
+class LeakFinding(NamedTuple):
     source: str
     sink: str
     channel: str
@@ -40,22 +41,19 @@ class LeakFinding:
         return (self.source, self.sink, self.source_site, self.sink_site)
 
 
-@dataclass(frozen=True)
-class BehaviorFinding:
+class BehaviorFinding(NamedTuple):
     category: str
     rule_id: str
     confidence: str  # high | medium
     method: str  # MethodKey, "string-pool" or "manifest"
     matched: str  # the configured pattern literal
     component: str | None = None
-    apk_sha256: str = ""
 
     def sort_key(self):
         return (self.category, self.rule_id, self.method, self.component or "")
 
 
-@dataclass(frozen=True)
-class ComponentFinding:
+class ComponentFinding(NamedTuple):
     component_class: str  # class descriptor
     kind: str
     sensitive_api: str
@@ -72,29 +70,52 @@ class ComponentFinding:
 _RENAMES = {"component_class": "class", "sensitive_api": "api", "containing_method": "method"}
 
 # findings key -> (finding type, [(field name, JSON key)]).  Tuple fields are
-# JSON lists.  ``BehaviorFinding.apk_sha256`` is not written: it is the
-# report's own ``sha256``.
+# JSON lists.
 _CODECS = {
-    key: (cls, [(f.name, _RENAMES.get(f.name, f.name)) for f in fields(cls) if f.name != "apk_sha256"])
+    key: (cls, [(name, _RENAMES.get(name, name)) for name in cls._fields])
     for key, cls in (("leaks", LeakFinding), ("behaviors", BehaviorFinding),
                      ("exported_components", ComponentFinding))
 }
 _HEADER = ("sha256", "package", "version_name", "version_code", "signer_label", "device")
 
 
-@dataclass
 class AppReport:
-    sha256: str
-    package: str = ""
-    version_name: str = ""
-    version_code: int = 0
-    signer_label: str = ""
-    device: str = ""
-    leaks: list[LeakFinding] = field(default_factory=list)
-    behaviors: list[BehaviorFinding] = field(default_factory=list)
-    exported_components: list[ComponentFinding] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    timings: dict[str, float] | None = None
+    """One app's findings and warnings; ``to_dict``/``from_dict`` give its
+    JSON form.  Two reports are equal when every field is."""
+
+    __slots__ = ("sha256", "package", "version_name", "version_code", "signer_label", "device",
+                 "leaks", "behaviors", "exported_components", "warnings", "timings")
+
+    def __init__(
+        self,
+        sha256: str,
+        package: str = "",
+        version_name: str = "",
+        version_code: int = 0,
+        signer_label: str = "",
+        device: str = "",
+        leaks: list[LeakFinding] | None = None,
+        behaviors: list[BehaviorFinding] | None = None,
+        exported_components: list[ComponentFinding] | None = None,
+        warnings: list[str] | None = None,
+        timings: dict[str, float] | None = None,
+    ):
+        self.sha256 = sha256
+        self.package = package
+        self.version_name = version_name
+        self.version_code = version_code
+        self.signer_label = signer_label
+        self.device = device
+        self.leaks = leaks or []
+        self.behaviors = behaviors or []
+        self.exported_components = exported_components or []
+        self.warnings = warnings or []
+        self.timings = timings
+
+    def __eq__(self, other):
+        if type(other) is not AppReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in _HEADER}
@@ -117,11 +138,11 @@ class AppReport:
         field's default; a required one raises TypeError."""
         found = doc.get("findings", {})
 
-        def decode(key: str, **extra) -> list:
+        def decode(key: str) -> list:
             finding, codec = _CODECS[key]
             return [
                 finding(**{name: tuple(v) if isinstance(v := x[k], list) else v
-                           for name, k in codec if k in x}, **extra)
+                           for name, k in codec if k in x})
                 for x in found.get(key, [])
             ]
 
@@ -129,7 +150,7 @@ class AppReport:
             sha256=doc["sha256"],
             **{name: doc[name] for name in _HEADER[1:] if name in doc},
             leaks=decode("leaks"),
-            behaviors=decode("behaviors", apk_sha256=doc["sha256"]),
+            behaviors=decode("behaviors"),
             exported_components=decode("exported_components"),
             warnings=list(doc.get("warnings", [])),
             timings=doc.get("timings"),
@@ -159,11 +180,14 @@ def format_percent(count: int, total: int) -> str:
     return f"0.{tenths}%" if tenths < 10 else "1%"
 
 
-@dataclass
 class CorpusSummary:
-    total_apps: int
-    category_counts: dict[str, int]
-    signer_distribution: dict[str, dict[str, str]]  # device → label → percent
+    __slots__ = ("total_apps", "category_counts", "signer_distribution")
+
+    def __init__(self, total_apps: int, category_counts: dict[str, int],
+                 signer_distribution: dict[str, dict[str, str]]):  # device → label → percent
+        self.total_apps = total_apps
+        self.category_counts = category_counts
+        self.signer_distribution = signer_distribution
 
     def percent(self, category: str) -> str:
         if self.total_apps == 0:

@@ -25,8 +25,6 @@ into, the result.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,8 +43,6 @@ from .dex import (
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
 
-log = logging.getLogger(__name__)
-
 DEFAULT_SPEC = Path(__file__).parent / "data" / "sources_sinks.txt"
 SUMMARY_ITERATIONS = 3
 
@@ -60,18 +56,19 @@ _PRIMITIVES = {
 }
 
 
-@dataclass
 class TaintSpec:
     """Source and sink lists, compiled into matchers when the spec is built;
     derive a new spec (``union``) rather than editing the lists."""
 
-    sources: list[tuple[str, str, str]] = field(default_factory=list)  # (pattern, label, origin)
-    sinks: list[tuple[str, str, str]] = field(default_factory=list)  # (pattern, channel, origin)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("sources", "sinks", "warnings", "_sources", "_sinks")
 
-    def __post_init__(self):
-        self._sources = KeyMatcher((p, label) for p, label, _origin in self.sources)
-        self._sinks = KeyMatcher((p, channel) for p, channel, _origin in self.sinks)
+    def __init__(self, sources: list[tuple[str, str]], sinks: list[tuple[str, str]],
+                 warnings: list[str]):
+        self.sources = sources  # (pattern, label)
+        self.sinks = sinks  # (pattern, channel)
+        self.warnings = warnings
+        self._sources = KeyMatcher(sources)
+        self._sinks = KeyMatcher(sinks)
 
     def match_source(self, key: str) -> str | None:
         return self._sources.match(key)
@@ -87,14 +84,9 @@ class TaintSpec:
         )
 
 
-def load_taint_spec(path=None, origin: str | None = None) -> TaintSpec:
+def load_taint_spec(path=None) -> TaintSpec:
     """Parse a source/sink list; the embedded default when path is omitted."""
-    if path is None:
-        p = DEFAULT_SPEC
-        origin = origin or "default"
-    else:
-        p = Path(path)
-        origin = origin or "supplementary"
+    p = DEFAULT_SPEC if path is None else Path(path)
     sources, sinks, warnings = [], [], []
     for lineno, line in enumerate(read_data_file(p).splitlines(), 1):
         line = line.strip()
@@ -104,12 +96,11 @@ def load_taint_spec(path=None, origin: str | None = None) -> TaintSpec:
             pattern, role, tag = _parse_spec_line(line)
         except ValueError as exc:
             warnings.append(f"{p.name}:{lineno}: {exc}")
-            log.warning("%s:%d: unparseable line: %s", p.name, lineno, exc)
             continue
         if role == "_SOURCE_":
-            sources.append((pattern, tag or "sensitive", origin))
+            sources.append((pattern, tag or "sensitive"))
         else:
-            sinks.append((pattern, tag or "network", origin))
+            sinks.append((pattern, tag or "network"))
     if not sources and not sinks:
         raise TaintSpecError(f"{p}: no sources or sinks parsed")
     return TaintSpec(sources, sinks, warnings)
@@ -189,8 +180,7 @@ class SinkHit(NamedTuple):
     suffix: tuple[str, ...]  # methods from this summary's owner down to the sink
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     ret_params: frozenset[int] = frozenset()
     ret_sources: frozenset[SrcToken] = frozenset()
     sink_hits: frozenset[SinkHit] = frozenset()

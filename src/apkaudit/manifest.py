@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .axml import AxmlElement, XmlTree
 from .errors import MissingPackageError
 
@@ -15,31 +13,46 @@ COMPONENT_TAGS = {
 }
 
 
-@dataclass
 class ComponentDecl:
-    kind: str  # activity | service | receiver | provider
-    class_name: str  # fully qualified
-    exported_attr: bool | None
-    permission_attr: str | None
-    read_permission: str | None = None  # providers only
-    write_permission: str | None = None
-    intent_filters: int = 0
-    actions: list[str] = field(default_factory=list)
-    categories: list[str] = field(default_factory=list)
-    authorities: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "class_name", "exported_attr", "permission_attr", "read_permission",
+                 "write_permission", "intent_filters", "actions", "categories", "authorities")
+
+    def __init__(
+        self,
+        kind: str,  # activity | service | receiver | provider
+        class_name: str,  # fully qualified
+        exported_attr: bool | None,
+        permission_attr: str | None,
+        read_permission: str | None = None,  # providers only
+        write_permission: str | None = None,
+        intent_filters: int = 0,
+    ):
+        self.kind = kind
+        self.class_name = class_name
+        self.exported_attr = exported_attr
+        self.permission_attr = permission_attr
+        self.read_permission = read_permission
+        self.write_permission = write_permission
+        self.intent_filters = intent_filters
+        self.actions: list[str] = []
+        self.categories: list[str] = []
+        self.authorities: list[str] = []
 
 
-@dataclass
 class ManifestModel:
-    package: str
-    version_name: str = ""
-    version_code: int = 0
-    min_sdk: int | None = None
-    target_sdk: int | None = None
-    shared_user_id: str | None = None
-    uses_permissions: set[str] = field(default_factory=set)
-    declared_permissions: set[str] = field(default_factory=set)
-    components: list[ComponentDecl] = field(default_factory=list)
+    __slots__ = ("package", "version_name", "version_code", "min_sdk", "target_sdk",
+                 "shared_user_id", "uses_permissions", "declared_permissions", "components")
+
+    def __init__(self, package: str):
+        self.package = package
+        self.version_name = ""
+        self.version_code = 0
+        self.min_sdk: int | None = None
+        self.target_sdk: int | None = None
+        self.shared_user_id: str | None = None
+        self.uses_permissions: set[str] = set()
+        self.declared_permissions: set[str] = set()
+        self.components: list[ComponentDecl] = []
 
 
 def build_manifest(t: XmlTree) -> ManifestModel:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import behaviors as behaviors_mod
 from . import components as components_mod
@@ -23,8 +23,7 @@ from .leaks import INTERNET_PERMISSION, TaintSpec, load_taint_spec
 from .manifest import ManifestModel, build_manifest
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     rules_path: str | None = None
     taint_path: str | None = None
     extra_sinks_path: str | None = None
@@ -33,8 +32,7 @@ class AnalysisConfig:
     timings: bool = False
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """The detection data a config names, loaded by ``load_detection``."""
 
     authorities: AuthorityMap
@@ -54,7 +52,7 @@ def load_detection(config: AnalysisConfig) -> Detection:
     apis = components_mod.load_sensitive_apis(config.apis_path)
     spec = load_taint_spec(config.taint_path)
     extra = config.extra_sinks_path
-    internet_spec = spec.union(load_taint_spec(extra, origin="supplementary")) if extra else spec
+    internet_spec = spec.union(load_taint_spec(extra)) if extra else spec
     return Detection(authorities, rules, apis, spec, internet_spec)
 
 
@@ -103,7 +101,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         timings["callgraph"] = time.monotonic() - t
 
         t = time.monotonic()
-        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, art.sha256)
+        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules)
         timings["behaviors"] = time.monotonic() - t
 
         t = time.monotonic()

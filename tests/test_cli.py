@@ -11,6 +11,7 @@ from apkaudit.leaks import DEFAULT_SPEC
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
 from .test_acquire import _transcript
+from .test_imports import _python
 
 
 def test_scan_single_apk_json(corpus, capsys):
@@ -303,6 +304,18 @@ def test_acquire_with_transcript(tmp_path, capsys):
     assert rc == EXIT_CLEAN
     idx2 = json.loads((out / "corpus-index.json").read_text())
     assert idx2["entries"] == idx["entries"]
+
+
+def test_acquire_logs_skipped_lines_to_stderr(tmp_path):
+    tr_path = tmp_path / "transcript.json"
+    tr_path.write_text(json.dumps(_transcript(tmp_path)))
+    proc = _python("-m", "apkaudit.cli", "acquire", "--serial", "SER1",
+                   "--out", str(tmp_path / "pulled"), "--transcript", str(tr_path))
+    assert proc.returncode == EXIT_CLEAN, proc.stderr
+    warnings = [line for line in proc.stderr.splitlines() if line.startswith("WARNING ")]
+    assert len(warnings) == 2
+    assert all(w.startswith("WARNING apkaudit.acquire: unparseable pm line skipped: ")
+               for w in warnings)
 
 
 @pytest.mark.parametrize("content, reason", [

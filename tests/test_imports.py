@@ -1,5 +1,6 @@
 """`apkaudit report` and `import apkaudit.cli` load only the report data model,
-and the analysing commands run on the standard library alone."""
+and the analysing commands run on the standard library alone, without
+`dataclasses`, `inspect` or `logging`."""
 
 import json
 import os
@@ -71,6 +72,10 @@ def test_report_command_imports_no_analyser(corpus, tmp_path, capsys):
     assert {"apkaudit", "apkaudit.errors", "apkaudit.findings"} <= imported
     _assert_light(imported)
 
+    blocked = _python("-c", _WITHOUT_OPTIONAL_MODULES, "report", str(out), "--format", "json")
+    assert blocked.returncode == EXIT_CLEAN, blocked.stderr
+    assert blocked.stdout == in_process
+
 
 def test_import_cli_imports_no_analyser():
     proc = _python("-c", "import json, sys, apkaudit.cli; print(json.dumps(sorted(sys.modules)))")
@@ -91,12 +96,13 @@ def test_scan_table_aggregates_as_report_does(corpus, tmp_path, capsys):
     assert capsys.readouterr().out == TABLE
 
 
-# runs the CLI with `cryptography` and the ZIP and compression modules
-# unimportable, then prints the loaded modules; blocked rather than checked
-# for absence, because a `site` .pth file may import zipfile at start-up
+# runs the CLI with `cryptography`, the ZIP and compression modules,
+# `dataclasses`, `inspect` and `logging` unimportable, then prints the loaded
+# modules; blocked rather than checked for absence, because a `site` .pth file
+# may import any of them at start-up
 _WITHOUT_OPTIONAL_MODULES = """\
 import json, sys
-for name in ("cryptography", "zipfile", "lzma", "bz2"):
+for name in ("cryptography", "zipfile", "lzma", "bz2", "dataclasses", "inspect", "logging"):
     sys.modules[name] = None
 from apkaudit.cli import main
 rc = main(sys.argv[1:])

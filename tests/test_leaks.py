@@ -48,10 +48,10 @@ def test_load_spec_both_forms(tmp_path):
     )
     spec = load_taint_spec(p)
     assert spec.warnings == []
-    assert ("La/B;->go(I)V", "imei", "supplementary") in spec.sources
-    assert ("La/E;->any", "sensitive", "supplementary") in spec.sources  # default label
-    assert ("La/C;->put*", "log", "supplementary") in spec.sinks
-    assert ("La/D;->raw", "network", "supplementary") in spec.sinks  # default channel
+    assert ("La/B;->go(I)V", "imei") in spec.sources
+    assert ("La/E;->any", "sensitive") in spec.sources  # default label
+    assert ("La/C;->put*", "log") in spec.sinks
+    assert ("La/D;->raw", "network") in spec.sinks  # default channel
     assert spec.match_source("La/B;->go(I)V") == "imei"
     assert spec.match_sink("La/C;->putString(Ljava/lang/String;)V") == "log"
 

@@ -9,7 +9,11 @@ import pytest
 from cryptography.hazmat.primitives.serialization import Encoding
 
 from apkaudit import leaks
-from apkaudit.container import open_apk
+from apkaudit.acquire import CorpusIndex, PullResult
+from apkaudit.axml import AxmlElement
+from apkaudit.callgraph import CallGraph
+from apkaudit.container import ApkArtifact, open_apk
+from apkaudit.dex import CodeModel, DexClass, DexMethod
 from apkaudit.errors import ApkAuditError, NotAZipError
 from apkaudit.findings import (
     AppReport,
@@ -20,6 +24,7 @@ from apkaudit.findings import (
     format_percent,
 )
 from apkaudit.leaks import TaintSpec
+from apkaudit.manifest import ComponentDecl, ManifestModel
 from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 
 from .conftest import EXTRA_SINKS
@@ -50,7 +55,7 @@ def _report(sha, label="", device="", leaks=0, comps=0, cats=()):
         exported_components=[comp] * comps,
         behaviors=[
             BehaviorFinding(category=c, rule_id=f"{c}_r", confidence="high",
-                            method="m", matched="x", component=None, apk_sha256=sha)
+                            method="m", matched="x", component=None)
             for c in cats
         ],
     )
@@ -244,7 +249,7 @@ def test_supplementary_sinks_apply_only_to_internet_apps(corpus, monkeypatch):
     assert len(unions) == 1  # the merged spec is built once per config, not once per app
 
     extra, base = load_detection(with_extra), load_detection(plain)
-    assert ("Lcom/fix/listing5/Net;->post", "network", "supplementary") in extra.internet_spec.sinks
+    assert ("Lcom/fix/listing5/Net;->post", "network") in extra.internet_spec.sinks
     assert set(extra.spec.sinks) < set(extra.internet_spec.sinks)
     assert base.internet_spec is base.spec  # no supplementary sinks: INTERNET apps get the spec
     expected = [extra.internet_spec, extra.spec, extra.internet_spec, base.spec, base.spec, base.spec]
@@ -273,10 +278,9 @@ def _every_finding_report() -> AppReport:
         signer_label="Google", device="tecno",
         leaks=[LeakFinding("Lsrc;->a()V", "Lsink;->b(I)V", "log", ("La;->m()V", 3),
                            ("La;->n()V", 7), ("La;->m()V", "La;->n()V"), "device_id")],
-        behaviors=[BehaviorFinding("sms", "sms_delete", "medium", "string-pool", "content://sms",
-                                   apk_sha256=sha),
+        behaviors=[BehaviorFinding("sms", "sms_delete", "medium", "string-pool", "content://sms"),
                    BehaviorFinding("sms", "sms_recv", "high", "manifest", "SMS_RECEIVED",
-                                   component="Lcom/x/R;", apk_sha256=sha)],
+                                   component="Lcom/x/R;")],
         exported_components=[ComponentFinding("Lcom/x/S;", "service", "Lapi;->c()V",
                                               "Lcom/x/S;->run()V", ("Lcom/x/S;->run()V",),
                                               "location", confidence="medium")],
@@ -323,7 +327,6 @@ def test_app_report_from_dict_defaults():
         del doc[key]
     back = AppReport.from_dict(doc)
     assert back.behaviors[1].component is None
-    assert back.behaviors[1].apk_sha256 == "c" * 64
     assert back.exported_components[0].confidence == "high"
     assert (back.package, back.version_name, back.version_code, back.signer_label,
             back.device, back.warnings, back.timings) == ("", "", 0, "", "", [], None)
@@ -334,3 +337,23 @@ def test_app_report_from_dict_defaults():
     del doc["findings"]["leaks"][0]["data_kind"]  # required: no default
     with pytest.raises(TypeError):
         AppReport.from_dict(doc)
+
+
+def test_records_share_no_mutable_default():
+    for make in (
+        lambda: AppReport(sha256="a"),
+        lambda: ApkArtifact(Path("a.apk"), {}, "a", b"", []),
+        lambda: AxmlElement("", "manifest"),
+        lambda: ManifestModel("p"),
+        lambda: ComponentDecl("activity", "p.A", None, None),
+        lambda: CodeModel(),
+        lambda: DexClass("La;", None, (), 0),
+        lambda: DexMethod("La;->m()V", "La;", "m", (), "V", 0),
+        lambda: CallGraph(),
+        lambda: PullResult(),
+        lambda: CorpusIndex(),
+    ):
+        a, b = make(), make()
+        for name in type(a).__slots__:
+            if isinstance(getattr(a, name), (list, dict, set)):
+                assert getattr(a, name) is not getattr(b, name), (type(a).__name__, name)
