@@ -66,11 +66,10 @@ class AxmlElement:
 
 
 class XmlTree:
-    __slots__ = ("root", "string_pool", "warnings")
+    __slots__ = ("root", "warnings")
 
-    def __init__(self, root: AxmlElement, string_pool: list[str], warnings: list[str]):
+    def __init__(self, root: AxmlElement, warnings: list[str]):
         self.root = root
-        self.string_pool = string_pool
         self.warnings = warnings
 
 
@@ -138,7 +137,7 @@ def decode_axml(data: bytes) -> XmlTree:
         raise TruncatedChunkError("no root element")
     if unknown:
         warnings.append(f"{len(unknown)} chunk(s) skipped, first unknown chunk type 0x{unknown[0]:04x}")
-    return XmlTree(root=root, string_pool=pool, warnings=warnings)
+    return XmlTree(root=root, warnings=warnings)
 
 
 def _pool_str(pool: list[str], index: int) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .dex import REF, REF_KIND, CodeModel
+from .callgraph import CallGraph, build_callgraph
+from .dex import CodeModel
 from .errors import RuleSchemaError, read_data_file
 from .findings import BehaviorFinding
 from .manifest import ManifestModel
@@ -97,8 +98,11 @@ def _parse_rules(raw) -> RuleSet:
     return rs
 
 
-def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet) -> list[BehaviorFinding]:
-    sites = _collect_sites(code)
+def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,
+                   g: CallGraph | None = None) -> list[BehaviorFinding]:
+    """Reads the code through the index of ``g``, the app's call graph; one
+    is built when it is not given."""
+    const_strings, method_refs, pool_only = _collect_sites(code, g or build_callgraph(code))
     findings: list[BehaviorFinding] = []
 
     # class → rule ids with a body-level match there (for co-occurrence)
@@ -109,15 +113,15 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet) -> list[Beh
         pattern = rule.pattern
         hits: list[tuple[str, str, str]] = []
         if rule.match_space in ("const_string", "string_pool"):
-            for method_key, class_desc, s in sites.const_strings:
+            for method_key, class_desc, s in const_strings:
                 if pattern in s:
                     hits.append((method_key, class_desc, "high"))
-            for s in sites.pool_only:
+            for s in pool_only:
                 if pattern in s:
                     hits.append(("string-pool", "", "medium"))
                     break
         elif rule.match_space == "method_ref":
-            for method_key, class_desc, ref in sites.method_refs:
+            for method_key, class_desc, ref in method_refs:
                 if pattern in ref:
                     hits.append((method_key, class_desc, "high"))
         # manifest side channel for the SMS broadcast action
@@ -155,23 +159,19 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet) -> list[Beh
     return sorted(findings, key=BehaviorFinding.sort_key)
 
 
-class _Sites(NamedTuple):
-    const_strings: list[tuple[str, str, str]]  # (method key, class, string)
-    method_refs: list[tuple[str, str, str]]  # (method key, class, callee key)
-    pool_only: list[str]  # pool strings never used as a const-string operand
-
-
-def _collect_sites(code: CodeModel) -> _Sites:
+def _collect_sites(code: CodeModel, g: CallGraph):
+    """(method key, class, string) of each const-string, (method key, class,
+    callee key) of each call site, and the pool strings no const-string uses."""
     const_strings: list[tuple[str, str, str]] = []
     method_refs: list[tuple[str, str, str]] = []
     used: set[str] = set()
     for cls in code.classes.values():
         for m in cls.methods:
-            for ins in m.instructions:
-                if ins[REF_KIND] == "string" and ins[REF] is not None:
-                    const_strings.append((m.key, cls.descriptor, ins[REF]))
-                    used.add(ins[REF])
-                elif ins[REF_KIND] == "method" and ins[REF] is not None:
-                    method_refs.append((m.key, cls.descriptor, ins[REF]))
+            sites, strings, _ = g.index[m]
+            for s in strings:
+                const_strings.append((m.key, cls.descriptor, s))
+            used.update(strings)
+            for _, ref, _ in sites:
+                method_refs.append((m.key, cls.descriptor, ref))
     pool_only = sorted(code.string_pool - used)
-    return _Sites(const_strings, method_refs, pool_only)
+    return const_strings, method_refs, pool_only

@@ -1,41 +1,61 @@
-"""Application call graph built with class-hierarchy analysis.
+"""Application call graph built with class-hierarchy analysis (CHA), and
+the per-app code index that every analyser reads.
 
 Static/direct invokes resolve exactly by method key.  Virtual and interface
 invokes resolve against the declared class plus every in-app subtype,
 walking up superclass chains for inherited implementations.  Anything that
 cannot be resolved inside the code model becomes an external node with no
 outgoing edges.
+
+``build_callgraph`` walks each method's instructions once.  ``index`` maps
+every ``DexMethod`` (abstract ones with a code item included) to a tuple
+``(sites, strings, reads)``: its call sites ``(offset, ref, targets)`` in
+order, the CHA targets resolved once per ``(mnemonic, ref)``; its distinct
+const-strings in first-use order; the distinct fields it reads.
+``adjacency`` maps each concrete caller to the sorted tuple of its callees.
+The index holds only tuples, which the cycle collector stops tracking.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .dex import MNEMONIC, OFFSET, REF, REF_KIND, CodeModel, parse_method_key
+from .dex import MNEMONIC, OFFSET, OPCODE, REF, REF_KIND, CodeModel, DexMethod, parse_method_key
 
 REFLECTIVE_NODE = "<reflective-call>"
-_REFLECT_CLASSES = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
+# keys of Method.invoke and Constructor.newInstance, whatever their proto
+_REFLECTIVE_CALLS = tuple(
+    f"Ljava/lang/reflect/{cls};->{name}("
+    for cls in ("Method", "Constructor") for name in ("invoke", "newInstance")
+)
+_FIELD_READS = frozenset((*range(0x52, 0x59), *range(0x60, 0x67)))  # iget*, sget*
+_NO_CODE = ((), (), ())
 
 
 class CallGraph:
-    __slots__ = ("internal", "external", "edges", "subclasses", "adjacency")
+    __slots__ = ("internal", "external", "subclasses", "adjacency", "index")
 
     def __init__(self):
         self.internal: set[str] = set()
         self.external: set[str] = set()
-        self.edges: set[tuple[str, str, int]] = set()  # (caller, callee, site)
         self.subclasses: dict[str, set[str]] = {}
-        self.adjacency: dict[str, set[str]] = {}
+        self.adjacency: dict[str, tuple[str, ...]] = {}
+        self.index: dict[DexMethod, tuple[tuple, tuple[str, ...], tuple[str, ...]]] = {}
 
-    def add_edge(self, caller: str, callee: str, site: int) -> None:
-        self.edges.add((caller, callee, site))
-        self.adjacency.setdefault(caller, set()).add(callee)
-
-    def callees(self, key: str) -> set[str]:
-        return self.adjacency.get(key, set())
+    def callees(self, key: str) -> tuple[str, ...]:
+        return self.adjacency.get(key, ())
 
     def nodes(self) -> set[str]:
         return self.internal | self.external
+
+    @property
+    def edges(self) -> set[tuple[str, str, int]]:
+        """(caller, callee, call-site offset) triples, computed from the index."""
+        return {
+            (m.key, target, offset)
+            for m, (sites, _, _) in self.index.items() if m.is_concrete
+            for offset, _, targets in sites for target in targets
+        }
 
 
 def build_callgraph(m: CodeModel) -> CallGraph:
@@ -51,34 +71,46 @@ def build_callgraph(m: CodeModel) -> CallGraph:
                 g.subclasses.setdefault(parent, set()).add(cls.descriptor)
 
     # the targets of one (mnemonic, ref) pair are the same at every call site
-    resolved: dict[tuple[str, str], list[str]] = {}
+    resolved: dict[tuple[str, str], tuple[str, ...]] = {}
     for cls in m.classes.values():
         for meth in cls.methods:
-            if not meth.is_concrete:
-                continue
+            sites, strings, reads = [], {}, {}  # the dicts keep the first use of each key
             for ins in meth.instructions:
-                if ins[REF_KIND] != "method" or ins[REF] is None:
+                ref = ins[REF]
+                if ref is None:
                     continue
-                site = (ins[MNEMONIC], ins[REF])
-                targets = resolved.get(site)
-                if targets is None:
-                    targets = resolved[site] = _resolve(m, g, *site)
-                for target in targets:
-                    if target not in g.internal:
-                        g.external.add(target)
-                    g.add_edge(meth.key, target, ins[OFFSET])
+                kind = ins[REF_KIND]
+                if kind == "method":
+                    site = (ins[MNEMONIC], ref)
+                    targets = resolved.get(site)
+                    if targets is None:
+                        targets = resolved[site] = _resolve(m, g, *site)
+                    sites.append((ins[OFFSET], ref, targets))
+                elif kind == "string":
+                    strings[ref] = None
+                elif kind == "field" and ins[OPCODE] in _FIELD_READS:
+                    reads[ref] = None
+            if not (sites or strings or reads):
+                g.index[meth] = _NO_CODE
+                continue
+            g.index[meth] = (tuple(sites), tuple(strings), tuple(reads))
+            if sites and meth.is_concrete:
+                out = {target for _, _, targets in sites for target in targets}
+                out.update(g.adjacency.get(meth.key, ()))  # a key defined twice
+                g.adjacency[meth.key] = tuple(sorted(out))
+    g.external = {t for callees in g.adjacency.values() for t in callees} - g.internal
     return g
 
 
-def _resolve(m: CodeModel, g: CallGraph, mnemonic: str, ref: str) -> list[str]:
-    cls, name, params, ret = parse_method_key(ref)
-    if cls in _REFLECT_CLASSES and name in ("invoke", "newInstance"):
-        return [REFLECTIVE_NODE]
+def _resolve(m: CodeModel, g: CallGraph, mnemonic: str, ref: str) -> tuple[str, ...]:
+    if ref.startswith(_REFLECTIVE_CALLS):
+        return (REFLECTIVE_NODE,)
     if "static" in mnemonic or "direct" in mnemonic:
-        return [ref]  # exact key; becomes an external node if undefined
+        return (ref,)  # exact key; becomes an external node if undefined
+    cls, name, params, ret = parse_method_key(ref)
     if "super" in mnemonic:
         impl = _lookup_up(m, m.classes.get(cls) and m.classes[cls].superclass, name, params, ret)
-        return [impl] if impl else [ref]
+        return (impl or ref,)
     # virtual / interface: CHA over declared type and all in-app subtypes
     targets: set[str] = set()
     for sub in _subtypes(g, cls):
@@ -86,9 +118,7 @@ def _resolve(m: CodeModel, g: CallGraph, mnemonic: str, ref: str) -> list[str]:
             impl = _lookup_up(m, sub, name, params, ret)
             if impl:
                 targets.add(impl)
-    if not targets:
-        return [ref]
-    return sorted(targets)
+    return tuple(sorted(targets)) if targets else (ref,)
 
 
 def _subtypes(g: CallGraph, cls: str) -> set[str]:
@@ -132,7 +162,7 @@ def reachable_hits(
         while queue:
             current, path = queue.popleft()
             hops = len(path) - 1
-            callees = sorted(g.callees(current))
+            callees = g.callees(current)
             for callee in callees:
                 if callee in targets:
                     hits.setdefault((root, callee), path)

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from pathlib import Path
 
 from .callgraph import CallGraph, reachable_hits
-from .dex import REF, REF_KIND, CodeModel, KeyMatcher, parse_method_key
+from .dex import CodeModel, KeyMatcher, parse_method_key
 from .errors import read_data_file
 from .findings import DEFAULT_DEPTH, ComponentFinding
 from .manifest import ManifestModel, is_exported, is_protected
@@ -66,55 +66,29 @@ def audit_components(
             warnings.append(f"declared component class absent from code: {comp.class_name}")
             continue
 
-        # direct invokes inside the component's own methods
-        direct_apis: set[str] = set()
+        # direct invokes inside the component's own methods, then a call-graph
+        # search for the APIs not hit directly; each hit is (api, label, path)
+        hits: list[tuple[str, str, tuple[str, ...]]] = []
         for root in sorted(roots):
-            meth = code.method(root)
-            for ins in meth.instructions:
-                if ins[REF_KIND] != "method" or ins[REF] is None:
-                    continue
-                api = ins[REF]
+            for _, api, _ in g.index[code.method(root)][0]:
                 label = apis.match(api)
-                if label is None:
-                    continue
-                label, conf = _refine_query(api, label, meth)
-                key = (desc, api, root)
-                findings.setdefault(
-                    key,
-                    ComponentFinding(
-                        component_class=desc,
-                        kind=comp.kind,
-                        sensitive_api=api,
-                        containing_method=root,
-                        path=(root,),
-                        data_kind=label,
-                        confidence=conf,
-                    ),
-                )
-                direct_apis.add(api)
-
-        # call-graph search for APIs not hit directly
+                if label is not None:
+                    hits.append((api, label, (root,)))
+        direct_apis = {api for api, _, _ in hits}
         if labels is None:
             labels = {node: label for node in g.nodes() if (label := apis.match(node)) is not None}
         targets = {node: label for node, label in labels.items() if node not in direct_apis}
         if targets:
-            for root, target, path in reachable_hits(g, roots, set(targets), depth):
-                containing = path[-1]
-                meth = code.method(containing)
-                label, conf = _refine_query(target, targets[target], meth)
-                key = (desc, target, containing)
-                findings.setdefault(
-                    key,
-                    ComponentFinding(
-                        component_class=desc,
-                        kind=comp.kind,
-                        sensitive_api=target,
-                        containing_method=containing,
-                        path=tuple(path),
-                        data_kind=label,
-                        confidence=conf,
-                    ),
-                )
+            for _, target, path in reachable_hits(g, roots, set(targets), depth):
+                hits.append((target, targets[target], tuple(path)))
+
+        for api, label, path in hits:
+            containing = path[-1]
+            label, conf = _refine_query(api, label, g.index[code.method(containing)][1])
+            findings.setdefault(
+                (desc, api, containing),
+                ComponentFinding(desc, comp.kind, api, containing, path, label, conf),
+            )
     return sorted(findings.values(), key=ComponentFinding.sort_key), warnings
 
 
@@ -132,16 +106,15 @@ def _component_roots(code: CodeModel, descriptors: list[str], desc: str) -> set[
     return {m.key for name in names for m in code.classes[name].methods if m.is_concrete}
 
 
-def _refine_query(api_key: str, label: str, meth) -> tuple[str, str]:
+def _refine_query(api_key: str, label: str, strings: tuple[str, ...]) -> tuple[str, str]:
     """ContentResolver.query alone is only medium confidence; a sensitive
-    content URI in the same method pins the data kind and raises it."""
+    content URI among the method's ``strings`` (in first-use order) pins the
+    data kind and raises it."""
     cls, name, _params, _ret = parse_method_key(api_key)
     if cls != "Landroid/content/ContentResolver;" or name != "query":
         return label, "high"
-    if meth is not None:
-        for ins in meth.instructions:
-            if ins[REF_KIND] == "string" and ins[REF]:
-                for uri, uri_label in SENSITIVE_URIS.items():
-                    if ins[REF].startswith(uri):
-                        return uri_label, "high"
+    for s in strings:
+        for uri, uri_label in SENSITIVE_URIS.items():
+            if s.startswith(uri):
+                return uri_label, "high"
     return label, "medium"

@@ -41,26 +41,48 @@ class KeyMatcher:
     """First-match lookup of method keys in an ordered ``[(pattern, value)]`` list.
 
     A pattern is an exact key, a class wildcard (``Lcls;->*``), a name-prefix
-    wildcard (``Lcls;->put*``) or a proto-insensitive key (``Lcls;->name``).
-    ``match`` returns the value of the first listed pattern that matches.
+    wildcard (``Lcls;->put*``) or a proto-insensitive key (``Lcls;->name``,
+    matching itself and ``Lcls;->name(...``).  ``match`` returns the value of
+    the first listed pattern that matches.  Patterns are indexed by list
+    position: keys in a dict, prefixes that hold ``->`` under their text up
+    to it (a key can only start with those of its own bucket), the others in
+    one list; the lowest matching position wins.
     """
 
+    __slots__ = ("_exact", "_by_head", "_loose")
+
     def __init__(self, entries):
-        self._compiled = [(p, _pattern_prefix(p), v) for p, v in entries]
+        self._exact: dict[str, tuple[int, object]] = {}
+        self._by_head: dict[str, list[tuple[int, str, object]]] = {}
+        self._loose: list[tuple[int, str, object]] = []
+        for pos, (pattern, value) in enumerate(entries):
+            # a key equal to a wildcard pattern also starts with its prefix
+            if pattern.endswith("*"):
+                prefix = pattern[:-1]
+            else:
+                self._exact.setdefault(pattern, (pos, value))
+                if "(" in pattern:
+                    continue
+                prefix = pattern + "("
+            head, arrow, _ = prefix.partition("->")
+            (self._by_head.setdefault(head, []) if arrow else self._loose).append((pos, prefix, value))
 
     def match(self, key: str):
-        for exact, prefix, value in self._compiled:
-            if key == exact or (prefix is not None and key.startswith(prefix)):
-                return value
-        return None
-
-
-def _pattern_prefix(pattern: str) -> str | None:
-    if pattern.endswith("*"):
-        return pattern[:-1]
-    if "(" not in pattern:
-        return pattern + "("
-    return None
+        best = self._exact.get(key)
+        arrow = key.find("->")
+        if arrow >= 0:
+            for pos, prefix, value in self._by_head.get(key[:arrow], ()):
+                if key.startswith(prefix):
+                    if best is None or pos < best[0]:
+                        best = (pos, value)
+                    break
+        for pos, prefix, value in self._loose:
+            if best is not None and pos > best[0]:
+                break
+            if key.startswith(prefix):
+                best = (pos, value)
+                break
+        return None if best is None else best[1]
 
 
 def _split_descriptors(s: str) -> list[str]:
@@ -112,12 +134,8 @@ class DexMethod:
         return bool(self.access_flags & ACC_ABSTRACT)
 
     @property
-    def is_native(self) -> bool:
-        return bool(self.access_flags & ACC_NATIVE)
-
-    @property
     def is_concrete(self) -> bool:
-        return not (self.is_abstract or self.is_native)
+        return not self.access_flags & (ACC_ABSTRACT | ACC_NATIVE)
 
 
 class DexClass:

@@ -9,8 +9,12 @@ call sites.  Summaries are computed callees first, and cycles are cut by
 repeating that sweep up to a bounded number of times.  Each sweep analyses
 only the dirty methods: every method is dirty at the start, and a method
 turns dirty again when its inputs change, that is, the summary of a method
-it calls or the field store bucket of a field it reads.  Each call target is
-matched against the source/sink list once per app.  A last pass runs the
+it calls or the field store bucket of a field it reads.  The call sites and
+field reads of each method come from the call graph's code index
+(``CallGraph.index``), and each call target is matched against the
+source/sink list once per app; only the transfer functions (``_analyze``)
+read the instructions, each one's effect kind looked up by opcode in a
+table built at import.  A last pass runs the
 same analysis against the final summaries and field store and keeps only
 its findings; it covers only methods that can reach a sink, that is, those
 that call a sink or a method whose summary reaches one.  Of the witnesses of
@@ -29,17 +33,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .callgraph import CallGraph
-from .dex import (
-    MNEMONIC,
-    OFFSET,
-    OPAQUE,
-    REF,
-    REF_KIND,
-    REGISTERS,
-    CodeModel,
-    DexMethod,
-    KeyMatcher,
-)
+from .dex import OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher
+from .dex.opcodes import OPCODES
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
 
@@ -201,8 +196,6 @@ class _Engine:
         self.depth = depth
         self.summaries: dict[str, Summary] = {}
         self.field_store: dict[str, set[SrcToken]] = {}
-        # filled once per app by _prepare
-        self.kinds: dict[str, bytes] = {}  # method key -> effect kind of each instruction
         self.matches: dict[str, tuple[str | None, str | None]] = {}  # target -> (channel, label)
 
     def run(self) -> list[LeakFinding]:
@@ -211,9 +204,13 @@ class _Engine:
         callers: dict[str, list[str]] = {}  # invoke target -> calling methods
         readers: dict[str, list[str]] = {}  # field key -> reading methods
         for m in order:
-            targets, reads = self._prepare(m)
-            for t in targets:
-                callers.setdefault(t, []).append(m.key)
+            sites, _, reads = self.g.index[m]
+            for _, target, _ in sites:
+                if target not in self.matches:
+                    self.matches[target] = (
+                        self.spec.match_sink(target), self.spec.match_source(target)
+                    )
+                callers.setdefault(target, []).append(m.key)
             for fk in reads:
                 readers.setdefault(fk, []).append(m.key)
 
@@ -261,7 +258,7 @@ class _Engine:
 
         def visit(key: str) -> None:
             seen.add(key)
-            for callee in sorted(self.g.callees(key)):
+            for callee in self.g.callees(key):
                 if callee in index and callee not in seen:
                     visit(callee)
             order.append(index[key])
@@ -270,35 +267,6 @@ class _Engine:
             if key not in seen:
                 visit(key)
         return order
-
-    def _prepare(self, m: DexMethod) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Record the effect kind of each of m's instructions, and match each
-        new invoke target against the spec; returns m's distinct invoke
-        targets and the field keys it reads."""
-        kinds = bytearray(len(m.instructions))
-        targets: dict[str, None] = {}
-        reads: dict[str, None] = {}
-        for i, ins in enumerate(m.instructions):
-            if ins[OPAQUE]:
-                continue
-            mnemonic = ins[MNEMONIC]
-            kind = _KINDS.get(mnemonic)
-            if kind is None:
-                kind = _KINDS[mnemonic] = _effect_kind(mnemonic)
-            if kind == _INVOKE or kind == _INVOKE_STATIC:
-                target = ins[REF]
-                if ins[REF_KIND] != "method" or target is None:
-                    continue
-                if target not in self.matches:
-                    self.matches[target] = (
-                        self.spec.match_sink(target), self.spec.match_source(target)
-                    )
-                targets[target] = None
-            elif kind == _FIELD_GET and ins[REF]:
-                reads[ins[REF]] = None
-            kinds[i] = kind
-        self.kinds[m.key] = bytes(kinds)
-        return tuple(targets), tuple(reads)
 
     def _reaches_sink(self, target: str) -> bool:
         if self.matches[target][0] is not None:
@@ -322,7 +290,8 @@ class _Engine:
         def get(r: int) -> frozenset:
             return regs.get(r, empty)
 
-        for kind, ins in zip(self.kinds[m.key], m.instructions):
+        for ins in m.instructions:
+            kind = _KIND_OF[ins[OPCODE] & 0xFF]
             r = ins[REGISTERS]
             if kind == _COPY:
                 regs[r[0]] = get(r[1])
@@ -330,9 +299,10 @@ class _Engine:
                 regs[r[0]] = pending
                 pending = empty
             elif kind == _INVOKE or kind == _INVOKE_STATIC:
-                pending = self._invoke(
-                    m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings
-                )
+                if ins[REF] is not None:  # invoke-custom and out-of-range refs have no target
+                    pending = self._invoke(
+                        m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings
+                    )
             elif kind == _CLEAR:
                 regs[r[0]] = empty
             elif kind == _RETURN:
@@ -434,15 +404,7 @@ class _Engine:
         return frozenset(result)
 
     def _finding(self, t: SrcToken, sink: str, channel: str, sink_site, path) -> LeakFinding:
-        return LeakFinding(
-            source=t.source,
-            sink=sink,
-            channel=channel,
-            source_site=t.site,
-            sink_site=sink_site,
-            path=tuple(path),
-            data_kind=t.label,
-        )
+        return LeakFinding(t.source, sink, channel, t.site, sink_site, tuple(path), t.label)
 
     @staticmethod
     def _rebase(t: SrcToken, method_key: str) -> SrcToken:
@@ -452,12 +414,9 @@ class _Engine:
 
 
 # Effect kinds of an instruction on the register taint; _NONE (0) is also
-# the kind of opaque instructions and of invokes without a resolved target.
+# the kind of the opaque unused-* opcodes.
 (_NONE, _COPY, _MOVE_RESULT, _INVOKE, _INVOKE_STATIC, _CLEAR, _RETURN, _FIELD_GET,
  _FIELD_PUT, _APUT, _JOIN2, _JOIN3, _FILLED) = range(13)
-
-# mnemonic -> effect kind; bounded by the opcode table, opaque instructions never enter
-_KINDS: dict[str, int] = {}
 
 _BINOP_ROOTS = ("add-", "sub-", "rsub-", "mul-", "div-", "rem-", "and-", "or-", "xor-", "shl-", "shr-", "ushr-")
 _UNOP_ROOTS = ("neg-", "not-", "int-to-", "long-to-", "float-to-", "double-to-")
@@ -503,3 +462,8 @@ def _effect_kind(op: str) -> int:
         return _COPY
     # branches, switches, throw, monitor, check-cast, nop: no register effect
     return _NONE
+
+
+# opcode -> effect kind, read as _KIND_OF[opcode & 0xFF]: a payload
+# pseudo-instruction's 16-bit ident has a low byte of 0x00 (nop), so it reads _NONE
+_KIND_OF = bytes(_effect_kind(OPCODES[code][0]) for code in range(256))

@@ -101,7 +101,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         timings["callgraph"] = time.monotonic() - t
 
         t = time.monotonic()
-        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules)
+        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, graph)
         timings["behaviors"] = time.monotonic() - t
 
         t = time.monotonic()

@@ -4,7 +4,9 @@ These re-derive expected results with deliberately different mechanics:
 the DEX decoder oracle reads each instruction with one ``struct`` layout
 per encoding format and lets ``struct`` do the sign extension, the
 call-graph oracle re-enumerates adjacency by scanning classes per
-query, the behavior oracle is a flat grep-plus-gates pass, and the taint
+query, the code-index oracle lists each method's references with a list
+membership test, the key-matcher oracle is a linear first-match scan,
+the behavior oracle is a flat grep-plus-gates pass, and the taint
 oracle is an inlining interpreter (no summaries, no fixpoint over methods,
 recursion realized by actual descent).
 """
@@ -202,6 +204,49 @@ def _chain_lookup(m, cls, name, params, ret):
         cls = m.classes[cls].superclass
         if cls is None:
             return None
+    return None
+
+
+def code_index_oracle(m: CodeModel) -> dict:
+    """Expected ``CallGraph.index``: for every method of every class, its
+    call sites ``(offset, ref, targets)``, distinct const-strings and
+    distinct field reads, each in first-use order."""
+    internal = {meth.key for meth in m.all_methods() if meth.is_concrete}
+    index = {}
+    for cls in m.classes.values():
+        for meth in cls.methods:
+            sites, strings, reads = [], [], []
+            for ins in meth.instructions:
+                ref = ins[REF]
+                if ref is None:
+                    continue
+                if ins[REF_KIND] == "method":
+                    targets = tuple(_oracle_resolve(m, internal, ins[MNEMONIC], ref))
+                    sites.append((ins[OFFSET], ref, targets))
+                elif ins[REF_KIND] == "string" and ref not in strings:
+                    strings.append(ref)
+                elif ins[MNEMONIC].startswith(("iget", "sget")) and ref not in reads:
+                    reads.append(ref)
+            index[meth] = (tuple(sites), tuple(strings), tuple(reads))
+    return index
+
+
+# ---- key matching --------------------------------------------------------
+
+
+def key_match_oracle(entries, key: str):
+    """The value of the first ``(pattern, value)`` whose pattern matches
+    ``key``, by a linear scan: ``...*`` is a prefix, a pattern without ``(``
+    matches itself or any proto of that name, any other pattern only itself."""
+    for pattern, value in entries:
+        if pattern.endswith("*"):
+            hit = key.startswith(pattern[:-1])
+        elif "(" in pattern:
+            hit = key == pattern
+        else:
+            hit = key == pattern or key.startswith(pattern + "(")
+        if hit:
+            return value
     return None
 
 

@@ -1,10 +1,21 @@
+import random
+
+import pytest
+
+from apkaudit import leaks
+from apkaudit.axml import decode_axml
+from apkaudit.behaviors import load_rules, scan_behaviors
 from apkaudit.callgraph import REFLECTIVE_NODE, build_callgraph, reachable_hits
-from apkaudit.container import open_apk
-from apkaudit.dex import load_app_code
+from apkaudit.components import audit_components, load_sensitive_apis
+from apkaudit.container import open_apk, read_entry
+from apkaudit.dex import MNEMONIC, REF, REF_KIND, load_app_code
 from apkaudit.dex.parser import parse_dex
+from apkaudit.errors import ApkAuditError
+from apkaudit.manifest import build_manifest
 
 from .fixtures.dex_writer import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC, DexWriter, MethodDef
-from .oracles import callgraph_edges_oracle
+from .oracles import callgraph_edges_oracle, code_index_oracle
+from .test_dex import _raw_dex, _raw_units, _raw_writer, _writer_pools
 
 
 def _ret_void(name, calls=(), access=ACC_PUBLIC):
@@ -131,3 +142,117 @@ def test_reachable_hits_monotone_in_depth():
         assert prev <= now
         prev = now
     assert prev  # eventually found
+
+
+# ---------------------------------------------------------------- code index
+
+
+def _raw_model(seed):
+    """Every opcode twice, with in-range and out-of-range refs (an invoke whose
+    method index is out of range has ``REF`` None), the three payloads, an
+    unknown payload ident and the unused-* opcodes."""
+    units = _raw_units(random.Random(seed), _writer_pools(_raw_writer(5)))
+    return parse_dex(_raw_dex(units)[0])
+
+
+def _abstract_with_code_model():
+    """A malformed abstract method that still has a code item, next to a
+    concrete caller of the same names."""
+    body = [
+        ("const-string", [0], "su -c reboot"),
+        ("const-string", [0], "su -c reboot"),
+        ("invoke-static", [0], "Ljava/lang/Runtime;->exec(Ljava/lang/String;)V"),
+        ("sget-object", [0], "La/Abs;->f:Ljava/lang/String;"),
+        ("sput-object", [0], "La/Abs;->g:Ljava/lang/String;"),
+        ("return-void", []),
+    ]
+    w = DexWriter()
+    w.add_class("La/Abs;", methods=[
+        MethodDef("odd", (), "V", access=ACC_PUBLIC | ACC_ABSTRACT, registers=2, code=body),
+        _ret_void("run", [("invoke-virtual", [1], "La/Abs;->odd()V")]),
+    ])
+    return parse_dex(w.build())
+
+
+def test_odd_fixtures_hold_what_the_index_must_cover():
+    raw = [ins for m in _raw_model(1).all_methods() for ins in m.instructions]
+    assert any(ins[REF_KIND] == "method" and ins[REF] is None for ins in raw)
+    assert any(ins[MNEMONIC].endswith("-payload") for ins in raw)
+    assert any(ins[MNEMONIC].startswith("unused-") for ins in raw)
+    odd = _abstract_with_code_model().method("La/Abs;->odd()V")
+    assert odd.is_abstract and odd.instructions
+
+
+@pytest.mark.parametrize("model", [
+    _raw_model(1), _raw_model(2), _abstract_with_code_model(), _hierarchy_model(),
+], ids=["raw1", "raw2", "abstract-with-code", "hierarchy"])
+def test_index_equals_oracle(model):
+    g = build_callgraph(model)
+    assert g.index == code_index_oracle(model)
+    assert g.edges == callgraph_edges_oracle(model)
+    for key in g.internal:
+        expected = sorted({t for c, t, _s in g.edges if c == key})
+        assert list(g.callees(key)) == expected
+
+
+def test_index_covers_an_abstract_method_with_code():
+    model = _abstract_with_code_model()
+    g = build_callgraph(model)
+    odd = model.method("La/Abs;->odd()V")
+    sites, strings, reads = g.index[odd]
+    assert [ref for _, ref, _ in sites] == ["Ljava/lang/Runtime;->exec(Ljava/lang/String;)V"]
+    assert strings == ("su -c reboot",)
+    assert reads == ("La/Abs;->f:Ljava/lang/String;",)
+    # an abstract method's sites are no edges: it never runs
+    assert "La/Abs;->odd()V" not in g.adjacency
+    assert g.callees("La/Abs;->run()V") == ("La/Abs;->odd()V",)
+
+
+def test_index_equals_oracle_on_corpus(corpus):
+    for name, path in corpus.items():
+        model = load_app_code(open_apk(path))
+        assert build_callgraph(model).index == code_index_oracle(model), name
+
+
+class _CountingList(list):
+    """An instruction list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_each_method_is_walked_once_and_only_taint_walks_again(corpus, monkeypatch):
+    analyzed = []
+    analyze = leaks._Engine._analyze
+
+    def counting_analyze(self, m):
+        analyzed.append(m)
+        return analyze(self, m)
+
+    monkeypatch.setattr(leaks._Engine, "_analyze", counting_analyze)
+    rules, apis, spec = load_rules(), load_sensitive_apis(), leaks.load_taint_spec()
+    checked = 0
+    for name, path in corpus.items():
+        art = open_apk(path)
+        try:
+            man = build_manifest(decode_axml(read_entry(art, "AndroidManifest.xml")))
+            code = load_app_code(art)
+        except (ApkAuditError, KeyError):
+            continue
+        methods = [m for cls in code.classes.values() for m in cls.methods]
+        for m in methods:
+            m.instructions = _CountingList(m.instructions)
+
+        g = build_callgraph(code)
+        assert {m.instructions.walks for m in methods} == {1}, name
+        scan_behaviors(code, man, rules, g)
+        audit_components(man, code, g, apis)
+        assert {m.instructions.walks for m in methods} == {1}, name
+        analyzed.clear()
+        leaks.analyze_leaks(code, g, spec)
+        assert sum(m.instructions.walks - 1 for m in methods) == len(analyzed) > 0, name
+        checked += 1
+    assert checked >= 10

@@ -1,3 +1,6 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from apkaudit.axml import decode_axml
 from apkaudit.callgraph import build_callgraph
 from apkaudit.components import (
@@ -12,6 +15,7 @@ from apkaudit.manifest import build_manifest
 
 from .fixtures.corpus import GET_DEVICE_ID, component, manifest
 from .fixtures.dex_writer import DexWriter, MethodDef
+from .oracles import key_match_oracle
 
 
 def test_match_key_pattern():
@@ -32,6 +36,40 @@ def test_match_key_pattern():
     assert KeyMatcher(both).match(key) == "class"
     assert KeyMatcher(both[::-1]).match(key) == "exact"
     assert KeyMatcher(both).match("La/C;->get()V") is None
+
+
+_CLASSES = st.sampled_from(["La/B;", "La/C;", "Landroid/x/Y;", "La/B;->"])
+_NAMES = st.sampled_from(["put", "putAll", "get", "<init>", ""])
+_PROTOS = st.sampled_from(["()V", "(I)V", "(Ljava/lang/String;)I", "(", ""])
+_KEYS = st.one_of(
+    st.builds(lambda c, n, p: f"{c}->{n}{p}", _CLASSES, _NAMES, _PROTOS),
+    st.sampled_from(["<reflective-call>", "Landroid/x/Y;", "La/B;", ""]),
+    st.text(alphabet="La/B;->*(put)V<", max_size=10),
+)
+_PATTERNS = st.one_of(
+    _KEYS,
+    st.builds(lambda c, n: f"{c}->{n}*", _CLASSES, _NAMES),
+    st.sampled_from(["Landroid/*", "La/*", "<reflective-call>", "<refl*", "*", "La/B;-*"]),
+)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(patterns=st.lists(_PATTERNS, max_size=12), keys=st.lists(_KEYS, min_size=1, max_size=8))
+# one key listed exact and as a prefix, in both orders
+@example(["La/B;->put()V", "La/B;->put*"], ["La/B;->put()V"])
+@example(["La/B;->put*", "La/B;->put()V"], ["La/B;->put()V"])
+# a class wildcard before a name prefix of the same class
+@example(["La/B;->*", "La/B;->put*"], ["La/B;->putAll()V", "La/C;->put()V"])
+# prefixes without ``->``, and keys without ``->``
+@example(["La/B;->put", "Landroid/*", "La/*"], ["Landroid/x/Y;->get()V", "La/B;->put(I)V"])
+@example(["La/B;->put*", "<reflective-call>", "<refl*"], ["<reflective-call>", "<reflective-call>(x"])
+# duplicate patterns
+@example(["La/B;->put", "La/B;->put", "La/B;->put*", "La/B;->put*"], ["La/B;->put()V", "La/B;->putAll()V"])
+def test_indexed_matcher_equals_linear_first_match(patterns, keys):
+    entries = [(p, i) for i, p in enumerate(patterns)]  # the value is the position
+    matcher = KeyMatcher(entries)
+    for key in keys:
+        assert matcher.match(key) == key_match_oracle(entries, key)
 
 
 def test_api_list_loading(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
 from apkaudit.dex import REF, REF_KIND
+from apkaudit.dex.opcodes import OPCODES
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
@@ -433,6 +434,17 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
     targets = {ins[REF] for m in methods for ins in m.instructions if ins[REF_KIND] == "method"}
     assert len(matched) == len(set(matched))
     assert {key for _, key in matched} <= targets
+
+
+def test_kind_table_maps_every_opcode_as_effect_kind():
+    for code in range(256):
+        name = OPCODES[code][0]
+        assert leaks._KIND_OF[code] == leaks._effect_kind(name), name
+        if name.startswith("unused-"):
+            assert leaks._KIND_OF[code] == leaks._NONE, name
+    # every payload ident the parser can produce: a nonzero unit with low byte 0x00
+    for ident in range(0x100, 0x10000, 0x100):
+        assert leaks._KIND_OF[ident & 0xFF] == leaks._NONE
 
 
 # ---------------------------------------------------------------- witnesses
