@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .callgraph import CallGraph, build_callgraph
+from .callgraph import CallGraph
 from .dex import CodeModel
 from .errors import RuleSchemaError, read_data_file
 from .findings import BehaviorFinding
@@ -99,10 +99,9 @@ def _parse_rules(raw) -> RuleSet:
 
 
 def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,
-                   g: CallGraph | None = None) -> list[BehaviorFinding]:
-    """Reads the code through the index of ``g``, the app's call graph; one
-    is built when it is not given."""
-    const_strings, method_refs, pool_only = _collect_sites(code, g or build_callgraph(code))
+                   g: CallGraph) -> list[BehaviorFinding]:
+    """Reads the code through the index of ``g``, the app's call graph."""
+    const_strings, method_refs, pool_only = _collect_sites(code, g)
     findings: list[BehaviorFinding] = []
 
     # class → rule ids with a body-level match there (for co-occurrence)

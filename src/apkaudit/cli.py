@@ -23,57 +23,44 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-_COMMANDS = ("acquire", "scan", "report", "dump-manifest", "dump-dex")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """All subparsers, or only that of a known ``command``: each one costs
-    argparse a few ``gettext`` calls.  The usage line names every command."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="apkaudit", description=__doc__)
-    only = command if command in _COMMANDS else None
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if only in (None, "acquire"):
-        p_acq = sub.add_parser("acquire", help="pull pre-installed packages from a device")
-        p_acq.add_argument("--serial", required=True)
-        p_acq.add_argument("--out", required=True)
-        p_acq.add_argument("--bridge", help="bridge executable (default: $PIP_BRIDGE or adb)")
-        p_acq.add_argument("--transcript", help="replay a recorded transcript instead of a device")
-        p_acq.add_argument("--device-tag", default="", help="device label recorded in the index")
+    p_acq = sub.add_parser("acquire", help="pull pre-installed packages from a device")
+    p_acq.add_argument("--serial", required=True)
+    p_acq.add_argument("--out", required=True)
+    p_acq.add_argument("--bridge", help="bridge executable (default: $PIP_BRIDGE or adb)")
+    p_acq.add_argument("--transcript", help="replay a recorded transcript instead of a device")
+    p_acq.add_argument("--device-tag", default="", help="device label recorded in the index")
 
-    if only in (None, "scan"):
-        p_scan = sub.add_parser("scan", help="analyze one APK or a directory of APKs")
-        p_scan.add_argument("target")
-        p_scan.add_argument("--out", help="directory for per-app JSON reports")
-        p_scan.add_argument("--rules")
-        p_scan.add_argument("--susi", help="source/sink list replacing the default")
-        p_scan.add_argument("--extra-sinks", help="supplementary sinks for INTERNET apps")
-        p_scan.add_argument("--sensitive-apis")
-        p_scan.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p_scan.add_argument("--format", choices=["json", "table"], default="json")
-        p_scan.add_argument("--timings", action="store_true")
+    p_scan = sub.add_parser("scan", help="analyze one APK or a directory of APKs")
+    p_scan.add_argument("target")
+    p_scan.add_argument("--out", help="directory for per-app JSON reports")
+    p_scan.add_argument("--rules")
+    p_scan.add_argument("--susi", help="source/sink list replacing the default")
+    p_scan.add_argument("--extra-sinks", help="supplementary sinks for INTERNET apps")
+    p_scan.add_argument("--sensitive-apis")
+    p_scan.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument("--format", choices=["json", "table"], default="json")
+    p_scan.add_argument("--timings", action="store_true")
 
-    if only in (None, "report"):
-        p_rep = sub.add_parser("report", help="aggregate per-app reports into a corpus summary")
-        p_rep.add_argument("directory")
-        p_rep.add_argument("--format", choices=["json", "table"], default="table")
+    p_rep = sub.add_parser("report", help="aggregate per-app reports into a corpus summary")
+    p_rep.add_argument("directory")
+    p_rep.add_argument("--format", choices=["json", "table"], default="table")
 
-    if only in (None, "dump-manifest"):
-        p_dm = sub.add_parser("dump-manifest", help="decode and print an APK manifest")
-        p_dm.add_argument("apk")
+    p_dm = sub.add_parser("dump-manifest", help="decode and print an APK manifest")
+    p_dm.add_argument("apk")
 
-    if only in (None, "dump-dex"):
-        p_dd = sub.add_parser("dump-dex", help="print instruction listings")
-        p_dd.add_argument("apk")
-        p_dd.add_argument("--method", help="dump a single method key")
+    p_dd = sub.add_parser("dump-dex", help="print instruction listings")
+    p_dd.add_argument("apk")
+    p_dd.add_argument("--method", help="dump a single method key")
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return {
             "acquire": _cmd_acquire,

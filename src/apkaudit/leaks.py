@@ -205,7 +205,7 @@ class _Engine:
         readers: dict[str, list[str]] = {}  # field key -> reading methods
         for m in order:
             sites, _, reads = self.g.index[m]
-            for _, target, _ in sites:
+            for target in dict.fromkeys(t for _, t, _ in sites):
                 if target not in self.matches:
                     self.matches[target] = (
                         self.spec.match_sink(target), self.spec.match_source(target)

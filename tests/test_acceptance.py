@@ -218,7 +218,7 @@ def test_c7_behavior_oracle_and_gate_monotonicity(corpus):
         model = load_app_code(art)
         got = {
             (f.category, f.rule_id, f.confidence, f.method, f.component)
-            for f in scan_behaviors(model, man, rules)
+            for f in scan_behaviors(model, man, rules, build_callgraph(model))
         }
         assert got == behavior_oracle(model, man, rules), name
 
@@ -237,7 +237,8 @@ def test_c7_behavior_oracle_and_gate_monotonicity(corpus):
 
     def findings_for(subset):
         man = build_manifest(decode_axml(manifest("g.m", permissions=sorted(subset))))
-        return {(f.rule_id, f.method) for f in scan_behaviors(model, man, rules)}
+        found = scan_behaviors(model, man, rules, build_callgraph(model))
+        return {(f.rule_id, f.method) for f in found}
 
     rng = random.Random(99)
     for _ in range(10):

@@ -4,6 +4,7 @@ import pytest
 
 from apkaudit.axml import decode_axml
 from apkaudit.behaviors import load_rules, scan_behaviors
+from apkaudit.callgraph import build_callgraph
 from apkaudit.container import open_apk, read_entry
 from apkaudit.dex import load_app_code
 from apkaudit.dex.parser import parse_dex
@@ -76,7 +77,7 @@ def test_rule_schema_validation(tmp_path):
 
 def test_const_string_match_high_confidence():
     model = _model_with(strings=["exec: su -c whoami"])
-    found = scan_behaviors(model, _man(), load_rules())
+    found = scan_behaviors(model, _man(), load_rules(), build_callgraph(model))
     assert _tuples(found) == {("dangerous_command", "cmd_su", "high", "Lt/app/C;->m()V", None)}
 
 
@@ -93,15 +94,15 @@ def test_pool_only_string_is_medium():
     ])
     model = parse_dex(w.build())
     model.string_pool.add("rm -rf /data/local")  # pool entry with no using site
-    found = scan_behaviors(model, _man(), load_rules())
+    found = scan_behaviors(model, _man(), load_rules(), build_callgraph(model))
     assert _tuples(found) == {("dangerous_command", "cmd_rm_rf", "medium", "string-pool", None)}
 
 
 def test_permission_gate_blocks_and_admits():
     model = _model_with(strings=["logcat -d"])
-    assert scan_behaviors(model, _man(), load_rules()) == []
+    assert scan_behaviors(model, _man(), load_rules(), build_callgraph(model)) == []
     found = scan_behaviors(
-        model, _man(permissions=["android.permission.READ_LOGS"]), load_rules()
+        model, _man(permissions=["android.permission.READ_LOGS"]), load_rules(), build_callgraph(model)
     )
     assert _tuples(found) == {("log_collection", "log_logcat", "high", "Lt/app/C;->m()V", None)}
 
@@ -110,14 +111,15 @@ def test_method_ref_rule():
     model = _model_with(
         refs=["Landroid/telephony/SmsManager;->sendTextMessage(Ljava/lang/String;)V"]
     )
-    found = scan_behaviors(model, _man(), load_rules())
+    found = scan_behaviors(model, _man(), load_rules(), build_callgraph(model))
     assert _tuples(found) == {("sms", "sms_send", "high", "Lt/app/C;->m()V", None)}
 
 
 def test_co_occurrence_requires_same_class():
     rs = load_rules()
     together = _model_with(strings=["content://sms", "delete from inbox"])
-    assert {t[1] for t in _tuples(scan_behaviors(together, _man(), rs))} == {
+    found = scan_behaviors(together, _man(), rs, build_callgraph(together))
+    assert {t[1] for t in _tuples(found)} == {
         "sms_provider", "sms_delete",
     }
     # split across two classes: only the provider rule fires
@@ -127,7 +129,8 @@ def test_co_occurrence_requires_same_class():
     w.add_class("Lt/app/B;", methods=[MethodDef("m", (), "V", registers=2, code=[
         ("const-string", [0], "delete it"), ("return-void", [])])])
     split = parse_dex(w.build())
-    assert {t[1] for t in _tuples(scan_behaviors(split, _man(), rs))} == {"sms_provider"}
+    found = scan_behaviors(split, _man(), rs, build_callgraph(split))
+    assert {t[1] for t in _tuples(found)} == {"sms_provider"}
 
 
 def test_manifest_sms_received_channel():
@@ -135,20 +138,20 @@ def test_manifest_sms_received_channel():
     man = _man(components=[component(
         "receiver", ".SmsRecv", actions=["android.provider.Telephony.SMS_RECEIVED"]
     )])
-    found = scan_behaviors(model, man, load_rules())
+    found = scan_behaviors(model, man, load_rules(), build_callgraph(model))
     assert ("sms", "sms_received", "high", "manifest", "t.app.SmsRecv") in _tuples(found)
 
 
 def test_dedup_one_finding_per_method_and_class():
     model = _model_with(strings=["su -c id", "su -c date"])
-    found = scan_behaviors(model, _man(), load_rules())
+    found = scan_behaviors(model, _man(), load_rules(), build_callgraph(model))
     assert len([f for f in found if f.rule_id == "cmd_su"]) == 1
 
 
 def test_output_sorted():
     model = _model_with(strings=["content://sms", "logcat"])
     man = _man(permissions=["android.permission.READ_LOGS"])
-    found = scan_behaviors(model, man, load_rules())
+    found = scan_behaviors(model, man, load_rules(), build_callgraph(model))
     assert [f.sort_key() for f in found] == sorted(f.sort_key() for f in found)
 
 
@@ -158,7 +161,7 @@ def test_oracle_equality_on_corpus(corpus):
         art = open_apk(path)
         man = build_manifest(decode_axml(read_entry(art, "AndroidManifest.xml")))
         code = load_app_code(art)
-        got = _tuples(scan_behaviors(code, man, rs))
+        got = _tuples(scan_behaviors(code, man, rs, build_callgraph(code)))
         assert got == behavior_oracle(code, man, rs), name
 
 
@@ -172,4 +175,5 @@ def test_oracle_equality_on_synthetic_mixes():
          _man(permissions=["android.permission.INSTALL_PACKAGES"])),
     ]
     for code, man in cases:
-        assert _tuples(scan_behaviors(code, man, rs)) == behavior_oracle(code, man, rs)
+        got = _tuples(scan_behaviors(code, man, rs, build_callgraph(code)))
+        assert got == behavior_oracle(code, man, rs)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
+from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
 from apkaudit.leaks import DEFAULT_SPEC
 
 from .conftest import EXTRA_SINKS
@@ -347,28 +347,11 @@ def test_report_missing_directory_is_an_error(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: {missing}: not a directory"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--help"], ["report", "--help"], ["acquire", "--help"], ["dump-manifest", "--help"],
-    ["dump-dex", "--help"], ["scan"], ["scan", "x", "--bogus"], ["scan", "x", "--depth", "q"],
-    ["acquire", "--out", "o"],
-])
-def test_one_command_parser_prints_as_the_full_parser(argv, capsys):
-    """``main`` builds only the subparser ``argv[0]`` names; its help, usage
-    and errors are those of the parser that holds all five."""
-    seen = []
-    for parser in (build_parser(), build_parser(argv[0])):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        seen.append((exc.value.code, capsys.readouterr()))
-    assert seen[0] == seen[1]
-    assert seen[0][1].out or seen[0][1].err
-
-
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["no-such-command"], "invalid choice: 'no-such-command'"),
 ])
-def test_missing_or_unknown_command_gets_the_full_parser(argv, message, capsys):
+def test_missing_or_unknown_command_is_an_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_ERROR
