@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .container import AuthorityMap, open_apk
-from .errors import BridgeError, NotAZipError
+from .errors import ApkReadError, BridgeError, NotAZipError
 
 log = logging.getLogger(__name__)
 
@@ -250,10 +250,11 @@ def index_corpus(
     idx.updated = now
 
     skipped = 0
-    for path in sorted(directory.rglob("*.apk")):
+    # only files: a package folder may itself end in ".apk" (com.acme.apk)
+    for path in sorted(p for p in directory.rglob("*.apk") if p.is_file()):
         try:
             art = open_apk(path)
-        except (NotAZipError, OSError) as exc:
+        except (ApkReadError, NotAZipError) as exc:
             log.warning("unreadable file skipped: %s (%s)", path, exc)
             skipped += 1
             continue

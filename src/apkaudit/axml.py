@@ -2,9 +2,11 @@
 
 The format is a sequence of chunks: a file header (type 0x0003), a string
 pool, an optional resource-id map, then namespace/element chunks in document
-order.  All integers are little-endian.  Unknown chunk types are skipped
-and counted in one warning; a missing or broken string pool is fatal for
-the manifest.
+order.  All integers are little-endian.  The resource-id map and text
+chunks carry nothing the auditors read and are skipped; unknown chunk types
+are skipped and counted in one warning.  A missing or broken string pool,
+and a chunk too short for the fields it must hold, are fatal for the
+manifest: every failure is an :class:`AxmlError`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class AxmlAttribute(NamedTuple):
     name: str
     kind: str  # string | int | bool | reference | flags
     value: object  # str, int or bool depending on kind
-    resource_id: int | None = None  # attribute-name resource id, when mapped
 
 
 class AxmlElement:
@@ -84,7 +85,6 @@ def decode_axml(data: bytes) -> XmlTree:
         raise TruncatedChunkError("declared file size exceeds data")
 
     pool: list[str] | None = None
-    resource_map: list[int] = []
     warnings: list[str] = []
     ns_stack: list[tuple[str, str]] = []  # (prefix, uri)
     elem_stack: list[AxmlElement] = []
@@ -92,44 +92,44 @@ def decode_axml(data: bytes) -> XmlTree:
     unknown: list[int] = []  # types of the skipped chunks
 
     pos = 8
-    while pos + 8 <= min(fsize, len(data)):
-        ctype, hsize, csize = struct.unpack_from("<HHI", data, pos)
-        if csize < 8 or pos + csize > len(data):
-            raise TruncatedChunkError(f"chunk at 0x{pos:x} overruns file")
-        body = data[pos : pos + csize]
+    try:
+        while pos + 8 <= min(fsize, len(data)):
+            ctype, _hsize, csize = struct.unpack_from("<HHI", data, pos)
+            if csize < 8 or pos + csize > len(data):
+                raise TruncatedChunkError(f"chunk at 0x{pos:x} overruns file")
+            body = data[pos : pos + csize]
 
-        if ctype == CHUNK_STRING_POOL:
-            pool = _decode_string_pool(body)
-        elif ctype == CHUNK_RESOURCE_MAP:
-            count = (csize - hsize) // 4
-            resource_map = list(struct.unpack_from(f"<{count}I", body, hsize))
-        elif ctype == CHUNK_START_NS:
-            if pool is None:
-                raise BadStringPoolError("namespace chunk before string pool")
-            prefix_ix, uri_ix = struct.unpack_from("<II", body, 16)
-            ns_stack.append((_pool_str(pool, prefix_ix), _pool_str(pool, uri_ix)))
-        elif ctype == CHUNK_END_NS:
-            if ns_stack:
-                ns_stack.pop()
-        elif ctype == CHUNK_START_ELEMENT:
-            if pool is None:
-                raise BadStringPoolError("element chunk before string pool")
-            elem = _decode_start_element(body, pool, resource_map)
-            if elem_stack:
-                elem_stack[-1].children.append(elem)
-            elif root is None:
-                root = elem
+            if ctype == CHUNK_STRING_POOL:
+                pool = _decode_string_pool(body)
+            elif ctype == CHUNK_START_NS:
+                if pool is None:
+                    raise BadStringPoolError("namespace chunk before string pool")
+                prefix_ix, uri_ix = struct.unpack_from("<II", body, 16)
+                ns_stack.append((_pool_str(pool, prefix_ix), _pool_str(pool, uri_ix)))
+            elif ctype == CHUNK_END_NS:
+                if ns_stack:
+                    ns_stack.pop()
+            elif ctype == CHUNK_START_ELEMENT:
+                if pool is None:
+                    raise BadStringPoolError("element chunk before string pool")
+                elem = _decode_start_element(body, pool)
+                if elem_stack:
+                    elem_stack[-1].children.append(elem)
+                elif root is None:
+                    root = elem
+                else:
+                    warnings.append(f"extra root element <{elem.name}> ignored")
+                elem_stack.append(elem)
+            elif ctype == CHUNK_END_ELEMENT:
+                if elem_stack:
+                    elem_stack.pop()
+            elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA):
+                pass  # attribute resource ids and text nodes carry nothing we audit
             else:
-                warnings.append(f"extra root element <{elem.name}> ignored")
-            elem_stack.append(elem)
-        elif ctype == CHUNK_END_ELEMENT:
-            if elem_stack:
-                elem_stack.pop()
-        elif ctype == CHUNK_CDATA:
-            pass  # text nodes carry nothing we audit
-        else:
-            unknown.append(ctype)
-        pos += csize
+                unknown.append(ctype)
+            pos += csize
+    except (IndexError, struct.error) as exc:  # a read past the end of a chunk's body
+        raise TruncatedChunkError(f"chunk at 0x{pos:x} truncated ({type(exc).__name__}: {exc})") from exc
 
     if pool is None:
         raise BadStringPoolError("no string pool chunk")
@@ -196,7 +196,7 @@ def _decode_utf8_entry(body: bytes, p: int) -> str:
     return body[p:end].decode("utf-8", errors="replace")
 
 
-def _decode_start_element(body: bytes, pool: list[str], resource_map: list[int]) -> AxmlElement:
+def _decode_start_element(body: bytes, pool: list[str]) -> AxmlElement:
     # header: line, comment, then ns, name, attr start/size, counts
     ns_ix, name_ix, _attr_start, _attr_size, attr_count = struct.unpack_from("<IIHHH", body, 16)
     elem = AxmlElement(namespace=_pool_str(pool, ns_ix), name=_pool_str(pool, name_ix))
@@ -209,17 +209,8 @@ def _decode_start_element(body: bytes, pool: list[str], resource_map: list[int])
         a_data = struct.unpack_from("<I", body, p + 16)[0]
         p += 20
         name = _pool_str(pool, a_name)
-        res_id = resource_map[a_name] if a_name < len(resource_map) else None
         kind, value = _typed_value(vtype, a_data, a_raw, pool)
-        elem.attributes.append(
-            AxmlAttribute(
-                namespace=_pool_str(pool, a_ns),
-                name=name,
-                kind=kind,
-                value=value,
-                resource_id=res_id,
-            )
-        )
+        elem.attributes.append(AxmlAttribute(_pool_str(pool, a_ns), name, kind, value))
     return elem
 
 

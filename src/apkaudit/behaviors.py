@@ -41,12 +41,6 @@ class RuleSet:
     def __init__(self, rules: list[Rule]):
         self.rules = rules
 
-    def by_id(self, rule_id: str) -> Rule | None:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        return None
-
 
 def load_rules(path=None) -> RuleSet:
     """Load a rules file, or the shipped defaults when path is omitted; a
@@ -91,11 +85,12 @@ def _parse_rules(raw) -> RuleSet:
                 co_occurrence=entry.get("co_occurrence"),
             )
         )
-    rs = RuleSet(rules)
     for r in rules:
-        if r.co_occurrence and rs.by_id(r.co_occurrence) is None:
-            raise RuleSchemaError(f"rule {r.id!r}: unknown co_occurrence partner {r.co_occurrence!r}")
-    return rs
+        partner = r.co_occurrence
+        # a JSON array or object is never an id, and cannot be looked up in a set
+        if partner and (isinstance(partner, (list, dict)) or partner not in seen):
+            raise RuleSchemaError(f"rule {r.id!r}: unknown co_occurrence partner {partner!r}")
+    return RuleSet(rules)
 
 
 def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,

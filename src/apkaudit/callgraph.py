@@ -1,11 +1,13 @@
 """Application call graph built with class-hierarchy analysis (CHA), and
 the per-app code index that every analyser reads.
 
-Static/direct invokes resolve exactly by method key.  Virtual and interface
-invokes resolve against the declared class plus every in-app subtype,
-walking up superclass chains for inherited implementations.  Anything that
-cannot be resolved inside the code model becomes an external node with no
-outgoing edges.
+A method is its key, ``Lcls;->name(params)ret``.  Static/direct invokes
+resolve exactly by key.  Virtual and interface invokes resolve against the
+declared class plus every in-app subtype, walking up superclass chains for
+inherited implementations: each class on a chain is one key lookup, its
+descriptor followed by the ref's text from ``->``.  Anything that cannot be
+resolved inside the code model becomes an external node with no outgoing
+edges.
 
 ``build_callgraph`` walks each method's instructions once.  ``index`` maps
 every ``DexMethod`` (abstract ones with a code item included) to a tuple
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .dex import MNEMONIC, OFFSET, OPCODE, REF, REF_KIND, CodeModel, DexMethod, parse_method_key
+from .dex import MNEMONIC, OFFSET, OPCODE, REF, REF_KIND, CodeModel, DexMethod
 
 REFLECTIVE_NODE = "<reflective-call>"
 # keys of Method.invoke and Constructor.newInstance, whatever their proto
@@ -33,12 +35,11 @@ _NO_CODE = ((), (), ())
 
 
 class CallGraph:
-    __slots__ = ("internal", "external", "subclasses", "adjacency", "index")
+    __slots__ = ("internal", "external", "adjacency", "index")
 
     def __init__(self):
         self.internal: set[str] = set()
         self.external: set[str] = set()
-        self.subclasses: dict[str, set[str]] = {}
         self.adjacency: dict[str, tuple[str, ...]] = {}
         self.index: dict[DexMethod, tuple[tuple, tuple[str, ...], tuple[str, ...]]] = {}
 
@@ -65,10 +66,11 @@ def build_callgraph(m: CodeModel) -> CallGraph:
             g.internal.add(meth.key)
 
     # subtype map over in-app classes (superclass and interface edges)
+    subclasses: dict[str, set[str]] = {}
     for cls in m.classes.values():
         for parent in (cls.superclass, *cls.interfaces):
             if parent:
-                g.subclasses.setdefault(parent, set()).add(cls.descriptor)
+                subclasses.setdefault(parent, set()).add(cls.descriptor)
 
     # the targets of one (mnemonic, ref) pair are the same at every call site
     resolved: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -84,7 +86,7 @@ def build_callgraph(m: CodeModel) -> CallGraph:
                     site = (ins[MNEMONIC], ref)
                     targets = resolved.get(site)
                     if targets is None:
-                        targets = resolved[site] = _resolve(m, g, *site)
+                        targets = resolved[site] = _resolve(m, subclasses, *site)
                     sites.append((ins[OFFSET], ref, targets))
                 elif kind == "string":
                     strings[ref] = None
@@ -102,46 +104,45 @@ def build_callgraph(m: CodeModel) -> CallGraph:
     return g
 
 
-def _resolve(m: CodeModel, g: CallGraph, mnemonic: str, ref: str) -> tuple[str, ...]:
+def _resolve(m: CodeModel, subclasses: dict[str, set[str]], mnemonic: str,
+             ref: str) -> tuple[str, ...]:
     if ref.startswith(_REFLECTIVE_CALLS):
         return (REFLECTIVE_NODE,)
     if "static" in mnemonic or "direct" in mnemonic:
         return (ref,)  # exact key; becomes an external node if undefined
-    cls, name, params, ret = parse_method_key(ref)
+    cls, arrow, name_proto = ref.partition("->")
+    sig = arrow + name_proto
     if "super" in mnemonic:
-        impl = _lookup_up(m, m.classes.get(cls) and m.classes[cls].superclass, name, params, ret)
+        impl = _lookup_up(m, m.classes.get(cls) and m.classes[cls].superclass, sig)
         return (impl or ref,)
     # virtual / interface: CHA over declared type and all in-app subtypes
-    targets: set[str] = set()
-    for sub in _subtypes(g, cls):
-        if sub in m.classes:
-            impl = _lookup_up(m, sub, name, params, ret)
-            if impl:
-                targets.add(impl)
+    targets = {impl for sub in _subtypes(subclasses, cls) if (impl := _lookup_up(m, sub, sig))}
     return tuple(sorted(targets)) if targets else (ref,)
 
 
-def _subtypes(g: CallGraph, cls: str) -> set[str]:
+def _subtypes(subclasses: dict[str, set[str]], cls: str) -> set[str]:
     seen = {cls}
     work = [cls]
     while work:
         c = work.pop()
-        for sub in g.subclasses.get(c, ()):
+        for sub in subclasses.get(c, ()):
             if sub not in seen:
                 seen.add(sub)
                 work.append(sub)
     return seen
 
 
-def _lookup_up(m: CodeModel, cls: str | None, name: str, params, ret: str) -> str | None:
-    """Walk the superclass chain inside the code model for a concrete impl."""
+def _lookup_up(m: CodeModel, cls: str | None, sig: str) -> str | None:
+    """Walk the superclass chain inside the code model for a concrete impl of
+    ``sig`` (``->name(params)ret``): the first class defining ``cls + sig``
+    decides, and an abstract or native definition there gives ``None``."""
     while cls is not None:
         dc = m.classes.get(cls)
         if dc is None:
             return None
-        for meth in dc.methods:
-            if meth.name == name and meth.params == tuple(params) and meth.return_type == ret:
-                return meth.key if meth.is_concrete else None
+        meth = m.method(cls + sig)
+        if meth is not None:
+            return meth.key if meth.is_concrete else None
         cls = dc.superclass
     return None
 

@@ -12,12 +12,13 @@ from bisect import bisect_left
 from pathlib import Path
 
 from .callgraph import CallGraph, reachable_hits
-from .dex import CodeModel, KeyMatcher, parse_method_key
+from .dex import CodeModel, KeyMatcher
 from .errors import read_data_file
 from .findings import DEFAULT_DEPTH, ComponentFinding
 from .manifest import ManifestModel, is_exported, is_protected
 
 DEFAULT_APIS = Path(__file__).parent / "data" / "sensitive_apis.txt"
+_QUERY = "Landroid/content/ContentResolver;->query("  # ContentResolver.query, whatever its proto
 
 SENSITIVE_URIS = {
     "content://sms": "sms",
@@ -110,8 +111,7 @@ def _refine_query(api_key: str, label: str, strings: tuple[str, ...]) -> tuple[s
     """ContentResolver.query alone is only medium confidence; a sensitive
     content URI among the method's ``strings`` (in first-use order) pins the
     data kind and raises it."""
-    cls, name, _params, _ret = parse_method_key(api_key)
-    if cls != "Landroid/content/ContentResolver;" or name != "query":
+    if not api_key.startswith(_QUERY):
         return label, "high"
     for s in strings:
         for uri, uri_label in SENSITIVE_URIS.items():

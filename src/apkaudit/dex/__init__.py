@@ -15,6 +15,5 @@ from .model import (  # noqa: F401
     Instruction,
     KeyMatcher,
     format_method_key,
-    parse_method_key,
 )
 from .parser import load_app_code, method_body, parse_dex  # noqa: F401

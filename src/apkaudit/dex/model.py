@@ -19,22 +19,12 @@ off the code model and hold less memory than slotted objects.
 
 from __future__ import annotations
 
-ACC_STATIC = 0x0008
 ACC_NATIVE = 0x0100
-ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400
 
 
 def format_method_key(class_desc: str, name: str, params: list[str] | tuple[str, ...], ret: str) -> str:
     return f"{class_desc}->{name}({''.join(params)}){ret}"
-
-
-def parse_method_key(key: str) -> tuple[str, str, tuple[str, ...], str]:
-    """Split a canonical key back into (class, name, params, return)."""
-    cls, rest = key.split("->", 1)
-    name, rest = rest.split("(", 1)
-    params_s, ret = rest.rsplit(")", 1)
-    return cls, name, tuple(_split_descriptors(params_s)), ret
 
 
 class KeyMatcher:
@@ -85,21 +75,6 @@ class KeyMatcher:
         return None if best is None else best[1]
 
 
-def _split_descriptors(s: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(s):
-        start = i
-        while s[i] == "[":
-            i += 1
-        if s[i] == "L":
-            i = s.index(";", i) + 1
-        else:
-            i += 1
-        out.append(s[start:i])
-    return out
-
-
 def format_field_key(class_desc: str, name: str, type_desc: str) -> str:
     return f"{class_desc}->{name}:{type_desc}"
 
@@ -114,24 +89,17 @@ Instruction = tuple
 
 
 class DexMethod:
-    __slots__ = ("key", "class_desc", "name", "params", "return_type", "access_flags",
-                 "registers", "ins", "instructions")
+    """A method is its key, ``Lcls;->name(params)ret``; no analyser splits
+    the key back into its parts."""
 
-    def __init__(self, key: str, class_desc: str, name: str, params: tuple[str, ...],
-                 return_type: str, access_flags: int):
+    __slots__ = ("key", "access_flags", "registers", "ins", "instructions")
+
+    def __init__(self, key: str, access_flags: int):
         self.key = key
-        self.class_desc = class_desc
-        self.name = name
-        self.params = params
-        self.return_type = return_type
         self.access_flags = access_flags
         self.registers = 0
         self.ins = 0
         self.instructions: list[Instruction] = []
-
-    @property
-    def is_abstract(self) -> bool:
-        return bool(self.access_flags & ACC_ABSTRACT)
 
     @property
     def is_concrete(self) -> bool:
@@ -139,14 +107,12 @@ class DexMethod:
 
 
 class DexClass:
-    __slots__ = ("descriptor", "superclass", "interfaces", "access_flags", "methods")
+    __slots__ = ("descriptor", "superclass", "interfaces", "methods")
 
-    def __init__(self, descriptor: str, superclass: str | None, interfaces: tuple[str, ...],
-                 access_flags: int):
+    def __init__(self, descriptor: str, superclass: str | None, interfaces: tuple[str, ...]):
         self.descriptor = descriptor
         self.superclass = superclass
         self.interfaces = interfaces
-        self.access_flags = access_flags
         self.methods: list[DexMethod] = []
 
 

@@ -149,16 +149,14 @@ class _DexReader:
             format_field_key(self.types[cls], self.strings[name], self.types[type_])
             for cls, type_, name in _records("<2HI", d, field_ids_off, field_ids_size)
         ]
-        self.methods = []
-        for cls_idx, proto, name_idx in _records("<2HI", d, method_ids_off, method_ids_size):
-            cls = self.types[cls_idx]
-            params, ret = self.protos[proto]
-            name = self.strings[name_idx]
-            self.methods.append((format_method_key(cls, name, params, ret), cls, name, params, ret))
+        self.methods = [
+            format_method_key(self.types[cls], self.strings[name], *self.protos[proto])
+            for cls, proto, name in _records("<2HI", d, method_ids_off, method_ids_size)
+        ]
         # operand pools by reference kind; "none" resolves nothing
         self.pools = {
             "none": (), "string": self.strings, "type": self.types,
-            "field": self.fields, "method": [m[0] for m in self.methods],
+            "field": self.fields, "method": self.methods,
         }
 
     def _type_list(self, off) -> tuple[str, ...]:
@@ -173,14 +171,13 @@ class _DexReader:
         return text
 
     def classes(self):
-        for (class_idx, access, super_idx, interfaces_off, _source, _annotations,
+        for (class_idx, _access, super_idx, interfaces_off, _source, _annotations,
              class_data_off, _static_values) in _records(
                  "<8I", self.data, self.class_defs_off, self.class_defs_size):
             cls = DexClass(
                 descriptor=self.types[class_idx],
                 superclass=self.types[super_idx] if super_idx != NO_INDEX else None,
                 interfaces=self._type_list(interfaces_off) if interfaces_off else (),
-                access_flags=access,
             )
             if class_data_off:
                 self._class_data(class_data_off, cls)
@@ -206,15 +203,7 @@ class _DexReader:
             flags, off = _uleb128(data, off)
             code_off, off = _uleb128(data, off)
             idx = idx_diff if i == 0 else idx + idx_diff
-            key, class_desc, name, params, ret = self.methods[idx]
-            m = DexMethod(
-                key=key,
-                class_desc=class_desc,
-                name=name,
-                params=params,
-                return_type=ret,
-                access_flags=flags,
-            )
+            m = DexMethod(self.methods[idx], flags)
             if code_off:
                 m.registers, m.ins, _outs, _tries, _debug, insns_size = struct.unpack_from(
                     "<4H2I", data, code_off)

@@ -15,7 +15,7 @@ COMPONENT_TAGS = {
 
 class ComponentDecl:
     __slots__ = ("kind", "class_name", "exported_attr", "permission_attr", "read_permission",
-                 "write_permission", "intent_filters", "actions", "categories", "authorities")
+                 "write_permission", "intent_filters", "actions")
 
     def __init__(
         self,
@@ -35,23 +35,18 @@ class ComponentDecl:
         self.write_permission = write_permission
         self.intent_filters = intent_filters
         self.actions: list[str] = []
-        self.categories: list[str] = []
-        self.authorities: list[str] = []
 
 
 class ManifestModel:
-    __slots__ = ("package", "version_name", "version_code", "min_sdk", "target_sdk",
-                 "shared_user_id", "uses_permissions", "declared_permissions", "components")
+    __slots__ = ("package", "version_name", "version_code", "target_sdk", "uses_permissions",
+                 "components")
 
     def __init__(self, package: str):
         self.package = package
         self.version_name = ""
         self.version_code = 0
-        self.min_sdk: int | None = None
         self.target_sdk: int | None = None
-        self.shared_user_id: str | None = None
         self.uses_permissions: set[str] = set()
-        self.declared_permissions: set[str] = set()
         self.components: list[ComponentDecl] = []
 
 
@@ -68,24 +63,15 @@ def build_manifest(t: XmlTree) -> ManifestModel:
     m.version_name = str(root.attr("versionName") or "")
     vc = root.attr("versionCode")
     m.version_code = int(vc) if isinstance(vc, int) else 0
-    su = root.attr("sharedUserId")
-    m.shared_user_id = str(su) if su else None
 
     for sdk in root.find_all("uses-sdk"):
-        mn = sdk.attr("minSdkVersion")
         tg = sdk.attr("targetSdkVersion")
-        if isinstance(mn, int):
-            m.min_sdk = mn
         if isinstance(tg, int):
             m.target_sdk = tg
     for up in root.find_all("uses-permission"):
         name = up.attr("name")
         if name:
             m.uses_permissions.add(str(name))
-    for dp in root.find_all("permission"):
-        name = dp.attr("name")
-        if name:
-            m.declared_permissions.add(str(name))
 
     for app in root.find_all("application"):
         for child in app.children:
@@ -108,19 +94,12 @@ def _component(kind: str, el: AxmlElement, package: str) -> ComponentDecl:
     if kind == "provider":
         comp.read_permission = _opt_str(el.attr("readPermission"))
         comp.write_permission = _opt_str(el.attr("writePermission"))
-        auth = el.attr("authorities")
-        if auth:
-            comp.authorities = [a for a in str(auth).split(";") if a]
     for filt in el.find_all("intent-filter"):
         comp.intent_filters += 1
         for act in filt.find_all("action"):
             name = act.attr("name")
             if name:
                 comp.actions.append(str(name))
-        for cat in filt.find_all("category"):
-            name = cat.attr("name")
-            if name:
-                comp.categories.append(str(name))
     return comp
 
 

@@ -23,9 +23,10 @@ from apkaudit.dex.model import (
     REF_KIND,
     REGISTERS,
     CodeModel,
-    parse_method_key,
 )
 from apkaudit.dex.opcodes import OPCODES
+
+from .fixtures.dex_writer import parse_method_key
 
 REFLECTIVE = "<reflective-call>"
 _REFLECT = ("Ljava/lang/reflect/Method;", "Ljava/lang/reflect/Constructor;")
@@ -199,7 +200,7 @@ def _all_subtypes(m, cls):
 def _chain_lookup(m, cls, name, params, ret):
     while cls in m.classes:
         for meth in m.classes[cls].methods:
-            if meth.name == name and meth.params == tuple(params) and meth.return_type == ret:
+            if parse_method_key(meth.key)[1:] == (name, tuple(params), ret):
                 return meth.key if meth.is_concrete else None
         cls = m.classes[cls].superclass
         if cls is None:

@@ -1,7 +1,11 @@
-import pytest
+import struct
 
-from apkaudit.axml import ANDROID_NS, decode_axml, dump_tree
-from apkaudit.errors import BadStringPoolError, TruncatedChunkError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apkaudit.axml import ANDROID_NS, XmlTree, decode_axml, dump_tree
+from apkaudit.errors import AxmlError, BadStringPoolError, TruncatedChunkError
 
 from .fixtures.axml_writer import XAttr, XElem, encode_axml
 
@@ -108,3 +112,80 @@ def test_element_chunk_before_pool_is_fatal():
     struct.pack_into("<I", blob, 4, len(blob))
     with pytest.raises(BadStringPoolError):
         decode_axml(bytes(blob))
+
+
+def _after_pool(chunk: bytes) -> tuple[bytes, int]:
+    """The sample manifest with ``chunk`` inserted right after its string
+    pool, and the offset of the inserted chunk."""
+    blob = bytearray(encode_axml(_sample_tree()))
+    at = 8 + struct.unpack_from("<I", blob, 12)[0]
+    blob[at:at] = chunk
+    struct.pack_into("<I", blob, 4, len(blob))
+    return bytes(blob), at
+
+
+def _utf8_pool_file(entry: bytes) -> tuple[bytes, int]:
+    """A file whose only chunk is a UTF-8 string pool holding one entry, and
+    the offset of that chunk."""
+    body = struct.pack("<I", 0) + entry  # offset table, then the string data
+    pool = struct.pack("<HHIIIIII", 0x0001, 28, 28 + len(body), 1, 0, 1 << 8, 32, 0) + body
+    return struct.pack("<HHI", 0x0003, 8, 8 + len(pool)) + pool, 8
+
+
+# chunks shorter than the fields they must hold, each raised as TruncatedChunkError
+TRUNCATED = {
+    # a start-namespace chunk holding only its 16-byte header (prefix and uri missing)
+    "start-namespace": _after_pool(struct.pack("<HHIII", 0x0100, 16, 16, 0, 0xFFFFFFFF)),
+    # a start-element chunk that ends before its attribute count
+    "start-element": _after_pool(
+        struct.pack("<HHIIIIIHH", 0x0102, 16, 28, 0, 0xFFFFFFFF, 0xFFFFFFFF, 0, 0x14, 0x14)),
+    # UTF-8 entry: the first length has its high bit set, and the pool ends there
+    "utf8-length": _utf8_pool_file(b"\x80"),
+    # UTF-8 entry: the byte length has its high bit set, and the pool ends there
+    "utf8-byte-length": _utf8_pool_file(b"\x01\x80"),
+}
+
+
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_short_chunk_is_a_truncated_chunk_error(name):
+    blob, at = TRUNCATED[name]
+    with pytest.raises(TruncatedChunkError, match=f"^chunk at 0x{at:x} truncated"):
+        decode_axml(blob)
+
+
+_MANIFESTS = [encode_axml(_sample_tree(), utf8_pool=utf8) for utf8 in (False, True)]
+
+
+def _chunk_offsets(blob: bytes) -> list[int]:
+    out, pos = [], 8
+    while pos < len(blob):
+        out.append(pos)
+        pos += struct.unpack_from("<I", blob, pos + 4)[0]
+    return out
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(
+    utf8=st.booleans(),
+    shrink=st.one_of(st.none(), st.tuples(st.integers(0, 63), st.integers(0, 1 << 10))),
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
+)
+def test_mutated_manifest_gives_a_tree_or_an_axml_error(utf8, shrink, edits):
+    """A manifest with one chunk cut short (its size word and the file's
+    kept consistent) and some bytes overwritten decodes or is refused."""
+    blob = bytearray(_MANIFESTS[utf8])
+    if shrink is not None:
+        chunks = _chunk_offsets(blob)
+        at = chunks[shrink[0] % len(chunks)]
+        size = struct.unpack_from("<I", blob, at + 4)[0]
+        keep = 8 + shrink[1] % (size - 7)
+        del blob[at + keep : at + size]
+        struct.pack_into("<I", blob, at + 4, keep)
+        struct.pack_into("<I", blob, 4, len(blob))
+    for at, byte in edits:
+        blob[at % len(blob)] = byte
+    try:
+        tree = decode_axml(bytes(blob))
+    except AxmlError:
+        return
+    assert isinstance(tree, XmlTree)

@@ -71,6 +71,9 @@ def test_rule_schema_validation(tmp_path):
     with pytest.raises(RuleSchemaError):
         load([{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string",
                "co_occurrence": "ghost"}])
+    with pytest.raises(RuleSchemaError):  # a partner that is no id at all
+        load([{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string",
+               "co_occurrence": ["a"]}])
     with pytest.raises(RuleSchemaError):
         load([{"id": "a", "category": "sms"}])  # missing keys
 

@@ -12,7 +12,10 @@ from apkaudit.dex import MNEMONIC, REF, REF_KIND, load_app_code
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import ApkAuditError
 from apkaudit.manifest import build_manifest
+from apkaudit.report import analyze_apk
 
+from .fixtures.apk_writer import build_apk
+from .fixtures.corpus import component, manifest
 from .fixtures.dex_writer import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC, DexWriter, MethodDef
 from .oracles import callgraph_edges_oracle, code_index_oracle
 from .test_dex import _raw_dex, _raw_units, _raw_writer, _writer_pools
@@ -87,6 +90,38 @@ def test_graph_equals_oracle_on_corpus(corpus):
         model = load_app_code(open_apk(path))
         g = build_callgraph(model)
         assert g.edges == callgraph_edges_oracle(model), name
+
+
+def _patched_call_apk(tmp_path, params, old: bytes, new: bytes):
+    """An APK whose exported activity makes a virtual call to ``La/B;->m``,
+    defined in the app with ``params``, after the DEX string ``old`` is
+    patched to ``new`` in place."""
+    w = DexWriter()
+    call = ("invoke-virtual", [2, 3], f"La/B;->m({params})V")
+    w.add_class("Lx/app/Main;", methods=[_ret_void("run", [call])])
+    w.add_class("La/B;", methods=[MethodDef("m", (params,), "V", registers=2, code=[("return-void", [])])])
+    dex = bytearray(w.build())
+    assert dex.count(old) == 1
+    at = dex.index(old)
+    dex[at : at + len(old)] = new
+    man = manifest("x.app", components=[component("activity", ".Main", exported=True)])
+    return build_apk(tmp_path / "patched.apk", {"AndroidManifest.xml": man, "classes.dex": bytes(dex)})
+
+
+@pytest.mark.parametrize("params, old, new, callee", [
+    # a parameter type that is only "[" (the MUTF-8 string data of "I" patched)
+    ("I", b"\x01I\x00", b"\x01[\x00", "La/B;->m([)V"),
+    # a class type with no ";"
+    ("La/X;", b"\x05La/X;\x00", b"\x05La/XY\x00", "La/B;->m(La/XY)V"),
+], ids=["bare-array", "class-without-semicolon"])
+def test_malformed_proto_resolves_by_key_and_gives_a_report(tmp_path, params, old, new, callee):
+    apk = _patched_call_apk(tmp_path, params, old, new)
+    g = build_callgraph(load_app_code(open_apk(apk)))
+    assert g.callees("Lx/app/Main;->run()V") == (callee,)
+    assert callee in g.internal
+    report = analyze_apk(apk)
+    assert report.package == "x.app"
+    assert any("adler32 checksum mismatch" in w for w in report.warnings)  # from the patch
 
 
 def _chain_model(n):
@@ -180,7 +215,7 @@ def test_odd_fixtures_hold_what_the_index_must_cover():
     assert any(ins[MNEMONIC].endswith("-payload") for ins in raw)
     assert any(ins[MNEMONIC].startswith("unused-") for ins in raw)
     odd = _abstract_with_code_model().method("La/Abs;->odd()V")
-    assert odd.is_abstract and odd.instructions
+    assert odd.access_flags & ACC_ABSTRACT and odd.instructions
 
 
 @pytest.mark.parametrize("model", [

@@ -306,6 +306,23 @@ def test_acquire_with_transcript(tmp_path, capsys):
     assert idx2["entries"] == idx["entries"]
 
 
+def test_acquire_of_a_package_named_like_an_apk(tmp_path, capsys):
+    # the package folder out/com.acme.apk is a directory that matches *.apk
+    tr = _transcript(tmp_path)
+    tr["shell"]["pm list packages -f"] += "package:/data/app/com.acme.apk-1/base.apk=com.acme.apk\n"
+    acme = build_apk(tmp_path / "src_acme.apk", {"AndroidManifest.xml": b"", "f": b"acme"})
+    tr["files"]["/data/app/com.acme.apk-1/base.apk"] = str(acme)
+    tr_path = tmp_path / "transcript.json"
+    tr_path.write_text(json.dumps(tr))
+    out = tmp_path / "pulled"
+    rc = main(["acquire", "--serial", "SER1", "--out", str(out), "--transcript", str(tr_path)])
+    assert rc == EXIT_CLEAN
+    assert "index: 4 unique APKs" in capsys.readouterr().out
+    idx = json.loads((out / "corpus-index.json").read_text())
+    assert sorted(p for e in idx["entries"].values() for p in e["packages"]) == [
+        "com.acme.apk", "com.game", "com.vendor.gallery", "com.vendor.radio"]
+
+
 def test_acquire_logs_skipped_lines_to_stderr(tmp_path):
     tr_path = tmp_path / "transcript.json"
     tr_path.write_text(json.dumps(_transcript(tmp_path)))

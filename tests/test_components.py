@@ -2,7 +2,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apkaudit.axml import decode_axml
-from apkaudit.callgraph import build_callgraph
+from apkaudit.callgraph import REFLECTIVE_NODE, build_callgraph
 from apkaudit.components import (
     _component_roots,
     audit_components,
@@ -12,7 +12,9 @@ from apkaudit.components import (
 from apkaudit.dex import KeyMatcher
 from apkaudit.dex.parser import parse_dex
 from apkaudit.manifest import build_manifest
+from apkaudit.report import AnalysisConfig, analyze_apk
 
+from .fixtures.apk_writer import build_apk
 from .fixtures.corpus import GET_DEVICE_ID, component, manifest
 from .fixtures.dex_writer import DexWriter, MethodDef
 from .oracles import key_match_oracle
@@ -273,6 +275,19 @@ def test_resolver_query_confidence_refinement():
     ])])
     findings, _ = _audit(man, w)
     assert (findings[0].data_kind, findings[0].confidence) == ("call_log", "high")
+
+
+def test_api_list_naming_the_reflective_node_gives_a_report(tmp_path):
+    apis = tmp_path / "apis.txt"
+    apis.write_text("<reflective-call> reflection\n")
+    invoke = "Ljava/lang/reflect/Method;->invoke(Ljava/lang/Object;[Ljava/lang/Object;)Ljava/lang/Object;"
+    man = manifest("x.app", components=[component("activity", ".Main", exported=True)])
+    apk = build_apk(tmp_path / "reflective.apk",
+                    {"AndroidManifest.xml": man, "classes.dex": _writer(direct_api=invoke).build()})
+    report = analyze_apk(apk, AnalysisConfig(apis_path=str(apis)))
+    [f] = report.exported_components
+    assert (f.sensitive_api, f.path) == (REFLECTIVE_NODE, ("Lx/app/Main;->m()V",))
+    assert (f.data_kind, f.confidence) == ("reflection", "high")
 
 
 def test_class_to_descriptor():

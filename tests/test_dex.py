@@ -22,7 +22,6 @@ from apkaudit.dex.model import (
     DexMethod,
     format_field_key,
     format_method_key,
-    parse_method_key,
 )
 from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
 from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, parse_dex
@@ -46,6 +45,7 @@ from .fixtures.dex_writer import (
     DexWriter,
     MethodDef,
     encode_mutf8,
+    parse_method_key,
 )
 from .oracles import decode_body_oracle, dump_body_oracle
 from .test_container import _damage
@@ -168,7 +168,7 @@ def test_abstract_and_unknown_method_errors():
         MethodDef("virt", (), "V", access=ACC_PUBLIC | ACC_ABSTRACT, registers=0, code=None),
     ])
     model = parse_dex(w.build())
-    assert model.method("La/A;->virt()V").is_abstract
+    assert model.method("La/A;->virt()V").access_flags & ACC_ABSTRACT
     with pytest.raises(AbstractMethodError):
         method_body(model, "La/A;->virt()V")
     with pytest.raises(UnknownMethodError):

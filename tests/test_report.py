@@ -30,6 +30,7 @@ from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
 from .fixtures.corpus import build_fixture
+from .test_axml import TRUNCATED
 
 
 def test_format_percent_whole_and_fractional():
@@ -271,6 +272,17 @@ def test_manifest_tree_warnings_reach_the_report(corpus, tmp_path):
     ]
 
 
+def test_truncated_manifest_chunk_gives_a_report_with_a_warning(corpus, tmp_path):
+    with zipfile.ZipFile(corpus["benign"]) as z:
+        dex = z.read("classes.dex")
+    blob, at = TRUNCATED["start-namespace"]
+    report = analyze_apk(build_apk(tmp_path / "short_ns.apk",
+                                   {"AndroidManifest.xml": blob, "classes.dex": dex}))
+    assert report.package == ""
+    (warning,) = [w for w in report.warnings if w.startswith("manifest:")]
+    assert warning.startswith(f"manifest: chunk at 0x{at:x} truncated (error: ")
+
+
 def _every_finding_report() -> AppReport:
     sha = "c" * 64
     return AppReport(
@@ -347,8 +359,8 @@ def test_records_share_no_mutable_default():
         lambda: ManifestModel("p"),
         lambda: ComponentDecl("activity", "p.A", None, None),
         lambda: CodeModel(),
-        lambda: DexClass("La;", None, (), 0),
-        lambda: DexMethod("La;->m()V", "La;", "m", (), "V", 0),
+        lambda: DexClass("La;", None, ()),
+        lambda: DexMethod("La;->m()V", 0),
         lambda: CallGraph(),
         lambda: PullResult(),
         lambda: CorpusIndex(),
