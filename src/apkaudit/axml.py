@@ -246,14 +246,15 @@ def dump_tree(tree: XmlTree) -> str:
             return f"0x{v.value:08x}"
         return str(v.value)
 
-    def walk(e: AxmlElement, depth: int) -> None:
+    # preorder with an explicit stack, so nesting depth is not bounded by the
+    # recursion limit
+    stack = [(tree.root, 0)]
+    while stack:
+        e, depth = stack.pop()
         pad = "  " * depth
         lines.append(f"{pad}E: {e.name}")
         for a in sorted(e.attributes, key=lambda a: (a.namespace, a.name)):
             prefix = "android:" if a.namespace == ANDROID_NS else ""
             lines.append(f"{pad}  A: {prefix}{a.name}={fmt(a)}")
-        for c in e.children:
-            walk(c, depth + 1)
-
-    walk(tree.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(e.children))
     return "\n".join(lines) + "\n"

@@ -76,16 +76,21 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
     if not names:
         raise NoDexEntryError(f"{a.path}: no classes*.dex entry")
     model = CodeModel()
-    errors = []
-    for name in names:
-        try:
-            parse_dex(read_entry(a, name), into=model, origin=name)
-            model.dex_count += 1
-        except (CorruptEntryError, DexError) as exc:
-            errors.append(exc)
-            model.warnings.append(f"dex: {exc}")
-    if not model.dex_count:
-        raise errors[0]
+    first = None
+    try:
+        for name in names:
+            try:
+                parse_dex(read_entry(a, name), into=model, origin=name)
+                model.dex_count += 1
+            except (CorruptEntryError, DexError) as exc:
+                first = first or exc
+                model.warnings.append(f"dex: {exc}")
+        if not model.dex_count:
+            raise first
+    finally:
+        # the error's traceback holds this frame, so a local that still named
+        # the error on the way out would make the two a reference cycle
+        first = None
     return model
 
 

@@ -188,6 +188,19 @@ def analyze_leaks(
     return _Engine(code, g, spec, depth).run()
 
 
+def _postorder(g: CallGraph, index: dict[str, DexMethod], seen: set[str],
+               order: list[DexMethod], key: str) -> None:
+    """Append the methods reachable from ``key`` to ``order``, callees first.
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, and analysis must leave none (``report.analyze_apk``
+    runs with the cycle collector paused)."""
+    seen.add(key)
+    for callee in g.callees(key):
+        if callee in index and callee not in seen:
+            _postorder(g, index, seen, order, callee)
+    order.append(index[key])
+
+
 class _Engine:
     def __init__(self, code: CodeModel, g: CallGraph, spec: TaintSpec, depth: int):
         self.code = code
@@ -255,17 +268,9 @@ class _Engine:
         index = {m.key: m for m in methods}
         seen: set[str] = set()
         order: list[DexMethod] = []
-
-        def visit(key: str) -> None:
-            seen.add(key)
-            for callee in self.g.callees(key):
-                if callee in index and callee not in seen:
-                    visit(callee)
-            order.append(index[key])
-
         for key in sorted(index):
             if key not in seen:
-                visit(key)
+                _postorder(self.g, index, seen, order, key)
         return order
 
     def _reaches_sink(self, target: str) -> bool:

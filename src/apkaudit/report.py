@@ -6,6 +6,7 @@ The report data model and the corpus roll-up live in :mod:`apkaudit.findings`.
 from __future__ import annotations
 
 import functools
+import gc
 import time
 from typing import NamedTuple
 
@@ -62,62 +63,73 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
     The detection data of ``config`` is loaded on first use and cached per
     process for each config (``load_detection``), so a bad data file raises
     ApkAuditError before any APK is opened.
+
+    Automatic cycle collection is paused for the call and the caller's
+    setting restored on return.  The analysers create no reference cycles,
+    so the code model is freed by reference counting as soon as the report
+    is built, and the collector would only walk live objects meanwhile.
     """
-    config = config or AnalysisConfig()
-    data = load_detection(config)
-    t0 = time.monotonic()
-    timings: dict[str, float] = {}
-
-    art = open_apk(path)  # invalid-apk propagates: no report without a container
-    report = AppReport(sha256=art.sha256, device=device)
-    report.warnings.extend(art.warnings)
-    report.signer_label = data.authorities.label(art.signers[0] if art.signers else None)
-
-    man: ManifestModel | None = None
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        tree = decode_axml(read_entry(art, "AndroidManifest.xml"))
-        report.warnings.extend(f"manifest: {w}" for w in tree.warnings)
-        man = build_manifest(tree)
-        report.package = man.package
-        report.version_name = man.version_name
-        report.version_code = man.version_code
-    except (ApkAuditError, AxmlError, KeyError) as exc:
-        report.warnings.append(f"manifest: {exc}")
-    timings["manifest"] = time.monotonic() - t0
+        config = config or AnalysisConfig()
+        data = load_detection(config)
+        t0 = time.monotonic()
+        timings: dict[str, float] = {}
 
-    code = None
-    if man is not None:
-        t = time.monotonic()
+        art = open_apk(path)  # invalid-apk propagates: no report without a container
+        report = AppReport(sha256=art.sha256, device=device)
+        report.warnings.extend(art.warnings)
+        report.signer_label = data.authorities.label(art.signers[0] if art.signers else None)
+
+        man: ManifestModel | None = None
         try:
-            code = load_app_code(art)
-            report.warnings.extend(code.warnings)
-        except (CorruptEntryError, DexError) as exc:
-            report.warnings.append(f"dex: {exc}")
-        timings["dex"] = time.monotonic() - t
+            tree = decode_axml(read_entry(art, "AndroidManifest.xml"))
+            report.warnings.extend(f"manifest: {w}" for w in tree.warnings)
+            man = build_manifest(tree)
+            report.package = man.package
+            report.version_name = man.version_name
+            report.version_code = man.version_code
+        except (ApkAuditError, AxmlError, KeyError) as exc:
+            report.warnings.append(f"manifest: {exc}")
+        timings["manifest"] = time.monotonic() - t0
 
-    if man is not None and code is not None:
-        t = time.monotonic()
-        graph = build_callgraph(code)
-        timings["callgraph"] = time.monotonic() - t
+        code = None
+        if man is not None:
+            t = time.monotonic()
+            try:
+                code = load_app_code(art)
+                report.warnings.extend(code.warnings)
+            except (CorruptEntryError, DexError) as exc:
+                report.warnings.append(f"dex: {exc}")
+            timings["dex"] = time.monotonic() - t
 
-        t = time.monotonic()
-        report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, graph)
-        timings["behaviors"] = time.monotonic() - t
+        if man is not None and code is not None:
+            t = time.monotonic()
+            graph = build_callgraph(code)
+            timings["callgraph"] = time.monotonic() - t
 
-        t = time.monotonic()
-        report.exported_components, comp_warnings = components_mod.audit_components(
-            man, code, graph, data.apis, config.depth
-        )
-        report.warnings.extend(comp_warnings)
-        timings["components"] = time.monotonic() - t
+            t = time.monotonic()
+            report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, graph)
+            timings["behaviors"] = time.monotonic() - t
 
-        t = time.monotonic()
-        spec = data.internet_spec if INTERNET_PERMISSION in man.uses_permissions else data.spec
-        report.warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
-        report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
-        timings["leaks"] = time.monotonic() - t
+            t = time.monotonic()
+            report.exported_components, comp_warnings = components_mod.audit_components(
+                man, code, graph, data.apis, config.depth
+            )
+            report.warnings.extend(comp_warnings)
+            timings["components"] = time.monotonic() - t
 
-    timings["total"] = time.monotonic() - t0
-    if config.timings:
-        report.timings = {k: round(v, 6) for k, v in timings.items()}
-    return report
+            t = time.monotonic()
+            spec = data.internet_spec if INTERNET_PERMISSION in man.uses_permissions else data.spec
+            report.warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
+            report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
+            timings["leaks"] = time.monotonic() - t
+
+        timings["total"] = time.monotonic() - t0
+        if config.timings:
+            report.timings = {k: round(v, 6) for k, v in timings.items()}
+        return report
+    finally:
+        if enabled:
+            gc.enable()

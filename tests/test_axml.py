@@ -7,7 +7,18 @@ from hypothesis import strategies as st
 from apkaudit.axml import ANDROID_NS, XmlTree, decode_axml, dump_tree
 from apkaudit.errors import AxmlError, BadStringPoolError, TruncatedChunkError
 
-from .fixtures.axml_writer import XAttr, XElem, encode_axml
+from .fixtures.axml_writer import (
+    CHUNK_END_NS,
+    CHUNK_START_NS,
+    CHUNK_XML,
+    XAttr,
+    XElem,
+    _end_element,
+    _ns_chunk,
+    _start_element,
+    _string_pool,
+    encode_axml,
+)
 
 
 def _sample_tree():
@@ -67,6 +78,48 @@ def test_dump_tree_stable_format():
     assert "      A: android:exported=true" in lines
     # byte-identical on repeat
     assert out == dump_tree(decode_axml(encode_axml(_sample_tree())))
+
+
+def test_dump_tree_lists_siblings_in_document_order():
+    root = XElem("manifest", [XAttr("package", "p", ns=None)], [
+        XElem("a", [], [XElem("a1"), XElem("a2", [XAttr("name", "x")])]),
+        XElem("b", [], [XElem("b1")]),
+    ])
+    assert dump_tree(decode_axml(encode_axml(root))).splitlines() == [
+        "E: manifest",
+        "  A: package=p",
+        "  E: a",
+        "    E: a1",
+        "    E: a2",
+        "      A: android:name=x",
+        "  E: b",
+        "    E: b1",
+    ]
+
+
+def nested_manifest(depth: int) -> bytes:
+    """AXML of ``depth`` nested ``e`` elements, each with ``android:name=x``.
+    Written chunk by chunk: the recursive ``encode_axml`` would stop at the
+    recursion limit."""
+    index = {s: i for i, s in enumerate([ANDROID_NS, "android", "name", "x", "e"])}
+    e = XElem("e", [XAttr("name", "x")])
+    body = b"".join([
+        _string_pool(list(index), utf8=False),
+        _ns_chunk(CHUNK_START_NS, index["android"], index[ANDROID_NS]),
+        _start_element(e, index) * depth,
+        _end_element(e, index) * depth,
+        _ns_chunk(CHUNK_END_NS, index["android"], index[ANDROID_NS]),
+    ])
+    return struct.pack("<HHI", CHUNK_XML, 8, 8 + len(body)) + body
+
+
+def test_dump_tree_of_a_deeply_nested_manifest():
+    depth = 3000  # three times the default recursion limit
+    lines = dump_tree(decode_axml(nested_manifest(depth))).splitlines()
+    assert len(lines) == 2 * depth
+    for level in (0, 1, depth - 1):
+        pad = "  " * level
+        assert lines[2 * level : 2 * level + 2] == [f"{pad}E: e", f"{pad}  A: android:name=x"]
 
 
 def test_header_only_file_has_no_string_pool():

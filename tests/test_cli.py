@@ -11,6 +11,7 @@ from apkaudit.leaks import DEFAULT_SPEC
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
 from .test_acquire import _transcript
+from .test_axml import nested_manifest
 from .test_imports import _python
 
 
@@ -273,6 +274,15 @@ def test_dump_manifest(corpus, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "E: manifest"
     assert "A: package=" in out
+
+
+def test_dump_manifest_of_a_deeply_nested_manifest(tmp_path, capsys):
+    apk = build_apk(tmp_path / "deep.apk", {"AndroidManifest.xml": nested_manifest(3000)})
+    rc = main(["dump-manifest", str(apk)])
+    assert rc == EXIT_CLEAN
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6000
+    assert lines[-1] == "  " * 3000 + "A: android:name=x"
 
 
 def test_dump_dex_single_method(corpus, capsys):

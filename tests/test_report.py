@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -13,8 +14,8 @@ from apkaudit.acquire import CorpusIndex, PullResult
 from apkaudit.axml import AxmlElement
 from apkaudit.callgraph import CallGraph
 from apkaudit.container import ApkArtifact, open_apk
-from apkaudit.dex import CodeModel, DexClass, DexMethod
-from apkaudit.errors import ApkAuditError, NotAZipError
+from apkaudit.dex import CodeModel, DexClass, DexMethod, load_app_code
+from apkaudit.errors import ApkAuditError, DexMagicError, NotAZipError
 from apkaudit.findings import (
     AppReport,
     BehaviorFinding,
@@ -29,7 +30,7 @@ from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
-from .fixtures.corpus import build_fixture
+from .fixtures.corpus import FIXTURE_NAMES, build_fixture
 from .test_axml import TRUNCATED
 
 
@@ -195,6 +196,69 @@ def test_analyze_reads_the_apk_once(corpus, tmp_path, monkeypatch):
     assert report.package and report.behaviors  # the manifest and both dex entries were read
     assert len(opens) == 1
     assert archives == []  # the container reads the ZIP itself
+
+
+def _degraded_apk(corpus, tmp_path, name: str) -> Path:
+    """``listing5_leak`` with a junk ``classes.dex``, with a junk
+    ``classes2.dex`` next to its own, or without its manifest."""
+    with zipfile.ZipFile(corpus["listing5_leak"]) as zf:
+        man, dex = zf.read("AndroidManifest.xml"), zf.read("classes.dex")
+    entries = {
+        "junk_dex": {"AndroidManifest.xml": man, "classes.dex": b"junk"},
+        "good_and_junk_dex": {"AndroidManifest.xml": man, "classes.dex": dex, "classes2.dex": b"junk"},
+        "no_manifest": {"classes.dex": dex},
+    }[name]
+    return build_apk(tmp_path / f"{name}.apk", entries)
+
+
+DEGRADED = ["junk_dex", "good_and_junk_dex", "no_manifest"]
+LEAK_CONFIG = AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS))  # listing5_leak's sink
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + DEGRADED)
+def test_analysis_leaves_no_cyclic_garbage(corpus, tmp_path, name):
+    # analyze_apk runs with the collector paused, so a reference cycle made
+    # during analysis would outlive the report until the next collection
+    path = corpus[name] if name in corpus else _degraded_apk(corpus, tmp_path, name)
+    enabled = gc.isenabled()
+    try:
+        gc.collect()
+        gc.disable()
+        analyze_apk(path, LEAK_CONFIG)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_degraded_dex_entries_keep_their_warnings_and_error(corpus, tmp_path):
+    report = analyze_apk(_degraded_apk(corpus, tmp_path, "junk_dex"))
+    assert report.warnings == ["dex: classes.dex: bad DEX magic b'junk'"]
+    with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic b'junk'$"):
+        load_app_code(open_apk(tmp_path / "junk_dex.apk"))
+    report = analyze_apk(_degraded_apk(corpus, tmp_path, "good_and_junk_dex"), LEAK_CONFIG)
+    assert report.warnings == ["dex: classes2.dex: bad DEX magic b'junk'"]
+    assert report.leaks
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_analyze_restores_the_collector_state(corpus, tmp_path, monkeypatch, enabled):
+    during = []
+    real = leaks.analyze_leaks
+    monkeypatch.setattr(leaks, "analyze_leaks", lambda *a: during.append(gc.isenabled()) or real(*a))
+    junk = tmp_path / "junk.apk"
+    junk.write_bytes(b"junk")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert analyze_apk(corpus["listing5_leak"], LEAK_CONFIG).leaks
+        assert gc.isenabled() is enabled
+        with pytest.raises(ApkAuditError):
+            analyze_apk(junk)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]  # paused while the analysers ran
 
 
 def test_timings_only_behind_flag(corpus):
