@@ -234,15 +234,10 @@ class CorpusIndex:
         return idx
 
 
-def index_corpus(
-    directory,
-    prior: CorpusIndex | None = None,
-    device: str | None = None,
-    authority_map: AuthorityMap | None = None,
-) -> CorpusIndex:
+def index_corpus(directory, prior: CorpusIndex | None = None, device: str | None = None) -> CorpusIndex:
     """Walk a directory of APKs and build/merge the dedup index."""
     directory = Path(directory)
-    amap = authority_map or AuthorityMap.load()
+    amap = AuthorityMap.load()
     now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     idx = prior or CorpusIndex(created=now)
     if not idx.created:

@@ -86,7 +86,6 @@ def decode_axml(data: bytes) -> XmlTree:
 
     pool: list[str] | None = None
     warnings: list[str] = []
-    ns_stack: list[tuple[str, str]] = []  # (prefix, uri)
     elem_stack: list[AxmlElement] = []
     root: AxmlElement | None = None
     unknown: list[int] = []  # types of the skipped chunks
@@ -104,11 +103,10 @@ def decode_axml(data: bytes) -> XmlTree:
             elif ctype == CHUNK_START_NS:
                 if pool is None:
                     raise BadStringPoolError("namespace chunk before string pool")
+                # both indices are checked against the pool; no analyser reads namespaces
                 prefix_ix, uri_ix = struct.unpack_from("<II", body, 16)
-                ns_stack.append((_pool_str(pool, prefix_ix), _pool_str(pool, uri_ix)))
-            elif ctype == CHUNK_END_NS:
-                if ns_stack:
-                    ns_stack.pop()
+                _pool_str(pool, prefix_ix)
+                _pool_str(pool, uri_ix)
             elif ctype == CHUNK_START_ELEMENT:
                 if pool is None:
                     raise BadStringPoolError("element chunk before string pool")
@@ -123,8 +121,8 @@ def decode_axml(data: bytes) -> XmlTree:
             elif ctype == CHUNK_END_ELEMENT:
                 if elem_stack:
                     elem_stack.pop()
-            elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA):
-                pass  # attribute resource ids and text nodes carry nothing we audit
+            elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA, CHUNK_END_NS):
+                pass  # resource ids, text nodes and namespace ends carry nothing we audit
             else:
                 unknown.append(ctype)
             pos += csize

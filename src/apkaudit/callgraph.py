@@ -12,7 +12,7 @@ edges.
 ``build_callgraph`` walks each method's instructions once.  ``index`` maps
 every ``DexMethod`` (abstract ones with a code item included) to a tuple
 ``(sites, strings, reads)``: its call sites ``(offset, ref, targets)`` in
-order, the CHA targets resolved once per ``(mnemonic, ref)``; its distinct
+order, the CHA targets resolved once per ``(opcode, ref)``; its distinct
 const-strings in first-use order; the distinct fields it reads.
 ``adjacency`` maps each concrete caller to the sorted tuple of its callees.
 The index holds only tuples, which the cycle collector stops tracking.
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .dex import MNEMONIC, OFFSET, OPCODE, REF, REF_KIND, CodeModel, DexMethod
+from .dex import OFFSET, OPCODE, REF, CodeModel, DexMethod
+from .dex.opcodes import CONST_STRINGS, EXACT_INVOKES, FIELD_READS, INVOKES, SUPER_INVOKES
 
 REFLECTIVE_NODE = "<reflective-call>"
 # keys of Method.invoke and Constructor.newInstance, whatever their proto
@@ -30,7 +31,6 @@ _REFLECTIVE_CALLS = tuple(
     f"Ljava/lang/reflect/{cls};->{name}("
     for cls in ("Method", "Constructor") for name in ("invoke", "newInstance")
 )
-_FIELD_READS = frozenset((*range(0x52, 0x59), *range(0x60, 0x67)))  # iget*, sget*
 _NO_CODE = ((), (), ())
 
 
@@ -72,8 +72,8 @@ def build_callgraph(m: CodeModel) -> CallGraph:
             if parent:
                 subclasses.setdefault(parent, set()).add(cls.descriptor)
 
-    # the targets of one (mnemonic, ref) pair are the same at every call site
-    resolved: dict[tuple[str, str], tuple[str, ...]] = {}
+    # the targets of one (opcode, ref) pair are the same at every call site
+    resolved: dict[tuple[int, str], tuple[str, ...]] = {}
     for cls in m.classes.values():
         for meth in cls.methods:
             sites, strings, reads = [], {}, {}  # the dicts keep the first use of each key
@@ -81,16 +81,16 @@ def build_callgraph(m: CodeModel) -> CallGraph:
                 ref = ins[REF]
                 if ref is None:
                     continue
-                kind = ins[REF_KIND]
-                if kind == "method":
-                    site = (ins[MNEMONIC], ref)
+                opcode = ins[OPCODE]
+                if opcode in INVOKES:
+                    site = (opcode, ref)
                     targets = resolved.get(site)
                     if targets is None:
                         targets = resolved[site] = _resolve(m, subclasses, *site)
                     sites.append((ins[OFFSET], ref, targets))
-                elif kind == "string":
+                elif opcode in CONST_STRINGS:
                     strings[ref] = None
-                elif kind == "field" and ins[OPCODE] in _FIELD_READS:
+                elif opcode in FIELD_READS:
                     reads[ref] = None
             if not (sites or strings or reads):
                 g.index[meth] = _NO_CODE
@@ -104,15 +104,15 @@ def build_callgraph(m: CodeModel) -> CallGraph:
     return g
 
 
-def _resolve(m: CodeModel, subclasses: dict[str, set[str]], mnemonic: str,
+def _resolve(m: CodeModel, subclasses: dict[str, set[str]], opcode: int,
              ref: str) -> tuple[str, ...]:
     if ref.startswith(_REFLECTIVE_CALLS):
         return (REFLECTIVE_NODE,)
-    if "static" in mnemonic or "direct" in mnemonic:
+    if opcode in EXACT_INVOKES:
         return (ref,)  # exact key; becomes an external node if undefined
     cls, arrow, name_proto = ref.partition("->")
     sig = arrow + name_proto
-    if "super" in mnemonic:
+    if opcode in SUPER_INVOKES:
         impl = _lookup_up(m, m.classes.get(cls) and m.classes[cls].superclass, sig)
         return (impl or ref,)
     # virtual / interface: CHA over declared type and all in-app subtypes

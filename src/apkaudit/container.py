@@ -51,6 +51,7 @@ V3_BLOCK_ID = 0xF05368C0
 _V1_SUFFIXES = (".RSA", ".DSA", ".EC")
 
 DEFAULT_AUTHORITY_MAP = Path(__file__).parent / "data" / "authorities.json"
+FALLBACK_AUTHORITY = "Others"  # the label of a signer no rule matches
 
 # ZIP records (APPNOTE 4.3): signature and the fields this reader uses
 _END = struct.Struct("<4s8xLL2x")  # end of central directory: size, offset
@@ -494,12 +495,11 @@ def _lv(buf: bytes, pos: int) -> tuple[bytes, int]:
 class AuthorityMap:
     """Substring → label mapping for certificate-authority grouping.
 
-    First match wins; anything unmatched gets the fallback label.
+    First match wins; anything unmatched gets ``FALLBACK_AUTHORITY``.
     """
 
-    def __init__(self, rules: list[dict], fallback: str = "Others"):
+    def __init__(self, rules: list[dict]):
         self.rules = [(r["match"], r["label"]) for r in rules]
-        self.fallback = fallback
 
     @classmethod
     def load(cls, path=None) -> "AuthorityMap":
@@ -507,9 +507,9 @@ class AuthorityMap:
 
     def label(self, signer: SignerInfo | None) -> str:
         if signer is None:
-            return self.fallback
+            return FALLBACK_AUTHORITY
         subject = f"CN={signer.subject_cn}, O={signer.subject_o}"
         for match, lab in self.rules:
             if match in subject:
                 return lab
-        return self.fallback
+        return FALLBACK_AUTHORITY

@@ -1,14 +1,10 @@
 from .model import (  # noqa: F401
     LITERAL,
-    MNEMONIC,
     OFFSET,
-    OPAQUE,
     OPCODE,
     REF,
-    REF_KIND,
     REGISTERS,
     TARGET,
-    WIDTH,
     CodeModel,
     DexClass,
     DexMethod,

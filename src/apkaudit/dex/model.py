@@ -1,17 +1,19 @@
 """Code model shared by the analyzers: classes, methods, instructions.
 
-An instruction is a plain ``tuple`` of ten fields, read by the index
+An instruction is a plain ``tuple`` of six fields, read by the index
 constants below: offset (in 16-bit code units from the method start),
-opcode, mnemonic, width, registers (a tuple of ints), ref kind (none |
-string | type | field | method), resolved ref (method key, field key,
-string or type; ``None`` when unresolved), literal, branch target and
-opaque.  A large system app decodes to over a hundred thousand
-instructions, all held until its report is done.  A tuple of ints, strings,
-``None`` and bools cannot form a reference cycle, and CPython's cycle
-collector stops tracking a plain tuple once it finds that all its items are
-untracked; a tuple subclass (``NamedTuple``) or a slotted class stays tracked
-and is walked again by every full collection.  Plain tuples keep that walk
-off the code model and hold less memory than slotted objects.
+opcode (a payload pseudo-instruction's 16-bit ident), registers (a tuple
+of ints), resolved ref (method key, field key, string or type; ``None``
+when unresolved), literal and branch target.  The mnemonic, width and ref
+kind are facts of the opcode, read from :mod:`.opcodes`
+(``parser.mnemonic`` names payloads too).  A large system app decodes to
+over a hundred thousand instructions, all held until its report is done.
+A tuple of ints, strings and ``None`` cannot form a reference cycle, and
+CPython's cycle collector stops tracking a plain tuple once it finds that
+all its items are untracked; a tuple subclass (``NamedTuple``) or a slotted
+class stays tracked and is walked again by every full collection.  Plain
+tuples keep that walk off the code model and hold less memory than slotted
+objects.
 
 ``DexMethod``, ``DexClass`` and ``CodeModel`` are plain classes with
 ``__slots__``, so none of the instances carries a ``__dict__``.
@@ -79,12 +81,8 @@ def format_field_key(class_desc: str, name: str, type_desc: str) -> str:
     return f"{class_desc}->{name}:{type_desc}"
 
 
-# Instruction fields, in tuple order.  Ref kind "method" is set only on the
-# invoke-* opcodes, so ``ins[REF_KIND] == "method"`` marks an invoke.
-OFFSET, OPCODE, MNEMONIC, WIDTH, REGISTERS, REF_KIND, REF, LITERAL, TARGET, OPAQUE = range(10)
-
-# annotation alias: (offset, opcode, mnemonic, width, registers, ref kind,
-# resolved ref, literal, branch target, opaque)
+# Instruction fields, in tuple order, and the annotation alias of an instruction
+OFFSET, OPCODE, REGISTERS, REF, LITERAL, TARGET = range(6)
 Instruction = tuple
 
 

@@ -1,7 +1,8 @@
-"""Dalvik opcode table: mnemonic, encoding format and reference kind.
+"""Dalvik opcode table (mnemonic, encoding format, reference kind) and the
+named opcode sets derived from it: the one home of opcode facts.
 
 The format string determines instruction width so the stream stays aligned
-even for opcodes we treat as opaque.  Widths are in 16-bit code units.
+even for unused opcodes.  Widths are in 16-bit code units.
 """
 
 FORMAT_WIDTH = {
@@ -132,6 +133,20 @@ _op(0xFF, "const-method-type", "21c")
 
 OPCODES: dict[int, tuple[str, str, str]] = {c: (n, f, r) for c, n, f, r in _T}
 assert len(OPCODES) == 256
+
+
+def _opcodes(test) -> frozenset[int]:
+    """The opcodes whose (name, ref kind) pass ``test``."""
+    return frozenset(c for c, (name, _fmt, ref) in OPCODES.items() if test(name, ref))
+
+
+# invokes with a method ref (invoke-custom refers to a call site); the exact
+# ones, static and direct with their /range forms, name their target
+INVOKES = _opcodes(lambda name, ref: ref == "method")
+CONST_STRINGS = _opcodes(lambda name, ref: ref == "string")
+FIELD_READS = _opcodes(lambda name, ref: ref == "field" and name.startswith(("iget", "sget")))
+EXACT_INVOKES = _opcodes(lambda name, ref: name.partition("/")[0] in ("invoke-static", "invoke-direct"))
+SUPER_INVOKES = _opcodes(lambda name, ref: name.partition("/")[0] == "invoke-super")
 
 # payload pseudo-instruction idents (full 16-bit opcode unit)
 PACKED_SWITCH_PAYLOAD = 0x0100

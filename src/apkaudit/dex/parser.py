@@ -8,19 +8,17 @@ no class, and the others still merge.
 
 Each method body is unpacked once into a tuple of 16-bit code units and
 decoded through ``_TABLE``, built once from :data:`opcodes.OPCODES`: for
-each of the 256 opcodes it holds the mnemonic, the width, the operand
-decoder of its encoding format, the reference kind and whether the opcode
-is opaque.  Each instruction becomes a plain tuple in the field order of
-:mod:`.model` (offset, opcode, mnemonic, width, registers, ref kind,
-resolved ref, literal, branch target, opaque), and equal register tuples
-are stored once per app (``CodeModel.register_tuples``).  The cycle
+each of the 256 opcodes it holds the width, the operand decoder of its
+encoding format and the reference kind.  Each instruction becomes a plain
+six-field tuple in the field order of :mod:`.model`, and equal register
+tuples are stored once per app (``CodeModel.register_tuples``).  The cycle
 collector then stops tracking the instructions after its first pass over
 them, instead of walking every one of them again in each full collection,
 and the model holds less memory.
 
 An instruction's pool reference that is out of range resolves to ``None``.
-Unused opcodes and unknown payloads are kept opaque at their correct width
-so the stream never desynchronizes.  Any other offset or index that points
+Unused opcodes and unknown payloads are kept at their correct width so the
+stream never desynchronizes.  Any other offset or index that points
 outside the data or a pool raises :class:`MalformedDexError` naming the
 entry.  Strings that are not valid MUTF-8 are decoded lossily and counted
 in one warning per entry.
@@ -45,13 +43,11 @@ from ..errors import (
 from . import opcodes as op
 from .model import (
     LITERAL,
-    MNEMONIC,
     OFFSET,
+    OPCODE,
     REF,
-    REF_KIND,
     REGISTERS,
     TARGET,
-    WIDTH,
     CodeModel,
     DexClass,
     DexMethod,
@@ -228,17 +224,15 @@ class _DexReader:
         while pos < size:
             unit = u[pos]
             opcode = unit & 0xFF
-            if opcode == 0 and unit:
-                ins = _payload(u, pos, unit)
-                width = ins[WIDTH]
-            else:
-                name, width, operands, ref_kind, opaque = _TABLE[opcode]
-                regs, idx, literal, target = operands(u, pos, unit >> 8)
-                regs = shared.setdefault(regs, regs)
-                pool = pools[ref_kind]
-                resolved = pool[idx] if idx is not None and idx < len(pool) else None
-                ins = (pos, opcode, name, width, regs, ref_kind, resolved, literal, target, opaque)
-            out.append(ins)
+            if opcode == 0 and unit:  # a payload: its 16-bit ident is its opcode
+                out.append((pos, unit, (), None, None, None))
+                pos += _PAYLOADS[unit][1](u, pos) if unit in _PAYLOADS else 1
+                continue
+            width, operands, ref_kind = _TABLE[opcode]
+            regs, idx, literal, target = operands(u, pos, unit >> 8)
+            pool = pools[ref_kind]
+            resolved = pool[idx] if idx is not None and idx < len(pool) else None
+            out.append((pos, opcode, shared.setdefault(regs, regs), resolved, literal, target))
             pos += width
         return out
 
@@ -293,13 +287,13 @@ def _invoke_args(unit: int, a: int) -> tuple[int, ...]:
     return (unit & 0xF, unit >> 4 & 0xF, unit >> 8 & 0xF, unit >> 12, a & 0xF)[: a >> 4]
 
 
-# opcode -> (mnemonic, width, operand decoder, ref kind, opaque)
+# opcode -> (width, operand decoder, ref kind)
 _TABLE = tuple(
-    (name, op.FORMAT_WIDTH[fmt], _OPERANDS[fmt], ref, name.startswith("unused-"))
-    for name, fmt, ref in (op.OPCODES[code] for code in range(256))
+    (op.FORMAT_WIDTH[fmt], _OPERANDS[fmt], ref)
+    for _name, fmt, ref in (op.OPCODES[code] for code in range(256))
 )
 
-# payload ident -> (mnemonic, width from the payload header)
+# payload ident -> (mnemonic, width from the payload header); unknown: 1 unit
 _PAYLOADS = {
     op.PACKED_SWITCH_PAYLOAD: ("packed-switch-payload", lambda u, p: u[p + 1] * 2 + 4),
     op.SPARSE_SWITCH_PAYLOAD: ("sparse-switch-payload", lambda u, p: u[p + 1] * 4 + 2),
@@ -308,9 +302,11 @@ _PAYLOADS = {
 }
 
 
-def _payload(u: tuple[int, ...], pos: int, ident: int) -> Instruction:
-    name, width_of = _PAYLOADS.get(ident, (f"unknown-payload-{ident:04x}", lambda u, p: 1))
-    return (pos, ident, name, width_of(u, pos), (), "none", None, None, None, True)
+def mnemonic(opcode: int) -> str:
+    """Name of an opcode, or of a payload pseudo-instruction's 16-bit ident."""
+    if opcode < 256:
+        return op.OPCODES[opcode][0]
+    return _PAYLOADS[opcode][0] if opcode in _PAYLOADS else f"unknown-payload-{opcode:04x}"
 
 
 def method_body(model: CodeModel, key: str) -> list[Instruction]:
@@ -358,11 +354,11 @@ def dump_method(model: CodeModel, key: str) -> str:
     """Stable textual listing of one method body (debug CLI)."""
     lines = [key]
     for ins in method_body(model, key):
-        parts = [f"  {ins[OFFSET]:04x}: {ins[MNEMONIC]}"]
+        parts = [f"  {ins[OFFSET]:04x}: {mnemonic(ins[OPCODE])}"]
         if ins[REGISTERS]:
             parts.append(" " + ", ".join(f"v{r}" for r in ins[REGISTERS]))
         if ins[REF] is not None:
-            parts.append(f" {ins[REF]!r}" if ins[REF_KIND] == "string" else f" {ins[REF]}")
+            parts.append(f" {ins[REF]!r}" if ins[OPCODE] in op.CONST_STRINGS else f" {ins[REF]}")
         if ins[LITERAL] is not None:
             parts.append(f" #{ins[LITERAL]}")
         if ins[TARGET] is not None:

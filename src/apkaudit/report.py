@@ -18,7 +18,7 @@ from .behaviors import RuleSet
 from .callgraph import build_callgraph
 from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
-from .errors import ApkAuditError, AxmlError, CorruptEntryError, DexError
+from .errors import ApkAuditError, CorruptEntryError, DexError
 from .findings import DEFAULT_DEPTH, AppReport
 from .leaks import INTERNET_PERMISSION, TaintSpec, load_taint_spec
 from .manifest import ManifestModel, build_manifest
@@ -90,7 +90,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
             report.package = man.package
             report.version_name = man.version_name
             report.version_code = man.version_code
-        except (ApkAuditError, AxmlError, KeyError) as exc:
+        except ApkAuditError as exc:
             report.warnings.append(f"manifest: {exc}")
         timings["manifest"] = time.monotonic() - t0
 

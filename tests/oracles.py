@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import struct
 
-from apkaudit.dex.model import (
-    MNEMONIC,
-    OFFSET,
-    OPAQUE,
-    REF,
-    REF_KIND,
-    REGISTERS,
-    CodeModel,
-)
+from apkaudit.dex.model import OFFSET, OPCODE, REF, REGISTERS, CodeModel
 from apkaudit.dex.opcodes import OPCODES
 
 from .fixtures.dex_writer import parse_method_key
@@ -51,10 +43,10 @@ _PAYLOAD_NAMES = {0x0100: "packed-switch-payload", 0x0200: "sparse-switch-payloa
 def decode_body_oracle(body: bytes, size: int, pools: dict[str, list[str]]) -> list[tuple]:
     """Decode ``size`` code units at the start of ``body``.
 
-    Returns one tuple per instruction, in the decoder's instruction field order:
-    (offset, opcode, mnemonic, width, registers, ref_kind, resolved_ref,
-    literal, branch_target, opaque).  ``pools`` maps each ref kind but
-    "none" to its pool in index order.
+    Returns one tuple per instruction: (offset, opcode, mnemonic, width,
+    registers, ref_kind, resolved_ref, literal, branch_target, opaque); the
+    decoder stores the six of them that :func:`stored_fields` keeps.
+    ``pools`` maps each ref kind but "none" to its pool in index order.
     """
     out = []
     pos = 0
@@ -115,6 +107,40 @@ def _operands_oracle(fmt, f, pos):
     raise AssertionError(fmt)
 
 
+def stored_fields(t: tuple) -> tuple:
+    """An oracle tuple cut down to the decoder's instruction: (offset, opcode,
+    registers, resolved_ref, literal, branch_target)."""
+    return t[0], t[1], t[4], t[6], t[7], t[8]
+
+
+def opcode_facts(opcode: int) -> tuple[str, str, bool]:
+    """(mnemonic, ref kind, opaque) of a decoded instruction's opcode, from
+    the table row; a payload ident (above 0xFF) has no ref and is opaque."""
+    if opcode > 0xFF:
+        return _PAYLOAD_NAMES.get(opcode, f"unknown-payload-{opcode:04x}"), "none", True
+    name, _fmt, ref = OPCODES[opcode]
+    return name, ref, name.startswith("unused-")
+
+
+def opcode_sets_oracle(name: str) -> set[str]:
+    """The named opcode sets of ``apkaudit.dex.opcodes`` that an opcode of this
+    mnemonic belongs to, classified by mnemonic prefix alone."""
+    family = name.split("/")[0]
+    sets = set()
+    # invoke-custom names a call site, not a method
+    if name.startswith("invoke-") and family != "invoke-custom":
+        sets.add("INVOKES")
+    if family in ("invoke-static", "invoke-direct"):
+        sets.add("EXACT_INVOKES")
+    if family == "invoke-super":
+        sets.add("SUPER_INVOKES")
+    if family == "const-string":
+        sets.add("CONST_STRINGS")
+    if name.startswith(("iget", "sget")):
+        sets.add("FIELD_READS")
+    return sets
+
+
 def _payload_oracle(body, pos, ident):
     if ident == 0x0300:
         _ident, elem, n = struct.unpack_from("<HHI", body, 2 * pos)
@@ -157,9 +183,10 @@ def callgraph_edges_oracle(m: CodeModel) -> set[tuple[str, str, int]]:
             if not meth.is_concrete:
                 continue
             for ins in meth.instructions:
-                if ins[REF_KIND] != "method" or not ins[MNEMONIC].startswith("invoke-") or ins[REF] is None:
+                name, ref_kind, _ = opcode_facts(ins[OPCODE])
+                if ref_kind != "method" or not name.startswith("invoke-") or ins[REF] is None:
                     continue
-                for tgt in _oracle_resolve(m, internal, ins[MNEMONIC], ins[REF]):
+                for tgt in _oracle_resolve(m, internal, name, ins[REF]):
                     edges.add((meth.key, tgt, ins[OFFSET]))
     return edges
 
@@ -221,12 +248,13 @@ def code_index_oracle(m: CodeModel) -> dict:
                 ref = ins[REF]
                 if ref is None:
                     continue
-                if ins[REF_KIND] == "method":
-                    targets = tuple(_oracle_resolve(m, internal, ins[MNEMONIC], ref))
+                name, ref_kind, _ = opcode_facts(ins[OPCODE])
+                if ref_kind == "method":
+                    targets = tuple(_oracle_resolve(m, internal, name, ref))
                     sites.append((ins[OFFSET], ref, targets))
-                elif ins[REF_KIND] == "string" and ref not in strings:
+                elif ref_kind == "string" and ref not in strings:
                     strings.append(ref)
-                elif ins[MNEMONIC].startswith(("iget", "sget")) and ref not in reads:
+                elif name.startswith(("iget", "sget")) and ref not in reads:
                     reads.append(ref)
             index[meth] = (tuple(sites), tuple(strings), tuple(reads))
     return index
@@ -260,10 +288,11 @@ def behavior_oracle(code: CodeModel, man, rules) -> set[tuple]:
     for cls in code.classes.values():
         for meth in cls.methods:
             for ins in meth.instructions:
-                if ins[REF_KIND] == "string" and ins[REF] is not None:
+                ref_kind = opcode_facts(ins[OPCODE])[1]
+                if ref_kind == "string" and ins[REF] is not None:
                     const_sites.append((meth.key, cls.descriptor, ins[REF]))
                     used.add(ins[REF])
-                elif ins[REF_KIND] == "method" and ins[REF] is not None:
+                elif ref_kind == "method" and ins[REF] is not None:
                     ref_sites.append((meth.key, cls.descriptor, ins[REF]))
     pool_only = code.string_pool - used
 
@@ -334,8 +363,8 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
             return regs.get(r, set())
 
         for ins in m.instructions:
-            op = ins[MNEMONIC]
-            if ins[OPAQUE]:
+            op, ref_kind, opaque = opcode_facts(ins[OPCODE])
+            if opaque:
                 continue
             if op.startswith("move-result"):
                 regs[ins[REGISTERS][0]] = pending
@@ -362,7 +391,7 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
                 if ins[REF] and store_fields:
                     for t in get(ins[REGISTERS][0]):
                         field_store.setdefault(ins[REF], set()).add(t.key())
-            elif ins[REF_KIND] == "method" and op.startswith("invoke-") and ins[REF] is not None:
+            elif ref_kind == "method" and op.startswith("invoke-") and ins[REF] is not None:
                 pending = do_invoke(m, ins, regs, get, stack, suffix_len, emit, store_fields)
             elif op in ("filled-new-array", "filled-new-array/range"):
                 pending = set().union(*(get(r) for r in ins[REGISTERS])) if ins[REGISTERS] else set()
@@ -423,7 +452,8 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
         if label is not None:
             result.add(_OTok(target, label, (m.key, ins[OFFSET]), (m.key,)))
 
-        if not ins[MNEMONIC].startswith(("invoke-static", "invoke-custom")) and len(ins[REGISTERS]) > 1:
+        if (not opcode_facts(ins[OPCODE])[0].startswith(("invoke-static", "invoke-custom"))
+                and len(ins[REGISTERS]) > 1):
             extra = set().union(*arg_tokens[1:])
             if extra:
                 regs[ins[REGISTERS][0]] = get(ins[REGISTERS][0]) | extra

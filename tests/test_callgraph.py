@@ -8,8 +8,9 @@ from apkaudit.behaviors import load_rules, scan_behaviors
 from apkaudit.callgraph import REFLECTIVE_NODE, build_callgraph, reachable_hits
 from apkaudit.components import audit_components, load_sensitive_apis
 from apkaudit.container import open_apk, read_entry
-from apkaudit.dex import MNEMONIC, REF, REF_KIND, load_app_code
-from apkaudit.dex.parser import parse_dex
+from apkaudit.dex import OPCODE, REF, load_app_code
+from apkaudit.dex.opcodes import INVOKES
+from apkaudit.dex.parser import mnemonic, parse_dex
 from apkaudit.errors import ApkAuditError
 from apkaudit.manifest import build_manifest
 from apkaudit.report import analyze_apk
@@ -211,9 +212,9 @@ def _abstract_with_code_model():
 
 def test_odd_fixtures_hold_what_the_index_must_cover():
     raw = [ins for m in _raw_model(1).all_methods() for ins in m.instructions]
-    assert any(ins[REF_KIND] == "method" and ins[REF] is None for ins in raw)
-    assert any(ins[MNEMONIC].endswith("-payload") for ins in raw)
-    assert any(ins[MNEMONIC].startswith("unused-") for ins in raw)
+    assert any(ins[OPCODE] in INVOKES and ins[REF] is None for ins in raw)
+    assert any(mnemonic(ins[OPCODE]).endswith("-payload") for ins in raw)
+    assert any(mnemonic(ins[OPCODE]).startswith("unused-") for ins in raw)
     odd = _abstract_with_code_model().method("La/Abs;->odd()V")
     assert odd.access_flags & ACC_ABSTRACT and odd.instructions
 

@@ -8,15 +8,14 @@ import zlib
 import pytest
 
 from apkaudit.container import open_apk
-from apkaudit.dex import load_app_code
+from apkaudit.dex import load_app_code, opcodes
 from apkaudit.dex.model import (
     LITERAL,
-    MNEMONIC,
     OFFSET,
+    OPCODE,
     REF,
     REGISTERS,
     TARGET,
-    WIDTH,
     CodeModel,
     DexClass,
     DexMethod,
@@ -24,7 +23,7 @@ from apkaudit.dex.model import (
     format_method_key,
 )
 from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
-from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, parse_dex
+from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, mnemonic, parse_dex
 from apkaudit.errors import (
     AbstractMethodError,
     CorruptEntryError,
@@ -47,7 +46,13 @@ from .fixtures.dex_writer import (
     encode_mutf8,
     parse_method_key,
 )
-from .oracles import decode_body_oracle, dump_body_oracle
+from .oracles import (
+    decode_body_oracle,
+    dump_body_oracle,
+    opcode_facts,
+    opcode_sets_oracle,
+    stored_fields,
+)
 from .test_container import _damage
 
 
@@ -101,7 +106,7 @@ def test_decoded_stream_matches_assembly_input():
         ("goto", (), None, None),
         ("return-void", (), None, None),
     ]
-    got = [(i[MNEMONIC], i[REGISTERS], i[REF], i[LITERAL]) for i in body]
+    got = [(mnemonic(i[OPCODE]), i[REGISTERS], i[REF], i[LITERAL]) for i in body]
     assert got == expected
     # offsets are cumulative widths; both branches land on return-void
     widths = [2, 1, 2, 3, 5, 2, 2, 2, 3, 1, 2, 2, 1]
@@ -126,20 +131,22 @@ def test_payload_widths_keep_stream_aligned():
             ("sparse-switch-payload", 2),
             ("label", "fa"),
             ("fill-array-data-payload", 4, 3),
+            ("nop", []),  # gives the last payload a successor to measure its width by
         ]),
     ])
     body = method_body(parse_dex(w.build()), "La/P;->f()V")
-    names = [i[MNEMONIC] for i in body]
+    names = [mnemonic(i[OPCODE]) for i in body]
     assert names == [
         "const/4", "packed-switch", "sparse-switch", "fill-array-data", "return-void",
-        "packed-switch-payload", "sparse-switch-payload", "fill-array-data-payload",
+        "packed-switch-payload", "sparse-switch-payload", "fill-array-data-payload", "nop",
     ]
-    widths = {i[MNEMONIC]: i[WIDTH] for i in body}
+    # a width is the offset delta to the next instruction
+    widths = {mnemonic(a[OPCODE]): b[OFFSET] - a[OFFSET] for a, b in zip(body, body[1:])}
     assert widths["packed-switch-payload"] == 3 * 2 + 4
     assert widths["sparse-switch-payload"] == 2 * 4 + 2
     assert widths["fill-array-data-payload"] == (4 * 3 + 1) // 2 + 4
     # instruction count oracle: every assembled instruction decoded exactly once
-    assert len(body) == 8
+    assert len(body) == 9
 
 
 def test_method_idx_deltas_restart_per_list():
@@ -309,14 +316,28 @@ def test_every_opcode_matches_reference_decoder(seed):
     assert model.warnings == []
     expected = decode_body_oracle(blob[base:], len(units), pools)
     got = method_body(model, RAW_KEY)
-    assert got == expected
-    mnemonics = {t[2] for t in got}
-    assert {name for name, _f, _r in OPCODES.values()} <= mnemonics
+    assert got == [stored_fields(t) for t in expected]
+    names = [mnemonic(i[OPCODE]) for i in got]
+    assert names == [t[2] for t in expected]
+    assert {name for name, _f, _r in OPCODES.values()} <= set(names)
     assert {"packed-switch-payload", "sparse-switch-payload", "fill-array-data-payload",
-            "unknown-payload-2a00"} <= mnemonics
-    assert any(t[6] is not None for t in got) and any(t[5] != "none" and t[6] is None for t in got)
-    assert got[-1][2] == "const-wide" and got[-1][7] < 0
+            "unknown-payload-2a00"} <= set(names)
+    assert any(t[6] is not None for t in expected) and any(t[5] != "none" and t[6] is None for t in expected)
+    assert names[-1] == "const-wide" and got[-1][LITERAL] < 0
     assert dump_method(model, RAW_KEY) == dump_body_oracle(RAW_KEY, expected)
+
+
+def test_opcode_sets_match_the_mnemonic_classification():
+    sets = {name: getattr(opcodes, name)
+            for name in ("INVOKES", "EXACT_INVOKES", "SUPER_INVOKES", "CONST_STRINGS", "FIELD_READS")}
+    assert all(sets.values())
+    payloads = (opcodes.PACKED_SWITCH_PAYLOAD, opcodes.SPARSE_SWITCH_PAYLOAD,
+                opcodes.FILL_ARRAY_PAYLOAD, 0x2A00)
+    for opcode in (*range(256), *payloads):
+        name = opcode_facts(opcode)[0]
+        assert mnemonic(opcode) == name
+        assert {s for s, members in sets.items() if opcode in members} == opcode_sets_oracle(name), name
+    assert mnemonic(0x2A00) == "unknown-payload-2a00"
 
 
 def test_wide_last_instruction_reads_past_declared_size():
@@ -325,8 +346,8 @@ def test_wide_last_instruction_reads_past_declared_size():
     blob, base = _raw_dex(units, declared=2)
     body = method_body(parse_dex(blob), RAW_KEY)
     expected = decode_body_oracle(blob[base:], 2, _writer_pools(_raw_writer(len(units))))
-    assert body == expected
-    assert body[-1][MNEMONIC] == "const-wide" and body[-1][LITERAL] == 0x8004_0003_0002_0001 - (1 << 64)
+    assert body == [stored_fields(t) for t in expected]
+    assert mnemonic(body[-1][OPCODE]) == "const-wide" and body[-1][LITERAL] == 0x8004_0003_0002_0001 - (1 << 64)
 
 
 def test_model_instances_have_no_dict():

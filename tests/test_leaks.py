@@ -8,8 +8,8 @@ import pytest
 
 from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
-from apkaudit.dex import REF, REF_KIND
-from apkaudit.dex.opcodes import OPCODES
+from apkaudit.dex import OPCODE, REF
+from apkaudit.dex.opcodes import INVOKES, OPCODES
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
@@ -431,7 +431,7 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
         second.append(key)
     assert 0 < len(second) < len(methods)
 
-    targets = {ins[REF] for m in methods for ins in m.instructions if ins[REF_KIND] == "method"}
+    targets = {ins[REF] for m in methods for ins in m.instructions if ins[OPCODE] in INVOKES}
     assert len(matched) == len(set(matched))
     assert {key for _, key in matched} <= targets
 

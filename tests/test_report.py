@@ -10,6 +10,7 @@ import pytest
 from cryptography.hazmat.primitives.serialization import Encoding
 
 from apkaudit import leaks
+from apkaudit import report as report_mod
 from apkaudit.acquire import CorpusIndex, PullResult
 from apkaudit.axml import AxmlElement
 from apkaudit.callgraph import CallGraph
@@ -345,6 +346,17 @@ def test_truncated_manifest_chunk_gives_a_report_with_a_warning(corpus, tmp_path
     assert report.package == ""
     (warning,) = [w for w in report.warnings if w.startswith("manifest:")]
     assert warning.startswith(f"manifest: chunk at 0x{at:x} truncated (error: ")
+
+
+def test_a_bug_in_the_manifest_stage_is_not_a_warning(corpus, monkeypatch):
+    """Only an ``ApkAuditError`` becomes a ``manifest:`` warning; any other
+    exception is a fault of the program and propagates."""
+    def broken(tree):
+        raise KeyError("android:name")
+
+    monkeypatch.setattr(report_mod, "build_manifest", broken)
+    with pytest.raises(KeyError, match="android:name"):
+        analyze_apk(corpus["benign"])
 
 
 def _every_finding_report() -> AppReport:
