@@ -14,12 +14,16 @@ field reads of each method come from the call graph's code index
 (``CallGraph.index``), and each call target is matched against the
 source/sink list once per app; only the transfer functions (``_analyze``)
 read the instructions, each one's effect kind looked up by opcode in a
-table built at import.  A last pass runs the
-same analysis against the final summaries and field store and keeps only
-its findings; it covers only methods that can reach a sink, that is, those
-that call a sink or a method whose summary reaches one.  Of the witnesses of
-one flow (source, sink and their sites) the least by (length, path) is
-reported, so the report does not depend on set iteration order.
+table built at import.  The findings of each method's last analysis are
+kept; only if the sweep bound stops the sweep are the methods still dirty
+that can reach a sink (those that call a sink or a method whose summary
+reaches one) analysed again, against the final summaries and field store.
+Of the witnesses of one flow (source, sink and their sites) the least by
+(length, path) is reported, so the report does not depend on set iteration
+order.  A call to a target that is neither a source nor a sink takes a
+short path when its callee is opaque (the result is the union of the
+argument taint) or has the empty summary, always the one ``_NO_SUMMARY``
+(the result is empty).
 
 Taint is tracked per named register slot; the second register of a wide
 value is not modeled separately.  Any invoke with a tainted argument taints
@@ -182,6 +186,11 @@ class Summary(NamedTuple):
     param_fields: tuple[tuple[int, str], ...] = ()
 
 
+_EMPTY: frozenset = frozenset()
+_NO_SUMMARY = Summary()  # the one empty summary: test it with ``is``
+_PARAM_TAINT: list[frozenset] = []  # index -> frozenset({ParamToken(index)}), grown on demand
+
+
 def analyze_leaks(
     code: CodeModel, g: CallGraph, spec: TaintSpec, depth: int = DEFAULT_DEPTH
 ) -> list[LeakFinding]:
@@ -218,7 +227,7 @@ class _Engine:
         readers: dict[str, list[str]] = {}  # field key -> reading methods
         for m in order:
             sites, _, reads = self.g.index[m]
-            for target in dict.fromkeys(t for _, t, _ in sites):
+            for _, target, _ in sites:  # a repeated target only repeats a set update
                 if target not in self.matches:
                     self.matches[target] = (
                         self.spec.match_sink(target), self.spec.match_source(target)
@@ -229,8 +238,11 @@ class _Engine:
 
         # _analyze is a pure function of a method's callee summaries and read
         # field buckets, so a method is analysed again only when one of them
-        # changed after its last analysis: the change marks it dirty
+        # changed after its last analysis: the change marks it dirty.  For the
+        # same reason the findings of a method's last analysis stand unless
+        # it is still dirty when the sweep bound is reached.
         dirty = {m.key for m in order}
+        found: dict[str, list[LeakFinding]] = {}  # method key -> findings, once it has any
         for _ in range(SUMMARY_ITERATIONS):
             if not dirty:
                 break
@@ -238,7 +250,9 @@ class _Engine:
                 if m.key not in dirty:
                     continue
                 dirty.discard(m.key)
-                summary, field_writes, _ = self._analyze(m)
+                summary, field_writes, emitted = self._analyze(m)
+                if emitted or m.key in found:
+                    found[m.key] = emitted
                 if self.summaries.get(m.key) != summary:
                     self.summaries[m.key] = summary
                     dirty.update(callers.get(m.key, ()))
@@ -248,15 +262,19 @@ class _Engine:
                         bucket.update(tokens)
                         dirty.update(readers.get(fk, ()))
 
-        # only a call to a sink, or to a callee whose summary reaches one, can
-        # emit a finding; of a flow's witnesses the least (length, path) is kept
-        sinking = {key for t, keys in callers.items() if self._reaches_sink(t) for key in keys}
+        if dirty:
+            # only a call to a sink, or to a callee whose summary reaches one,
+            # can emit a finding: of the methods still dirty only those are
+            # analysed again, against the final summaries and field store
+            sinking = {key for t, keys in callers.items() if self._reaches_sink(t) for key in keys}
+            for m in order:
+                if m.key in dirty:
+                    found[m.key] = self._analyze(m)[2] if m.key in sinking else []
+
+        # of a flow's witnesses the least (length, path) is kept
         findings: dict[tuple, LeakFinding] = {}
-        for m in order:
-            if m.key not in sinking:
-                continue
-            _, _, found = self._analyze(m)
-            for f in found:
+        for emitted in found.values():
+            for f in emitted:
                 flow = (f.source, f.sink, f.source_site, f.sink_site)
                 held = findings.get(flow)
                 if held is None or (len(f.path), f.path) < (len(held.path), held.path):
@@ -281,10 +299,12 @@ class _Engine:
 
     def _analyze(self, m: DexMethod):
         base = m.registers - m.ins
-        regs: dict[int, frozenset] = {base + i: frozenset({ParamToken(i)}) for i in range(m.ins)}
+        if len(_PARAM_TAINT) < m.ins:
+            _PARAM_TAINT.extend(frozenset({ParamToken(i)}) for i in range(len(_PARAM_TAINT), m.ins))
+        regs: dict[int, frozenset] = dict(zip(range(base, base + m.ins), _PARAM_TAINT))
+        get = regs.get
 
-        empty: frozenset = frozenset()
-        pending = empty
+        pending = _EMPTY
         ret_params: set[int] = set()
         ret_sources: set[SrcToken] = set()
         sink_hits: set[SinkHit] = set()
@@ -292,51 +312,54 @@ class _Engine:
         field_writes: dict[str, set[SrcToken]] = {}
         findings: list[LeakFinding] = []
 
-        def get(r: int) -> frozenset:
-            return regs.get(r, empty)
-
         for ins in m.instructions:
             kind = _KIND_OF[ins[OPCODE] & 0xFF]
             r = ins[REGISTERS]
             if kind == _COPY:
-                regs[r[0]] = get(r[1])
+                regs[r[0]] = get(r[1], _EMPTY)
             elif kind == _MOVE_RESULT:
                 regs[r[0]] = pending
-                pending = empty
+                pending = _EMPTY
             elif kind == _INVOKE or kind == _INVOKE_STATIC:
-                if ins[REF] is not None:  # invoke-custom and out-of-range refs have no target
+                if ins[REF] is None:
+                    # invoke-custom and out-of-range refs have no target: an
+                    # opaque call, with no receiver write
+                    pending = _EMPTY.union(*[get(x, _EMPTY) for x in r])
+                else:
                     pending = self._invoke(
-                        m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings
+                        m, ins, kind, regs, sink_hits, param_fields, field_writes, findings
                     )
             elif kind == _CLEAR:
-                regs[r[0]] = empty
+                regs[r[0]] = _EMPTY
             elif kind == _RETURN:
-                for t in get(r[0]):
+                for t in get(r[0], _EMPTY):
                     if isinstance(t, ParamToken):
                         ret_params.add(t.index)
                     else:
                         ret_sources.add(t)
             elif kind == _FIELD_GET:
                 fk = ins[REF]
-                stored = self.field_store.get(fk, set()) if fk else set()
+                stored = self.field_store.get(fk, ()) if fk else ()
                 regs[r[0]] = frozenset(self._rebase(t, m.key) for t in stored)
             elif kind == _FIELD_PUT:
                 fk = ins[REF]
                 if fk:
-                    for t in get(r[0]):
+                    for t in get(r[0], _EMPTY):
                         if isinstance(t, ParamToken):
                             param_fields.add((t.index, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
             elif kind == _APUT:
-                regs[r[1]] = get(r[1]) | get(r[0])
+                regs[r[1]] = get(r[1], _EMPTY) | get(r[0], _EMPTY)
             elif kind == _JOIN2:
-                regs[r[0]] = get(r[0]) | get(r[1])
+                regs[r[0]] = get(r[0], _EMPTY) | get(r[1], _EMPTY)
             elif kind == _JOIN3:
-                regs[r[0]] = get(r[1]) | get(r[2])
+                regs[r[0]] = get(r[1], _EMPTY) | get(r[2], _EMPTY)
             elif kind == _FILLED:
-                pending = empty.union(*(get(x) for x in r)) if r else empty
+                pending = _EMPTY.union(*[get(x, _EMPTY) for x in r])
 
+        if not (ret_params or ret_sources or sink_hits or param_fields):
+            return _NO_SUMMARY, field_writes, findings
         summary = Summary(
             ret_params=frozenset(ret_params),
             ret_sources=frozenset(ret_sources),
@@ -345,12 +368,26 @@ class _Engine:
         )
         return summary, field_writes, findings
 
-    def _invoke(self, m, ins, kind, regs, get, sink_hits, param_fields, field_writes, findings):
+    def _invoke(self, m, ins, kind, regs, sink_hits, param_fields, field_writes, findings):
         target = ins[REF]
-        arg_tokens = [get(r) for r in ins[REGISTERS]]
-        all_tokens = frozenset().union(*arg_tokens) if arg_tokens else frozenset()
-        result: set = set()
         channel, label = self.matches[target]
+        callee_summary = self.summaries.get(target) if self.depth >= 1 else None
+        get = regs.get
+        r = ins[REGISTERS]
+        if channel is None and label is None and (
+            callee_summary is None or callee_summary is _NO_SUMMARY
+        ):
+            # a neutral call: an opaque callee passes its arguments to the
+            # result, a callee with the empty summary gives nothing
+            result = _EMPTY.union(*[get(x, _EMPTY) for x in r]) if callee_summary is None else _EMPTY
+            if kind == _INVOKE and len(r) > 1:
+                extra = _EMPTY.union(*[get(x, _EMPTY) for x in r[1:]])
+                if extra:
+                    regs[r[0]] = get(r[0], _EMPTY) | extra
+            return result
+
+        arg_tokens = [get(x, _EMPTY) for x in r]
+        result: set = set()
 
         if channel is not None:
             for tokens in arg_tokens:
@@ -362,7 +399,6 @@ class _Engine:
                             SinkHit(t.index, target, channel, (m.key, ins[OFFSET]), (m.key,))
                         )
 
-        callee_summary = self.summaries.get(target) if self.depth >= 1 else None
         if callee_summary is not None:
             for hit in callee_summary.sink_hits:
                 suffix = (m.key,) + hit.suffix
@@ -392,19 +428,18 @@ class _Engine:
                             param_fields.add((t.index, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
-        elif all_tokens:
+        else:
             # opaque callee: arguments may flow into the result
-            result |= all_tokens
+            result.update(*arg_tokens)
 
         if label is not None:
             result.add(SrcToken(source=target, label=label, site=(m.key, ins[OFFSET]), path=(m.key,)))
 
         # builder-style writes: a tainted argument taints the receiver
-        if kind == _INVOKE and len(ins[REGISTERS]) > 1:
-            extra = frozenset().union(*arg_tokens[1:])
+        if kind == _INVOKE and len(r) > 1:
+            extra = _EMPTY.union(*arg_tokens[1:])
             if extra:
-                recv = ins[REGISTERS][0]
-                regs[recv] = get(recv) | extra
+                regs[r[0]] = get(r[0], _EMPTY) | extra
 
         return frozenset(result)
 

@@ -363,7 +363,7 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
             return regs.get(r, set())
 
         for ins in m.instructions:
-            op, ref_kind, opaque = opcode_facts(ins[OPCODE])
+            op, _, opaque = opcode_facts(ins[OPCODE])
             if opaque:
                 continue
             if op.startswith("move-result"):
@@ -391,8 +391,13 @@ def taint_oracle(code: CodeModel, spec, depth: int) -> set[tuple]:
                 if ins[REF] and store_fields:
                     for t in get(ins[REGISTERS][0]):
                         field_store.setdefault(ins[REF], set()).add(t.key())
-            elif ref_kind == "method" and op.startswith("invoke-") and ins[REF] is not None:
-                pending = do_invoke(m, ins, regs, get, stack, suffix_len, emit, store_fields)
+            elif op.startswith("invoke-"):
+                if ins[REF] is None:
+                    # no target (invoke-custom, out-of-range ref): opaque, and
+                    # no receiver write
+                    pending = set().union(*(get(r) for r in ins[REGISTERS]))
+                else:
+                    pending = do_invoke(m, ins, regs, get, stack, suffix_len, emit, store_fields)
             elif op in ("filled-new-array", "filled-new-array/range"):
                 pending = set().union(*(get(r) for r in ins[REGISTERS])) if ins[REGISTERS] else set()
             elif op == "array-length":

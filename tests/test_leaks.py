@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
@@ -20,7 +22,7 @@ from apkaudit.leaks import (
 )
 from apkaudit.leaks import _susi_to_key
 
-from .fixtures.dex_writer import DexWriter, MethodDef
+from .fixtures.dex_writer import ACC_PUBLIC, ACC_STATIC, DexWriter, MethodDef
 from .oracles import leak_findings_as_tuples, taint_oracle
 
 SRC = "Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String;"
@@ -291,6 +293,117 @@ def test_oracle_equality_on_models(depth):
         assert got == taint_oracle(code, spec, depth), (make.__name__, depth)
 
 
+NT_MID = "Lt/N;->mid(Ljava/lang/String;)Ljava/lang/String;"
+NT_M = "Lt/N;->m()V"
+
+
+def _no_target_code(tainted: bool):
+    code = [("invoke-virtual", [3], SRC)]  # result discarded unless moved to v1
+    if tainted:
+        code.append(("move-result-object", [1]))
+    return code + [
+        ("invoke-virtual", [2, 1], NT_MID),  # the call under test, receiver v2
+        ("move-result-object", [0]),
+        ("invoke-static", [0], SINK),  # the call's result
+        ("invoke-static", [2], SINK),  # its receiver
+        ("return-void", []),
+    ]
+
+
+@pytest.mark.parametrize("tainted", [False, True])
+@pytest.mark.parametrize("opcode", [None, "invoke-virtual", "invoke-custom"])
+def test_a_call_with_no_target_is_opaque(opcode, tainted):
+    """``opcode`` None keeps the real target, an external opaque callee.
+    Otherwise the call's ref becomes None, as for invoke-custom or an
+    out-of-range method index: its result is the union of its argument taint,
+    it writes no receiver, and it never yields an earlier call's result."""
+    w = DexWriter()
+    w.add_class("Lt/N;", methods=[
+        MethodDef("m", (), "V", registers=4, code=_no_target_code(tainted)),
+    ])
+    code = parse_dex(w.build())
+    [m] = [m for m in code.all_methods() if m.key == NT_M]
+    if opcode is not None:
+        [i] = [i for i, ins in enumerate(m.instructions) if ins[REF] == NT_MID]
+        ins = m.instructions[i]
+        op = next(c for c, (name, _, _) in OPCODES.items() if name == opcode)
+        m.instructions[i] = (ins[0], op, ins[2], None, *ins[4:])
+    g = build_callgraph(code)
+    spec = load_taint_spec()
+    found = analyze_leaks(code, g, spec)
+    sinks = [f.sink_site[1] for f in found]
+    call_result, receiver = [ins[0] for ins in m.instructions if ins[REF] == SINK]
+    if not tainted:
+        assert sinks == []
+    elif opcode is None:
+        assert sinks == [call_result, receiver]
+    else:
+        assert sinks == [call_result]
+    for depth in (0, 1, 5):
+        got = leak_findings_as_tuples(analyze_leaks(code, g, spec, depth))
+        assert got == taint_oracle(code, spec, depth), depth
+
+
+PROP_CLASS = "Lt/H;"
+PROP_EXTERNAL = "Ljava/lang/StringBuilder;->append(Ljava/lang/String;)Ljava/lang/StringBuilder;"
+PROP_FIELDS = ("Lt/H;->f0:Ljava/lang/String;", "Lt/H;->f1:Ljava/lang/String;")
+_PROP_REG = st.integers(0, 1)
+_PROP_STEPS = ("source", "sink", "call", "external", "move", "const", "put", "get")
+
+
+def _prop_method(i: int) -> str:
+    return f"{PROP_CLASS}->h{i}(Ljava/lang/String;)Ljava/lang/String;"
+
+
+@st.composite
+def _acyclic_apps(draw):
+    """Static methods h0..hn-1 of one String parameter (v1), each calling
+    only later ones, with random source, sink, external, move, const and
+    static-field steps.  Source and in-app calls move their result to a
+    register, an external call only sometimes."""
+    n = draw(st.integers(1, 5))
+    methods = []
+    for i in range(n):
+        code = []
+        for _ in range(draw(st.integers(1, 10))):
+            step = draw(st.sampled_from(_PROP_STEPS))
+            x, y = draw(_PROP_REG), draw(_PROP_REG)
+            if step == "move":
+                code.append(("move-object", [x, y]))
+            elif step == "const":
+                code.append(("const-string", [x], "clean"))
+            elif step in ("put", "get"):
+                code.append((f"s{step}-object", [x], draw(st.sampled_from(PROP_FIELDS))))
+            elif step == "sink":
+                code.append(("invoke-static", [x], SINK))
+            elif step == "external":
+                code.append(("invoke-virtual", [x, y], PROP_EXTERNAL))
+                if draw(st.booleans()):
+                    code.append(("move-result-object", [draw(_PROP_REG)]))
+            elif step == "source":
+                code += [("invoke-virtual", [x], SRC), ("move-result-object", [y])]
+            elif i + 1 < n:
+                callee = _prop_method(draw(st.integers(i + 1, n - 1)))
+                code += [("invoke-static", [x], callee), ("move-result-object", [y])]
+        code.append(("return-object", [draw(_PROP_REG)]))
+        methods.append(MethodDef(f"h{i}", ("Ljava/lang/String;",), "Ljava/lang/String;",
+                                 access=ACC_PUBLIC | ACC_STATIC, registers=2, code=code))
+    w = DexWriter()
+    w.add_class(PROP_CLASS, methods=methods)
+    return w.build()
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(dex=_acyclic_apps())
+def test_engine_matches_the_inlining_oracle_on_random_acyclic_apps(dex):
+    spec = load_taint_spec()
+    code = parse_dex(dex)
+    g = build_callgraph(code)
+    for depth in (0, 1, 2, 5):
+        got = leak_findings_as_tuples(analyze_leaks(code, g, spec, depth))
+        assert got == taint_oracle(code, spec, depth), depth
+
+
 # ---------------------------------------------------------------- fixpoint
 
 FIX_FIELD = "Lt/Fix;->buf:Ljava/lang/String;"
@@ -434,6 +547,75 @@ def test_fixpoint_skips_clean_methods_and_matches_each_target_once(monkeypatch):
     targets = {ins[REF] for m in methods for ins in m.instructions if ins[OPCODE] in INVOKES}
     assert len(matched) == len(set(matched))
     assert {key for _, key in matched} <= targets
+
+
+def test_no_analysis_after_the_sweep_converges(monkeypatch):
+    """Replays the sweep's dirty rule over the recorded outputs of each
+    analysis: once no method is dirty, no method is analysed again."""
+    calls: list[tuple] = []  # (method key, summary, field writes) per analysis
+    analyze = leaks._Engine._analyze
+
+    def recording(self, m):
+        out = analyze(self, m)
+        calls.append((m.key, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(leaks._Engine, "_analyze", recording)
+    monkeypatch.setattr(leaks, "SUMMARY_ITERATIONS", 10)  # the model converges in 5 sweeps
+    code = parse_dex(_fixpoint_model().build())
+    g = build_callgraph(code)
+    analyze_leaks(code, g, load_taint_spec())
+
+    methods = [m for m in code.all_methods() if m.is_concrete]
+    order = [key for key, _, _ in calls[: len(methods)]]
+    callers: dict[str, set[str]] = {}
+    readers: dict[str, set[str]] = {}
+    for m in methods:
+        sites, _, reads = g.index[m]
+        for _, target, _ in sites:
+            callers.setdefault(target, set()).add(m.key)
+        for fk in reads:
+            readers.setdefault(fk, set()).add(m.key)
+    dirty, summaries, store, sweep = set(order), {}, {}, []
+    while dirty:
+        for key in order:
+            if key not in dirty:
+                continue
+            dirty.discard(key)
+            sweep.append(key)
+            _, summary, writes = calls[len(sweep) - 1]
+            if summaries.get(key) != summary:
+                summaries[key] = summary
+                dirty |= callers.get(key, set())
+            for fk, tokens in writes.items():
+                if not tokens <= store.setdefault(fk, set()):
+                    store[fk] |= tokens
+                    dirty |= readers.get(fk, set())
+    assert [key for key, _, _ in calls] == sweep
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_findings_equal_a_final_pass_over_every_sink_reaching_method(monkeypatch, iterations, depth):
+    """With the sweep cut short, the kept findings plus those of the methods
+    still dirty equal a final analysis of every method that calls a
+    sink-reaching target, against the final summaries and field store."""
+    monkeypatch.setattr(leaks, "SUMMARY_ITERATIONS", iterations)
+    code = parse_dex(_fixpoint_model().build())
+    g = build_callgraph(code)
+    engine = leaks._Engine(code, g, load_taint_spec(), depth)
+    found = engine.run()
+    empty = [s for s in engine.summaries.values() if s == leaks.Summary()]
+    assert empty and all(s is leaks._NO_SUMMARY for s in empty)
+
+    final: dict[tuple, LeakFinding] = {}
+    for m in sorted((m for m in code.all_methods() if m.is_concrete), key=lambda m: m.key):
+        if any(engine._reaches_sink(target) for _, target, _ in g.index[m][0]):
+            for f in engine._analyze(m)[2]:
+                flow = f.sort_key()
+                if flow not in final or (len(f.path), f.path) < (len(final[flow].path), final[flow].path):
+                    final[flow] = f
+    assert found == sorted(final.values(), key=LeakFinding.sort_key)
 
 
 def test_kind_table_maps_every_opcode_as_effect_kind():
