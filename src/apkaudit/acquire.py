@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .container import AuthorityMap, open_apk
-from .errors import ApkReadError, BridgeError, NotAZipError
+from .errors import ApkReadError, BridgeError, CorpusIndexError, NotAZipError
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +107,7 @@ def list_device_packages(bridge, serial: str) -> tuple[list[DevicePackage], int]
                 package=name,
                 device_path=path,
                 partition_folder=partition_folder(path),
-                system=path in system_paths or _looks_system(path),
+                system=path in system_paths or path.startswith(_SYSTEM_PREFIXES),
             )
         )
     return packages, skipped
@@ -119,13 +119,8 @@ def _parse_pm_lines(out: str):
         line = line.strip()
         if not line:
             continue
-        if not line.startswith("package:") or "=" not in line:
-            log.warning("unparseable pm line skipped: %s", line)
-            results.append((line, "", False))
-            continue
-        body = line[len("package:") :]
-        path, _, name = body.rpartition("=")
-        if not path or not name:
+        path, _, name = line.removeprefix("package:").rpartition("=")
+        if not (line.startswith("package:") and path and name):
             log.warning("unparseable pm line skipped: %s", line)
             results.append((line, "", False))
             continue
@@ -140,10 +135,6 @@ def partition_folder(device_path: str) -> str:
     if len(parts) >= 3 and parts[0] == "system" and parts[1] in _NESTED_SYSTEM:
         take = 3
     return "/" + "/".join(parts[:take])
-
-
-def _looks_system(path: str) -> bool:
-    return path.startswith(_SYSTEM_PREFIXES)
 
 
 class PullResult:
@@ -192,6 +183,10 @@ def _sibling_apks(bridge, folder: str) -> list[str]:
     return []
 
 
+_INDEX_FIELDS = ("path", "packages", "devices", "partition_folders", "signer_label", "split")
+_SET_FIELDS = {"packages", "devices", "partition_folders"}  # held as sets, stored sorted
+
+
 class CorpusIndex:
     __slots__ = ("entries", "created", "updated")
 
@@ -205,32 +200,24 @@ class CorpusIndex:
             "created": self.created,
             "updated": self.updated,
             "entries": {
-                sha: {
-                    "path": e["path"],
-                    "packages": sorted(e["packages"]),
-                    "devices": sorted(e["devices"]),
-                    "partition_folders": sorted(e["partition_folders"]),
-                    "signer_label": e["signer_label"],
-                    "split": e["split"],
-                }
+                sha: {k: sorted(e[k]) if k in _SET_FIELDS else e[k] for k in _INDEX_FIELDS}
                 for sha, e in sorted(self.entries.items())
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CorpusIndex":
-        doc = json.loads(text)
-        idx = cls(created=doc.get("created", ""), updated=doc.get("updated", ""))
-        for sha, e in doc.get("entries", {}).items():
-            idx.entries[sha] = {
-                "path": e["path"],
-                "packages": set(e["packages"]),
-                "devices": set(e["devices"]),
-                "partition_folders": set(e["partition_folders"]),
-                "signer_label": e["signer_label"],
-                "split": e["split"],
-            }
+    def from_json(cls, text: str | bytes, path) -> "CorpusIndex":
+        """Parse the index read from ``path``; a malformed one raises
+        CorpusIndexError naming the file."""
+        try:
+            doc = json.loads(text)
+            idx = cls(created=doc.get("created", ""), updated=doc.get("updated", ""))
+            for sha, e in doc.get("entries", {}).items():
+                idx.entries[sha] = {k: set(e[k]) if k in _SET_FIELDS else e[k] for k in _INDEX_FIELDS}
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorpusIndexError(
+                f"{path}: not a corpus index ({type(exc).__name__}: {exc})") from exc
         return idx
 
 

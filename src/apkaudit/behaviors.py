@@ -35,14 +35,7 @@ class Rule(NamedTuple):
     co_occurrence: str | None = None
 
 
-class RuleSet:
-    __slots__ = ("rules",)
-
-    def __init__(self, rules: list[Rule]):
-        self.rules = rules
-
-
-def load_rules(path=None) -> RuleSet:
+def load_rules(path=None) -> tuple[Rule, ...]:
     """Load a rules file, or the shipped defaults when path is omitted; a
     schema error names the file."""
     path = path or DEFAULT_RULES
@@ -53,7 +46,7 @@ def load_rules(path=None) -> RuleSet:
         raise RuleSchemaError(f"data file {path}: {exc}") from None
 
 
-def _parse_rules(raw) -> RuleSet:
+def _parse_rules(raw) -> tuple[Rule, ...]:
     if not isinstance(raw, list):
         raise RuleSchemaError("rules file must be a JSON array")
     rules: list[Rule] = []
@@ -90,10 +83,10 @@ def _parse_rules(raw) -> RuleSet:
         # a JSON array or object is never an id, and cannot be looked up in a set
         if partner and (isinstance(partner, (list, dict)) or partner not in seen):
             raise RuleSchemaError(f"rule {r.id!r}: unknown co_occurrence partner {partner!r}")
-    return RuleSet(rules)
+    return tuple(rules)
 
 
-def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,
+def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
                    g: CallGraph) -> list[BehaviorFinding]:
     """Reads the code through the index of ``g``, the app's call graph."""
     const_strings, method_refs, pool_only = _collect_sites(code, g)
@@ -103,14 +96,14 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,
     class_matches: dict[str, set[str]] = {}
     per_rule: dict[str, list[tuple[str, str, str]]] = {}  # rule → (method, class, conf)
 
-    for rule in rs.rules:
+    for rule in rules:
         pattern = rule.pattern
         hits: list[tuple[str, str, str]] = []
         if rule.match_space in ("const_string", "string_pool"):
             for method_key, class_desc, s in const_strings:
                 if pattern in s:
                     hits.append((method_key, class_desc, "high"))
-            for s in pool_only:
+            for s in pool_only:  # one hit whichever string matched
                 if pattern in s:
                     hits.append(("string-pool", "", "medium"))
                     break
@@ -128,7 +121,7 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rs: RuleSet,
             if cls:
                 class_matches.setdefault(cls, set()).add(rule.id)
 
-    for rule in rs.rules:
+    for rule in rules:
         if rule.required_permissions and not (rule.required_permissions & man.uses_permissions):
             continue
         emitted: set[tuple[str, str]] = set()
@@ -167,5 +160,5 @@ def _collect_sites(code: CodeModel, g: CallGraph):
             used.update(strings)
             for _, ref, _ in sites:
                 method_refs.append((m.key, cls.descriptor, ref))
-    pool_only = sorted(code.string_pool - used)
+    pool_only = code.string_pool - used
     return const_strings, method_refs, pool_only

@@ -35,11 +35,9 @@ _NO_CODE = ((), (), ())
 
 
 class CallGraph:
-    __slots__ = ("internal", "external", "adjacency", "index")
+    __slots__ = ("adjacency", "index")
 
     def __init__(self):
-        self.internal: set[str] = set()
-        self.external: set[str] = set()
         self.adjacency: dict[str, tuple[str, ...]] = {}
         self.index: dict[DexMethod, tuple[tuple, tuple[str, ...], tuple[str, ...]]] = {}
 
@@ -47,7 +45,8 @@ class CallGraph:
         return self.adjacency.get(key, ())
 
     def nodes(self) -> set[str]:
-        return self.internal | self.external
+        """The concrete methods and every call target."""
+        return {m.key for m in self.index if m.is_concrete}.union(*self.adjacency.values())
 
     @property
     def edges(self) -> set[tuple[str, str, int]]:
@@ -61,10 +60,6 @@ class CallGraph:
 
 def build_callgraph(m: CodeModel) -> CallGraph:
     g = CallGraph()
-    for meth in m.all_methods():
-        if meth.is_concrete:
-            g.internal.add(meth.key)
-
     # subtype map over in-app classes (superclass and interface edges)
     subclasses: dict[str, set[str]] = {}
     for cls in m.classes.values():
@@ -97,10 +92,7 @@ def build_callgraph(m: CodeModel) -> CallGraph:
                 continue
             g.index[meth] = (tuple(sites), tuple(strings), tuple(reads))
             if sites and meth.is_concrete:
-                out = {target for _, _, targets in sites for target in targets}
-                out.update(g.adjacency.get(meth.key, ()))  # a key defined twice
-                g.adjacency[meth.key] = tuple(sorted(out))
-    g.external = {t for callees in g.adjacency.values() for t in callees} - g.internal
+                g.adjacency[meth.key] = tuple(sorted({t for _, _, ts in sites for t in ts}))
     return g
 
 
@@ -152,11 +144,12 @@ def reachable_hits(
 ) -> list[tuple[str, str, list[str]]]:
     """BFS from each root; a hit at hop h means the h-th method on the path
     directly invokes a target.  Returns one shortest witness path per
-    (root, target), sorted lexicographically.
+    (root, target), sorted lexicographically.  Only ``adjacency`` keys are
+    walked: a method without call sites has no callees.
     """
     hits: dict[tuple[str, str], list[str]] = {}
     for root in sorted(roots):
-        if root not in g.internal:
+        if root not in g.adjacency:
             continue
         queue: deque[tuple[str, list[str]]] = deque([(root, [root])])
         visited = {root}
@@ -169,7 +162,7 @@ def reachable_hits(
                     hits.setdefault((root, callee), path)
             if hops < depth:
                 for callee in callees:
-                    if callee in g.internal and callee not in visited:
+                    if callee in g.adjacency and callee not in visited:
                         visited.add(callee)
                         queue.append((callee, path + [callee]))
     return sorted((r, t, p) for (r, t), p in hits.items())

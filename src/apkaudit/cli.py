@@ -87,16 +87,18 @@ def _cmd_acquire(args) -> int:
     else:
         bridge = acquire_mod.SubprocessBridge(args.bridge)
     out = Path(args.out)
+    index_path = out / "corpus-index.json"
+    # a malformed prior index stops the run before anything is pulled
+    prior = (
+        acquire_mod.CorpusIndex.from_json(index_path.read_bytes(), index_path)
+        if index_path.exists() else None
+    )
     packages, skipped = acquire_mod.list_device_packages(bridge, args.serial)
     print(f"{len(packages)} packages listed ({skipped} unparseable lines skipped)")
     result = acquire_mod.pull_packages(bridge, args.serial, packages, out)
     print(f"pulled {len(result.pulled)} files, {len(result.failures)} failures")
     for pkg, reason in sorted(result.failures.items()):
         print(f"  failed: {pkg}: {reason}", file=sys.stderr)
-    index_path = out / "corpus-index.json"
-    prior = (
-        acquire_mod.CorpusIndex.from_json(index_path.read_text()) if index_path.exists() else None
-    )
     idx = acquire_mod.index_corpus(out, prior, device=args.device_tag or args.serial)
     index_path.write_text(idx.to_json())
     print(f"index: {len(idx.entries)} unique APKs -> {index_path}")
@@ -128,6 +130,13 @@ def _cmd_scan(args) -> int:
         return EXIT_ERROR
     # a bad data file stops the run before any APK; forked workers inherit the loaded data
     load_detection(config)
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_ERROR
 
     docs: list[dict] = []
     errors = 0
@@ -153,9 +162,7 @@ def _cmd_scan(args) -> int:
     if pool:
         pool.shutdown()
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for doc in docs:
             (out / f"{doc['sha256']}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -163,7 +170,7 @@ def _cmd_scan(args) -> int:
     if args.format == "table":
         reports = [AppReport.from_dict(d) for d in docs]
         print(aggregate(reports).render_table(), end="")
-    elif not args.out and (docs or is_dir):
+    elif out is None and (docs or is_dir):
         print(json.dumps(docs, indent=2, sort_keys=True))
 
     if errors:

@@ -474,9 +474,7 @@ def _scheme_block_certs(value: bytes, block_id: int) -> list[bytes]:
             while cp < len(cert_seq):
                 der, cp = _lv(cert_seq, cp)
                 certs.append(der)
-    except struct.error as exc:
-        raise MalformedSigningBlockError(str(exc)) from exc
-    except ValueError as exc:
+    except (struct.error, ValueError) as exc:
         raise MalformedSigningBlockError(str(exc)) from exc
     return certs
 

@@ -87,8 +87,8 @@ Instruction = tuple
 
 
 class DexMethod:
-    """A method is its key, ``Lcls;->name(params)ret``; no analyser splits
-    the key back into its parts."""
+    """A method is its key, ``Lcls;->name(params)ret``: a code model keeps
+    the first listing of each key, and no analyser splits the key."""
 
     __slots__ = ("key", "access_flags", "registers", "ins", "instructions")
 
@@ -133,7 +133,9 @@ class CodeModel:
             return False
         self.classes[cls.descriptor] = cls
         for m in cls.methods:
-            self._method_index[m.key] = m
+            if self._method_index.setdefault(m.key, m) is not m:
+                self.warnings.append(f"duplicate method {m.key} (first definition wins)")
+        cls.methods = [m for m in cls.methods if self._method_index[m.key] is m]
         return True
 
     def method(self, key: str) -> DexMethod | None:

@@ -99,3 +99,7 @@ class ReportFormatError(ApkAuditError):
 
 class BridgeError(ApkAuditError):
     """Device bridge command failed (no device, unauthorized, ...)."""
+
+
+class CorpusIndexError(ApkAuditError):
+    """The corpus index file of an acquire output directory is malformed."""

@@ -25,10 +25,11 @@ short path when its callee is opaque (the result is the union of the
 argument taint) or has the empty summary, always the one ``_NO_SUMMARY``
 (the result is empty).
 
-Taint is tracked per named register slot; the second register of a wide
-value is not modeled separately.  Any invoke with a tainted argument taints
-the receiver register (builder-style writes) and, for calls we cannot see
-into, the result.
+Taint is tracked per named register slot, as a set of tokens: a
+``SrcToken``, or the int index of the parameter the value came from.  The
+second register of a wide value is not modeled separately.  Any invoke
+with a tainted argument taints the receiver register (builder-style
+writes) and, for calls we cannot see into, the result.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .callgraph import CallGraph
-from .dex import OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher
+from .dex import OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher, format_method_key
 from .dex.opcodes import OPCODES
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
@@ -106,14 +107,9 @@ def load_taint_spec(path=None) -> TaintSpec:
 
 
 def _parse_spec_line(line: str) -> tuple[str, str, str | None]:
-    lhs, sep, rhs = line.partition("->")
-    if lhs.strip().startswith("L"):
-        # canonical key form; the arrow inside the key is part of it, so the
-        # role separator is the *last* '->'
-        lhs, sep, rhs = line.rpartition("->")
-        lhs = lhs.strip()
-    else:
-        lhs = lhs.strip()
+    # a canonical key holds an arrow of its own, so its role separator is the last '->'
+    lhs, sep, rhs = (line.rpartition if line.lstrip().startswith("L") else line.partition)("->")
+    lhs = lhs.strip()
     if not sep:
         raise ValueError("missing '->' separator")
     rhs = rhs.strip()
@@ -134,21 +130,11 @@ def _parse_spec_line(line: str) -> tuple[str, str, str | None]:
 def _susi_to_key(body: str) -> str:
     """``pkg.Cls: ret name(a,b)`` to ``Lpkg/Cls;->name(AB)R`` (canonical)."""
     cls, _, sig = body.partition(":")
-    cls = cls.strip()
-    sig = sig.strip()
-    ret_type, _, rest = sig.partition(" ")
+    ret_type, _, rest = sig.strip().partition(" ")
     name, _, args = rest.partition("(")
-    args = args.rstrip(")")
-    params = [a.strip() for a in args.split(",") if a.strip()]
-    return (
-        _java_to_descriptor(cls)
-        + "->"
-        + name.strip()
-        + "("
-        + "".join(_java_to_descriptor(a) for a in params)
-        + ")"
-        + _java_to_descriptor(ret_type)
-    )
+    params = [_java_to_descriptor(a.strip()) for a in args.rstrip(")").split(",") if a.strip()]
+    return format_method_key(_java_to_descriptor(cls.strip()), name.strip(), params,
+                             _java_to_descriptor(ret_type))
 
 
 def _java_to_descriptor(t: str) -> str:
@@ -165,10 +151,6 @@ class SrcToken(NamedTuple):
     label: str
     site: tuple[str, int]  # (method key, instruction offset)
     path: tuple[str, ...]  # flow witness, ends at the holding method
-
-
-class ParamToken(NamedTuple):
-    index: int
 
 
 class SinkHit(NamedTuple):
@@ -188,7 +170,7 @@ class Summary(NamedTuple):
 
 _EMPTY: frozenset = frozenset()
 _NO_SUMMARY = Summary()  # the one empty summary: test it with ``is``
-_PARAM_TAINT: list[frozenset] = []  # index -> frozenset({ParamToken(index)}), grown on demand
+_PARAM_TAINT: list[frozenset] = []  # index -> frozenset({index}), grown on demand
 
 
 def analyze_leaks(
@@ -300,7 +282,7 @@ class _Engine:
     def _analyze(self, m: DexMethod):
         base = m.registers - m.ins
         if len(_PARAM_TAINT) < m.ins:
-            _PARAM_TAINT.extend(frozenset({ParamToken(i)}) for i in range(len(_PARAM_TAINT), m.ins))
+            _PARAM_TAINT.extend(frozenset({i}) for i in range(len(_PARAM_TAINT), m.ins))
         regs: dict[int, frozenset] = dict(zip(range(base, base + m.ins), _PARAM_TAINT))
         get = regs.get
 
@@ -333,8 +315,8 @@ class _Engine:
                 regs[r[0]] = _EMPTY
             elif kind == _RETURN:
                 for t in get(r[0], _EMPTY):
-                    if isinstance(t, ParamToken):
-                        ret_params.add(t.index)
+                    if isinstance(t, int):
+                        ret_params.add(t)
                     else:
                         ret_sources.add(t)
             elif kind == _FIELD_GET:
@@ -345,8 +327,8 @@ class _Engine:
                 fk = ins[REF]
                 if fk:
                     for t in get(r[0], _EMPTY):
-                        if isinstance(t, ParamToken):
-                            param_fields.add((t.index, fk))
+                        if isinstance(t, int):
+                            param_fields.add((t, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
             elif kind == _APUT:
@@ -395,9 +377,7 @@ class _Engine:
                     if isinstance(t, SrcToken):
                         findings.append(self._finding(t, target, channel, (m.key, ins[OFFSET]), t.path))
                     else:
-                        sink_hits.add(
-                            SinkHit(t.index, target, channel, (m.key, ins[OFFSET]), (m.key,))
-                        )
+                        sink_hits.add(SinkHit(t, target, channel, (m.key, ins[OFFSET]), (m.key,)))
 
         if callee_summary is not None:
             for hit in callee_summary.sink_hits:
@@ -413,7 +393,7 @@ class _Engine:
                                     self._finding(t, hit.sink, hit.channel, hit.site, full)
                                 )
                         else:
-                            sink_hits.add(hit._replace(param=t.index, suffix=suffix))
+                            sink_hits.add(hit._replace(param=t, suffix=suffix))
             for i in callee_summary.ret_params:
                 if i < len(arg_tokens):
                     result |= arg_tokens[i]
@@ -424,8 +404,8 @@ class _Engine:
             for i, fk in callee_summary.param_fields:
                 if i < len(arg_tokens):
                     for t in arg_tokens[i]:
-                        if isinstance(t, ParamToken):
-                            param_fields.add((t.index, fk))
+                        if isinstance(t, int):
+                            param_fields.add((t, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
         else:

@@ -14,7 +14,7 @@ from . import behaviors as behaviors_mod
 from . import components as components_mod
 from . import leaks as leaks_mod
 from .axml import decode_axml
-from .behaviors import RuleSet
+from .behaviors import Rule
 from .callgraph import build_callgraph
 from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
@@ -37,7 +37,7 @@ class Detection(NamedTuple):
     """The detection data a config names, loaded by ``load_detection``."""
 
     authorities: AuthorityMap
-    rules: RuleSet
+    rules: tuple[Rule, ...]
     apis: KeyMatcher
     spec: TaintSpec
     internet_spec: TaintSpec  # spec plus the supplementary sinks, for INTERNET apps

@@ -297,7 +297,7 @@ def behavior_oracle(code: CodeModel, man, rules) -> set[tuple]:
     pool_only = code.string_pool - used
 
     hits: dict[str, list[tuple[str, str, str]]] = {}
-    for rule in rules.rules:
+    for rule in rules:
         rh = []
         if rule.match_space in ("const_string", "string_pool"):
             rh += [(mk, cd, "high") for mk, cd, s in const_sites if rule.pattern in s]
@@ -318,7 +318,7 @@ def behavior_oracle(code: CodeModel, man, rules) -> set[tuple]:
                 class_hits.setdefault(cd, set()).add(rid)
 
     out = set()
-    for rule in rules.rules:
+    for rule in rules:
         if rule.required_permissions and not (rule.required_permissions & man.uses_permissions):
             continue
         for mk, cd, conf in hits[rule.id]:

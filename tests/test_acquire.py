@@ -75,10 +75,13 @@ def test_list_device_packages(tmp_path):
             commands.append(command)
             return super().shell(serial, command)
 
-    bridge = RecordingBridge(_transcript(tmp_path, with_files=False))
+    tr = _transcript(tmp_path, with_files=False)
+    # no path, no name, no prefix
+    tr["shell"]["pm list packages -f"] += "package:=com.x\npackage:/p.apk=\n/q.apk=com.y\n"
+    bridge = RecordingBridge(tr)
     pkgs, skipped = list_device_packages(bridge, "SER1")
     assert commands == ["pm list packages -f", "pm list packages -f -s"]
-    assert skipped == 2  # the two malformed lines
+    assert skipped == 5  # the five malformed lines
     by_name = {p.package: p for p in pkgs}
     assert set(by_name) == {"com.vendor.gallery", "com.game", "com.vendor.radio"}
     assert by_name["com.vendor.gallery"].system is True
@@ -185,7 +188,7 @@ def test_index_merge_and_idempotence(tmp_path):
 def test_index_json_roundtrip(tmp_path):
     idx = index_corpus(_corpus_dir(tmp_path), device="DEV1")
     text = idx.to_json()
-    back = CorpusIndex.from_json(text)
+    back = CorpusIndex.from_json(text, "corpus-index.json")
     assert back.entries == idx.entries
     assert back.to_json() == text
     assert (back.created, back.updated) == (idx.created, idx.updated)

@@ -38,9 +38,9 @@ def _tuples(findings):
 
 def test_default_rules_shape():
     rs = load_rules()
-    assert len(rs.rules) == 13
+    assert len(rs) == 13
     by_cat = {}
-    for r in rs.rules:
+    for r in rs:
         by_cat.setdefault(r.category, []).append(r)
     assert len(by_cat["sms"]) == 5
     assert len(by_cat["dangerous_command"]) == 5
@@ -59,7 +59,7 @@ def test_rule_schema_validation(tmp_path):
         return load_rules(p)
 
     ok = [{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string"}]
-    assert load(ok).rules[0].id == "a"
+    assert load(ok)[0].id == "a"
     with pytest.raises(RuleSchemaError):
         load({"not": "a list"})
     with pytest.raises(RuleSchemaError):

@@ -77,12 +77,19 @@ def test_super_resolves_up_the_chain():
     assert targets == {"La/Mid;->step()V"}
 
 
+def _internal(model):
+    """The concrete methods of the model; the other graph nodes are external."""
+    return {m.key for m in model.all_methods() if m.is_concrete}
+
+
 def test_interface_reflective_and_external():
-    g = build_callgraph(_hierarchy_model())
+    model = _hierarchy_model()
+    g = build_callgraph(model)
     targets = {t for c, t, _s in g.edges if c == "La/Caller;->fire()V"}
     assert targets == {"La/Impl;->on()V", "La/Util;->log()V", REFLECTIVE_NODE}
-    assert "La/Util;->log()V" in g.external
-    assert REFLECTIVE_NODE in g.external
+    external = g.nodes() - _internal(model)
+    assert "La/Util;->log()V" in external
+    assert REFLECTIVE_NODE in external
     assert REFLECTIVE_NODE not in g.adjacency  # no outgoing edges
 
 
@@ -117,9 +124,10 @@ def _patched_call_apk(tmp_path, params, old: bytes, new: bytes):
 ], ids=["bare-array", "class-without-semicolon"])
 def test_malformed_proto_resolves_by_key_and_gives_a_report(tmp_path, params, old, new, callee):
     apk = _patched_call_apk(tmp_path, params, old, new)
-    g = build_callgraph(load_app_code(open_apk(apk)))
+    model = load_app_code(open_apk(apk))
+    g = build_callgraph(model)
     assert g.callees("Lx/app/Main;->run()V") == (callee,)
-    assert callee in g.internal
+    assert callee in _internal(model)
     report = analyze_apk(apk)
     assert report.package == "x.app"
     assert any("adler32 checksum mismatch" in w for w in report.warnings)  # from the patch
@@ -165,6 +173,24 @@ def test_reachable_hits_shortest_witness():
     hits = reachable_hits(g, {"La/S;->root()V"}, {"La/Ext;->hit()V"}, depth=5)
     assert len(hits) == 1
     assert hits[0][2] == ["La/S;->root()V", "La/S;->direct()V"]
+
+
+def test_a_key_listed_twice_keeps_its_first_definition():
+    """A concrete ``run()`` that reaches the API through a helper, listed
+    again as abstract: every analyser sees the concrete first listing."""
+    run, api = "La/R;->run()V", "Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String;"
+    w = DexWriter()
+    w.add_class("La/R;", methods=[
+        _ret_void("run", [("invoke-virtual", [3], "La/R;->helper()V")]),
+        _ret_void("helper", [("invoke-virtual", [3], api)]),
+        MethodDef("run", (), "V", access=ACC_PUBLIC | ACC_ABSTRACT),
+    ])
+    model = parse_dex(w.build())
+    assert model.warnings == [f"duplicate method {run} (first definition wins)"]
+    assert model.method(run).is_concrete
+    assert model.classes["La/R;"].methods == list(model.all_methods())  # the same objects
+    g = build_callgraph(model)
+    assert reachable_hits(g, {run}, {api}, depth=1) == [(run, api, [run, "La/R;->helper()V"])]
 
 
 def test_reachable_hits_monotone_in_depth():
@@ -226,7 +252,9 @@ def test_index_equals_oracle(model):
     g = build_callgraph(model)
     assert g.index == code_index_oracle(model)
     assert g.edges == callgraph_edges_oracle(model)
-    for key in g.internal:
+    internal = _internal(model)
+    assert g.nodes() == internal | {t for _c, t, _s in g.edges}
+    for key in internal:
         expected = sorted({t for c, t, _s in g.edges if c == key})
         assert list(g.callees(key)) == expected
 

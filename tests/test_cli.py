@@ -316,6 +316,28 @@ def test_acquire_with_transcript(tmp_path, capsys):
     assert idx2["entries"] == idx["entries"]
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"not json", "JSONDecodeError: Expecting value"),
+    (b"\x80 not UTF-8", "UnicodeDecodeError: 'utf-8' codec"),
+    (b'{"entries": {"ab12": {"packages": []}}}', "KeyError: 'path'"),
+])
+def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, reason):
+    tr_path = tmp_path / "transcript.json"
+    tr_path.write_text(json.dumps(_transcript(tmp_path)))
+    out = tmp_path / "pulled"
+    out.mkdir()
+    index = out / "corpus-index.json"
+    index.write_bytes(content)
+    rc = main(["acquire", "--serial", "SER1", "--out", str(out), "--transcript", str(tr_path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {index}: not a corpus index ({reason}")
+    assert list(out.iterdir()) == [index]  # read before anything is pulled
+    assert index.read_bytes() == content
+
+
 def test_acquire_of_a_package_named_like_an_apk(tmp_path, capsys):
     # the package folder out/com.acme.apk is a directory that matches *.apk
     tr = _transcript(tmp_path)
@@ -363,6 +385,21 @@ def test_report_bad_file_is_an_error_not_a_traceback(corpus, tmp_path, capsys, c
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {bad}: not an apkaudit report ({reason}")
     assert line.endswith(")")
+
+
+def test_scan_out_that_is_a_file_is_an_error_before_any_apk(corpus, tmp_path, capsys, monkeypatch):
+    def analyze_apk(*args, **kwargs):
+        raise AssertionError("an APK was analysed")
+
+    monkeypatch.setattr("apkaudit.report.analyze_apk", analyze_apk)
+    out = tmp_path / "reports"
+    out.write_text("a file")
+    rc = main(["scan", str(corpus["benign"]), "--out", str(out), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out {out}: File exists"]
+    assert out.read_text() == "a file"
 
 
 def test_report_missing_directory_is_an_error(tmp_path, capsys):
