@@ -87,6 +87,11 @@ def _cmd_acquire(args) -> int:
     else:
         bridge = acquire_mod.SubprocessBridge(args.bridge)
     out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
     index_path = out / "corpus-index.json"
     # a malformed prior index stops the run before anything is pulled
     prior = (

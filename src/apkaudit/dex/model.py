@@ -13,7 +13,10 @@ CPython's cycle collector stops tracking a plain tuple once it finds that
 all its items are untracked; a tuple subclass (``NamedTuple``) or a slotted
 class stays tracked and is walked again by every full collection.  Plain
 tuples keep that walk off the code model and hold less memory than slotted
-objects.
+objects.  The parser stores equal instructions at the same offset once per
+dex entry, through a table it drops once the entry is parsed, so one tuple
+may sit in many methods' lists: no code may compare instructions by
+identity or count them by ``id()``.
 
 ``DexMethod``, ``DexClass`` and ``CodeModel`` are plain classes with
 ``__slots__``, so none of the instances carries a ``__dict__``.

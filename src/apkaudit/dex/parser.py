@@ -16,6 +16,14 @@ collector then stops tracking the instructions after its first pass over
 them, instead of walking every one of them again in each full collection,
 and the model holds less memory.
 
+Equal instructions at the same offset are one tuple per dex entry: each
+entry's reader keeps a table from an instruction's offset and code units
+to the tuple decoded from them, and a body that repeats them appends that
+tuple without decoding it again (hash-consing).  The table is per entry,
+since the same units resolve through each entry's own pools, and it is
+dropped once the entry is parsed.  Instructions are values: no code may
+compare them by identity or count them by ``id()``.
+
 An instruction's pool reference that is out of range resolves to ``None``.
 Unused opcodes and unknown payloads are kept at their correct width so the
 stream never desynchronizes.  Any other offset or index that points
@@ -116,6 +124,8 @@ class _DexReader:
         self.data = data
         self.origin = origin
         self.register_tuples = register_tuples
+        # (offset, code units) key -> instruction, for this entry's pools only
+        self.decoded: dict[tuple[int, ...], Instruction] = {}
         self.invalid_strings = 0
 
     def check_header(self) -> list[str]:
@@ -219,6 +229,7 @@ class _DexReader:
         u = struct.unpack_from(f"<{n}H", self.data, base)
         pools = self.pools
         shared = self.register_tuples
+        decoded = self.decoded
         out: list[Instruction] = []
         pos = 0
         while pos < size:
@@ -229,10 +240,24 @@ class _DexReader:
                 pos += _PAYLOADS[unit][1](u, pos) if unit in _PAYLOADS else 1
                 continue
             width, operands, ref_kind = _TABLE[opcode]
-            regs, idx, literal, target = operands(u, pos, unit >> 8)
-            pool = pools[ref_kind]
-            resolved = pool[idx] if idx is not None and idx < len(pool) else None
-            out.append((pos, opcode, shared.setdefault(regs, regs), resolved, literal, target))
+            # The key is the offset and the units the format's decoder reads,
+            # so a truncated body fails here as it would in the decoder.  The
+            # opcode in the low byte fixes the width, so widths never collide.
+            if width == 1:
+                key = (pos, unit)
+            elif width == 2:
+                key = (pos, unit, u[pos + 1])
+            elif width < 5:  # 45cc and 4rcc read the units of 35c and 3rc
+                key = (pos, unit, u[pos + 1], u[pos + 2])
+            else:
+                key = (pos, unit, u[pos + 1], u[pos + 2], u[pos + 3], u[pos + 4])
+            ins = decoded.get(key)
+            if ins is None:
+                regs, idx, literal, target = operands(u, pos, unit >> 8)
+                pool = pools[ref_kind]
+                resolved = pool[idx] if idx is not None and idx < len(pool) else None
+                ins = decoded[key] = (pos, opcode, shared.setdefault(regs, regs), resolved, literal, target)
+            out.append(ins)
             pos += width
         return out
 
@@ -320,6 +345,9 @@ def method_body(model: CodeModel, key: str) -> list[Instruction]:
 
 
 def _uleb128(data: bytes, off: int) -> tuple[int, int]:
+    b = data[off]
+    if b < 0x80:  # most values fit in one byte
+        return b, off + 1
     result = 0
     shift = 0
     while True:
@@ -338,6 +366,8 @@ def decode_mutf8(raw: bytes) -> str:
 
 def _decode_mutf8(raw: bytes) -> tuple[str, bool]:
     """The decoded text, and whether any invalid sequence was replaced."""
+    if raw.isascii():  # MUTF-8 writes NUL as C0 80, so ASCII bytes are the text itself
+        return raw.decode("ascii"), False
     try:
         s = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", errors="surrogatepass")
         # collapse CESU-8 surrogate pairs into real code points

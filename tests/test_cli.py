@@ -355,6 +355,20 @@ def test_acquire_of_a_package_named_like_an_apk(tmp_path, capsys):
         "com.acme.apk", "com.game", "com.vendor.gallery", "com.vendor.radio"]
 
 
+def test_acquire_out_that_is_a_file_is_an_error_before_anything_is_listed(tmp_path, capsys):
+    tr_path = tmp_path / "transcript.json"
+    tr_path.write_text(json.dumps(_transcript(tmp_path)))
+    out = tmp_path / "pulled"
+    out.write_text("a file")
+    rc = main(["acquire", "--serial", "SER1", "--out", str(out), "--transcript", str(tr_path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out {out}: File exists"]
+    assert out.read_text() == "a file"
+    assert not any(p.is_dir() for p in tmp_path.iterdir())  # nothing pulled
+
+
 def test_acquire_logs_skipped_lines_to_stderr(tmp_path):
     tr_path = tmp_path / "transcript.json"
     tr_path.write_text(json.dumps(_transcript(tmp_path)))

@@ -6,6 +6,8 @@ import zipfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apkaudit.container import open_apk
 from apkaudit.dex import load_app_code, opcodes
@@ -23,7 +25,7 @@ from apkaudit.dex.model import (
     format_method_key,
 )
 from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
-from apkaudit.dex.parser import decode_mutf8, dump_method, method_body, mnemonic, parse_dex
+from apkaudit.dex.parser import _uleb128, decode_mutf8, dump_method, method_body, mnemonic, parse_dex
 from apkaudit.errors import (
     AbstractMethodError,
     CorruptEntryError,
@@ -45,6 +47,7 @@ from .fixtures.dex_writer import (
     MethodDef,
     encode_mutf8,
     parse_method_key,
+    uleb128,
 )
 from .oracles import (
     decode_body_oracle,
@@ -224,6 +227,30 @@ def test_mutf8_decoding():
     assert decode_mutf8(encode_mutf8("\U0001F600")) == "\U0001F600"
 
 
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(raw=st.lists(st.integers(1, 0x7F), max_size=40).map(bytes))
+def test_ascii_fast_path_decodes_as_the_general_path(raw):
+    # a non-ASCII suffix sends the same bytes through the general path
+    assert decode_mutf8(raw) + "\u00e9" == decode_mutf8(raw + "\u00e9".encode()) == raw.decode() + "\u00e9"
+
+
+@pytest.mark.parametrize("value", [0, 0x7F, 0x80, 0x3FFF, 0x4000, 0xFFFFFFFF])
+def test_uleb128_values(value):
+    enc = uleb128(value)
+    assert _uleb128(b"\xff" + enc + b"\x01", 1) == (value, 1 + len(enc))
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x80", b"\xff\xff"])
+def test_truncated_uleb128_raises_malformed(tail):
+    # the first string's size prefix starts at the end of the data and is cut
+    blob = bytearray(_simple_writer().build())
+    (string_ids_off,) = struct.unpack_from("<I", blob, 0x3C)
+    struct.pack_into("<I", blob, string_ids_off, len(blob))
+    blob += tail
+    with pytest.raises(MalformedDexError, match=r"^classes\.dex: malformed DEX \(IndexError"):
+        parse_dex(bytes(blob))
+
+
 def test_string_pool_collected():
     model = parse_dex(_simple_writer().build())
     assert "hello" in model.string_pool
@@ -274,11 +301,13 @@ def _raw_units(rng: random.Random, pools: dict[str, list[str]]) -> list[int]:
     return units
 
 
-def _raw_writer(n_units: int) -> DexWriter:
-    """``_simple_writer`` plus method ``RAW_KEY``: a marker const-wide padded with nops."""
+def _raw_writer(n_units: int, names: tuple[str, ...] = ("raw",)) -> DexWriter:
+    """``_simple_writer`` plus method ``RAW_KEY`` (one method per name): a marker
+    const-wide padded with nops."""
     w = _simple_writer()
-    w.classes[0].methods.append(MethodDef("raw", (), "V", registers=8, code=(
-        [("const-wide", [0], _MARKER)] + [("nop", [])] * (n_units - 5))))
+    for name in names:
+        w.classes[0].methods.append(MethodDef(name, (), "V", registers=8, code=(
+            [("const-wide", [0], _MARKER)] + [("nop", [])] * (n_units - 5))))
     return w
 
 
@@ -293,16 +322,20 @@ def _writer_pools(w: DexWriter) -> dict[str, list[str]]:
     }
 
 
-def _raw_dex(units: list[int], declared: int | None = None) -> tuple[bytes, int]:
-    """A valid dex whose method ``RAW_KEY`` holds ``units`` (declaring ``declared``
-    code units if given), and the file offset of that body."""
-    blob = bytearray(_raw_writer(len(units)).build())
+def _raw_dex(units: list[int], declared: int | None = None,
+             names: tuple[str, ...] = ("raw",)) -> tuple[bytes, int]:
+    """A valid dex whose method ``RAW_KEY`` (each method of ``names``) holds
+    ``units`` (declaring ``declared`` code units if given), and the file
+    offset of the first such body."""
+    blob = bytearray(_raw_writer(len(units), names).build())
     marker = struct.pack("<5H", 0x0018, *(_MARKER >> s & 0xFFFF for s in (0, 16, 32, 48)))
-    assert blob.count(marker) == 1
-    base = blob.index(marker)
-    blob[base:base + 2 * len(units)] = struct.pack(f"<{len(units)}H", *units)
-    if declared is not None:
-        struct.pack_into("<I", blob, base - 4, declared)
+    assert blob.count(marker) == len(names)
+    bases = [m.start() for m in re.finditer(re.escape(marker), blob)]
+    for base in bases:
+        blob[base:base + 2 * len(units)] = struct.pack(f"<{len(units)}H", *units)
+        if declared is not None:
+            struct.pack_into("<I", blob, base - 4, declared)
+    base = bases[0]
     struct.pack_into("<I", blob, 8, zlib.adler32(bytes(blob[12:])) & 0xFFFFFFFF)
     return bytes(blob), base
 
@@ -378,6 +411,71 @@ def test_equal_register_tuples_are_one_object_per_app(tmp_path):
         assert first.setdefault(ins[REGISTERS], ins[REGISTERS]) is ins[REGISTERS]
     zero = [ins[REGISTERS] for ins in instructions if ins[REGISTERS] == (0,)]
     assert len(zero) == 4 and len({id(r) for r in zero}) == 1
+
+
+def test_equal_instructions_are_one_object_per_dex_entry():
+    names = ("raw", "raw2")
+    pools = _writer_pools(_raw_writer(5, names))
+    units = _raw_units(random.Random(4), pools)
+    blob, base = _raw_dex(units, names=names)
+    model = parse_dex(blob)
+    expected = [stored_fields(t) for t in decode_body_oracle(blob[base:], len(units), pools)]
+    first, second = (method_body(model, f"La/Main;->{name}()V") for name in names)
+    assert first == expected and second == expected
+    # same offset and code units: one tuple, payloads aside
+    shared = [a is b for a, b in zip(first, second) if a[OPCODE] < 256]
+    assert len(shared) > 500 and all(shared)
+
+
+def test_equal_units_resolve_through_the_pools_of_their_own_entry(tmp_path):
+    entries = {}
+    for dex, cls, text in (("classes.dex", "La/A;", "alpha"), ("classes2.dex", "La/B;", "beta")):
+        w = DexWriter()
+        w.add_class(cls, methods=[MethodDef("m", (), "V", registers=1, code=[
+            ("const-string", [0], text),
+            ("invoke-static", [], f"{cls}->m()V"),
+            ("return-void", []),
+        ])])
+        entries[dex] = w.build()
+    # both bodies hold the same code units: the pool indexes match
+    body = struct.pack("<6H", 0x001A, 3, 0x0071, 0, 0, 0x000E)
+    assert all(blob.count(body) == 1 for blob in entries.values())
+    code = load_app_code(open_apk(build_apk(tmp_path / "pools.apk", entries)))
+    for cls, text in (("La/A;", "alpha"), ("La/B;", "beta")):
+        const, invoke, _ret = method_body(code, f"{cls}->m()V")
+        assert (const[REF], invoke[REF]) == (text, f"{cls}->m()V")
+
+
+def _cut_body_dex(units: list[int]) -> bytes:
+    """A valid dex whose ``RAW_KEY`` code item is moved to the end of the
+    file and holds only ``units``, which also end the data."""
+    blob, base = _raw_dex([0x000E] * 8)
+    blob = bytearray(blob)
+    old, new = uleb128(base - 16), uleb128(len(blob))
+    assert blob.count(old) == 1 and len(new) == len(old) and len(blob) % 4 == 0
+    at = blob.index(old)
+    blob[at:at + len(old)] = new  # the method's code_off in its class_data
+    blob += blob[base - 16:base - 4] + struct.pack(f"<I{len(units)}H", len(units), *units)
+    struct.pack_into("<I", blob, 8, zlib.adler32(bytes(blob[12:])) & 0xFFFFFFFF)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("units", [
+    [0x000E, 0x0013],                  # const/16 without its literal
+    [0x0071, 0x0001],                  # invoke-static without its argument unit
+    [0x0018, 0x0001, 0x0002, 0x0003],  # const-wide one unit short
+])
+def test_truncated_last_instruction_raises_malformed(units):
+    with pytest.raises(MalformedDexError) as info:
+        parse_dex(_cut_body_dex(units))
+    assert str(info.value) == "classes.dex: malformed DEX (IndexError: tuple index out of range)"
+
+
+def test_cut_invoke_polymorphic_reads_only_its_decoded_units():
+    # the proto unit of a 45cc is not decoded, so a body cut before it still parses
+    [ins] = method_body(parse_dex(_cut_body_dex([0x10FA, 0x0001, 0x0003])), RAW_KEY)
+    method = _writer_pools(_raw_writer(8))["method"][1]
+    assert (mnemonic(ins[OPCODE]), ins[REGISTERS], ins[REF]) == ("invoke-polymorphic", (3,), method)
 
 
 # ---- malformed input ------------------------------------------------------
