@@ -149,8 +149,9 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
     """Pull each package APK to ``out_dir/<package>/<basename>``.
 
     Per-item failures are recorded and the run continues.  Split APKs
-    sitting next to the base APK (transcript ``files`` siblings) are pulled
-    alongside when the bridge exposes them.
+    sitting next to the base APK (transcript ``files`` siblings named as
+    ``_is_split`` accepts) are pulled alongside when the bridge exposes
+    them; other APKs in a flat folder belong to other packages.
     """
     out_dir = Path(out_dir)
     result = PullResult()
@@ -179,7 +180,8 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
 def _sibling_apks(bridge, folder: str) -> list[str]:
     files = getattr(bridge, "files", None)
     if files is not None:
-        return sorted(p for p in files if p.rsplit("/", 1)[0] == folder and p.endswith(".apk"))
+        return sorted(p for p in files if p.rsplit("/", 1)[0] == folder and p.endswith(".apk")
+                      and _is_split(p.rsplit("/", 1)[1]))
     return []
 
 

@@ -48,10 +48,9 @@ class AxmlAttribute(NamedTuple):
 
 
 class AxmlElement:
-    __slots__ = ("namespace", "name", "attributes", "children")
+    __slots__ = ("name", "attributes", "children")
 
-    def __init__(self, namespace: str, name: str):
-        self.namespace = namespace
+    def __init__(self, name: str):
         self.name = name
         self.attributes: list[AxmlAttribute] = []
         self.children: list[AxmlElement] = []
@@ -66,12 +65,9 @@ class AxmlElement:
         return [c for c in self.children if c.name == name]
 
 
-class XmlTree:
-    __slots__ = ("root", "warnings")
-
-    def __init__(self, root: AxmlElement, warnings: list[str]):
-        self.root = root
-        self.warnings = warnings
+class XmlTree(NamedTuple):
+    root: AxmlElement
+    warnings: list[str]
 
 
 def decode_axml(data: bytes) -> XmlTree:
@@ -197,7 +193,8 @@ def _decode_utf8_entry(body: bytes, p: int) -> str:
 def _decode_start_element(body: bytes, pool: list[str]) -> AxmlElement:
     # header: line, comment, then ns, name, attr start/size, counts
     ns_ix, name_ix, _attr_start, _attr_size, attr_count = struct.unpack_from("<IIHHH", body, 16)
-    elem = AxmlElement(namespace=_pool_str(pool, ns_ix), name=_pool_str(pool, name_ix))
+    _pool_str(pool, ns_ix)  # checked against the pool; no analyser reads element namespaces
+    elem = AxmlElement(_pool_str(pool, name_ix))
     p = 16 + 20
     for _ in range(attr_count):
         if p + 20 > len(body):

@@ -149,7 +149,8 @@ def _cmd_scan(args) -> int:
     if len(paths) > 1 and args.jobs > 1:
         import concurrent.futures
 
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+        # the fork start method starts every worker up front
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)))
     futures = [pool.submit(_scan_one, str(p), config) for p in paths] if pool else None
     # collected in path order for any --jobs
     for i, p in enumerate(paths):

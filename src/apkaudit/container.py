@@ -276,15 +276,11 @@ def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
     across schemes.  A malformed signing block is recorded as a warning,
     never fatal.
     """
-    signers: list[SignerInfo] = []
-    seen_fp: set[str] = set()
+    signers: dict[str, SignerInfo] = {}  # fingerprint -> its first signer
 
     def add(cert_der: bytes, cn_o: tuple[str, str], scheme: str) -> None:
         fp = hashlib.sha256(cert_der).hexdigest()
-        if fp in seen_fp:
-            return
-        seen_fp.add(fp)
-        signers.append(SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
+        signers.setdefault(fp, SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
 
     try:
         for block_id, certs in _signing_block_certs(a.archive, end):
@@ -308,7 +304,7 @@ def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
             continue
         for der, cn_o in certs:
             add(der, cn_o, "v1")
-    return signers
+    return list(signers.values())
 
 
 class DerError(ValueError):
@@ -459,34 +455,32 @@ def _find_signing_block(raw: bytes, end: int) -> bytes | None:
 def _scheme_block_certs(value: bytes, block_id: int) -> list[bytes]:
     """Walk signer → signed-data → certificates for a v2/v3 block."""
     certs: list[bytes] = []
-    try:
-        signers = _lv(value, 0)[0]
-        pos = 0
-        while pos < len(signers):
-            signer, pos = _lv(signers, pos)
-            signed_data = _lv(signer, 0)[0]
-            # v2 and v3 signed data both start with digests then certificates;
-            # the v3 minSDK/maxSDK fields come after and can be ignored here.
-            p = 0
-            _digests, p = _lv(signed_data, p)
-            cert_seq, p = _lv(signed_data, p)
-            cp = 0
-            while cp < len(cert_seq):
-                der, cp = _lv(cert_seq, cp)
-                certs.append(der)
-    except (struct.error, ValueError) as exc:
-        raise MalformedSigningBlockError(str(exc)) from exc
+    signers = _lv(value, 0)[0]
+    pos = 0
+    while pos < len(signers):
+        signer, pos = _lv(signers, pos)
+        signed_data = _lv(signer, 0)[0]
+        # v2 and v3 signed data both start with digests then certificates;
+        # the v3 minSDK/maxSDK fields come after and can be ignored here.
+        p = 0
+        _digests, p = _lv(signed_data, p)
+        cert_seq, p = _lv(signed_data, p)
+        cp = 0
+        while cp < len(cert_seq):
+            der, cp = _lv(cert_seq, cp)
+            certs.append(der)
     return certs
 
 
 def _lv(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Read one uint32-length-prefixed value."""
+    """Read one uint32-length-prefixed value; raises
+    MalformedSigningBlockError when it does not fit in ``buf``."""
     if pos + 4 > len(buf):
-        raise ValueError("length prefix past end of buffer")
+        raise MalformedSigningBlockError("length prefix past end of buffer")
     n = struct.unpack_from("<I", buf, pos)[0]
     pos += 4
     if pos + n > len(buf):
-        raise ValueError("value past end of buffer")
+        raise MalformedSigningBlockError("value past end of buffer")
     return buf[pos : pos + n], pos + n
 
 

@@ -349,14 +349,13 @@ def _uleb128(data: bytes, off: int) -> tuple[int, int]:
     if b < 0x80:  # most values fit in one byte
         return b, off + 1
     result = 0
-    shift = 0
-    while True:
+    for shift in range(0, 35, 7):  # the format allows at most five bytes
         b = data[off]
         off += 1
         result |= (b & 0x7F) << shift
         if not b & 0x80:
             return result, off
-        shift += 7
+    raise ValueError(f"uleb128 at offset {off - 5} longer than 5 bytes")
 
 
 def decode_mutf8(raw: bytes) -> str:

@@ -1,10 +1,10 @@
 """Report data model: findings, per-app reports and the corpus summary.
 
 This module imports only ``json`` and ``typing``, so ``apkaudit report``
-rolls up saved reports without loading any analyser.  The finding types are
-``NamedTuple``s, and ``AppReport`` and ``CorpusSummary`` are classes with
-``__slots__`` and a written ``__init__``.  The pipeline that produces an
-:class:`AppReport` lives in :mod:`apkaudit.report`.
+rolls up saved reports without loading any analyser.  The finding types and
+``CorpusSummary`` are ``NamedTuple``s; ``AppReport``, which the pipeline
+fills in stage by stage, is a class with ``__slots__``.  The pipeline that
+produces an :class:`AppReport` lives in :mod:`apkaudit.report`.
 """
 
 from __future__ import annotations
@@ -180,14 +180,10 @@ def format_percent(count: int, total: int) -> str:
     return f"0.{tenths}%" if tenths < 10 else "1%"
 
 
-class CorpusSummary:
-    __slots__ = ("total_apps", "category_counts", "signer_distribution")
-
-    def __init__(self, total_apps: int, category_counts: dict[str, int],
-                 signer_distribution: dict[str, dict[str, str]]):  # device → label → percent
-        self.total_apps = total_apps
-        self.category_counts = category_counts
-        self.signer_distribution = signer_distribution
+class CorpusSummary(NamedTuple):
+    total_apps: int
+    category_counts: dict[str, int]
+    signer_distribution: dict[str, dict[str, str]]  # device → label → percent
 
     def percent(self, category: str) -> str:
         if self.total_apps == 0:

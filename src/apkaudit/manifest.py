@@ -2,52 +2,32 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .axml import AxmlElement, XmlTree
 from .errors import MissingPackageError
 
-COMPONENT_TAGS = {
-    "activity": "activity",
-    "service": "service",
-    "receiver": "receiver",
-    "provider": "provider",
-}
+COMPONENT_TAGS = frozenset(("activity", "service", "receiver", "provider"))
 
 
-class ComponentDecl:
-    __slots__ = ("kind", "class_name", "exported_attr", "permission_attr", "read_permission",
-                 "write_permission", "intent_filters", "actions")
-
-    def __init__(
-        self,
-        kind: str,  # activity | service | receiver | provider
-        class_name: str,  # fully qualified
-        exported_attr: bool | None,
-        permission_attr: str | None,
-        read_permission: str | None = None,  # providers only
-        write_permission: str | None = None,
-        intent_filters: int = 0,
-    ):
-        self.kind = kind
-        self.class_name = class_name
-        self.exported_attr = exported_attr
-        self.permission_attr = permission_attr
-        self.read_permission = read_permission
-        self.write_permission = write_permission
-        self.intent_filters = intent_filters
-        self.actions: list[str] = []
+class ComponentDecl(NamedTuple):
+    kind: str  # activity | service | receiver | provider
+    class_name: str  # fully qualified
+    exported_attr: bool | None
+    permission_attr: str | None
+    read_permission: str | None = None  # providers only
+    write_permission: str | None = None
+    intent_filters: int = 0
+    actions: tuple[str, ...] = ()  # of every intent filter, in document order
 
 
-class ManifestModel:
-    __slots__ = ("package", "version_name", "version_code", "target_sdk", "uses_permissions",
-                 "components")
-
-    def __init__(self, package: str):
-        self.package = package
-        self.version_name = ""
-        self.version_code = 0
-        self.target_sdk: int | None = None
-        self.uses_permissions: set[str] = set()
-        self.components: list[ComponentDecl] = []
+class ManifestModel(NamedTuple):
+    package: str
+    version_name: str = ""
+    version_code: int = 0
+    target_sdk: int | None = None
+    uses_permissions: frozenset[str] = frozenset()
+    components: tuple[ComponentDecl, ...] = ()
 
 
 def build_manifest(t: XmlTree) -> ManifestModel:
@@ -58,49 +38,43 @@ def build_manifest(t: XmlTree) -> ManifestModel:
     package = root.attr("package", namespace=None)
     if not package:
         raise MissingPackageError("manifest has no package attribute")
-
-    m = ManifestModel(package=str(package))
-    m.version_name = str(root.attr("versionName") or "")
+    package = str(package)
     vc = root.attr("versionCode")
-    m.version_code = int(vc) if isinstance(vc, int) else 0
-
-    for sdk in root.find_all("uses-sdk"):
-        tg = sdk.attr("targetSdkVersion")
-        if isinstance(tg, int):
-            m.target_sdk = tg
-    for up in root.find_all("uses-permission"):
-        name = up.attr("name")
-        if name:
-            m.uses_permissions.add(str(name))
-
-    for app in root.find_all("application"):
-        for child in app.children:
-            kind = COMPONENT_TAGS.get(child.name)
-            if kind is None:
-                continue
-            m.components.append(_component(kind, child, m.package))
-    return m
+    sdks = [tg for sdk in root.find_all("uses-sdk")
+            if isinstance(tg := sdk.attr("targetSdkVersion"), int)]
+    return ManifestModel(
+        package=package,
+        version_name=str(root.attr("versionName") or ""),
+        # int(): a bool attribute is an int too, and the report writes 1, not true
+        version_code=int(vc) if isinstance(vc, int) else 0,
+        target_sdk=sdks[-1] if sdks else None,  # the last int wins
+        uses_permissions=frozenset(
+            str(name) for up in root.find_all("uses-permission") if (name := up.attr("name"))
+        ),
+        components=tuple(
+            _component(child.name, child, package)
+            for app in root.find_all("application")
+            for child in app.children
+            if child.name in COMPONENT_TAGS
+        ),
+    )
 
 
 def _component(kind: str, el: AxmlElement, package: str) -> ComponentDecl:
-    raw_name = str(el.attr("name") or "")
     exported = el.attr("exported")
-    comp = ComponentDecl(
+    provider = kind == "provider"
+    filters = el.find_all("intent-filter")
+    return ComponentDecl(
         kind=kind,
-        class_name=_qualify(raw_name, package),
+        class_name=_qualify(str(el.attr("name") or ""), package),
         exported_attr=exported if isinstance(exported, bool) else None,
         permission_attr=_opt_str(el.attr("permission")),
+        read_permission=_opt_str(el.attr("readPermission")) if provider else None,
+        write_permission=_opt_str(el.attr("writePermission")) if provider else None,
+        intent_filters=len(filters),
+        actions=tuple(str(name) for filt in filters for act in filt.find_all("action")
+                      if (name := act.attr("name"))),
     )
-    if kind == "provider":
-        comp.read_permission = _opt_str(el.attr("readPermission"))
-        comp.write_permission = _opt_str(el.attr("writePermission"))
-    for filt in el.find_all("intent-filter"):
-        comp.intent_filters += 1
-        for act in filt.find_all("action"):
-            name = act.attr("name")
-            if name:
-                comp.actions.append(str(name))
-    return comp
 
 
 def _qualify(name: str, package: str) -> str:

@@ -62,6 +62,7 @@ OPS = {
     "array-length": (0x21, "12x", None),
     "new-instance": (0x22, "21c", "type"),
     "new-array": (0x23, "22c", "type"),
+    "filled-new-array": (0x24, "35c", "type"),
     "fill-array-data": (0x26, "31t", None),
     "throw": (0x27, "11x", None),
     "goto": (0x28, "10t", None),

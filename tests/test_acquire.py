@@ -111,6 +111,11 @@ def test_pull_packages_end_to_end(tmp_path):
     # add a split sibling next to the game base APK
     split_src = build_apk(tmp_path / "src_split.apk", {"AndroidManifest.xml": b"", "f": b"split"})
     tr["files"]["/data/app/com.game-x1/split_config.arm64_v8a.apk"] = str(split_src)
+    # two packages in one flat folder: neither is a split of the other
+    for name in ("Foo", "Bar"):
+        path = f"/system/app/{name}.apk"
+        tr["shell"]["pm list packages -f"] += f"package:{path}=com.vendor.{name.lower()}\n"
+        tr["files"][path] = str(build_apk(tmp_path / f"src_{name}.apk", {"f": name.encode()}))
     bridge = TranscriptBridge(tr)
     pkgs, _ = list_device_packages(bridge, "SER1")
     out = tmp_path / "corpus"
@@ -120,6 +125,8 @@ def test_pull_packages_end_to_end(tmp_path):
     assert names == [
         "com.game/base.apk",
         "com.game/split_config.arm64_v8a.apk",
+        "com.vendor.bar/Bar.apk",
+        "com.vendor.foo/Foo.apk",
         "com.vendor.gallery/Gallery.apk",
         "com.vendor.radio/Radio.apk",
     ]

@@ -38,6 +38,43 @@ def test_scan_not_a_zip_exit_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_scan_of_a_directory_without_apks_is_an_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not an apk")
+    assert main(["scan", str(tmp_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "no APKs found\n")
+
+
+@pytest.mark.parametrize("apks, jobs, workers", [(2, "8", [2]), (3, "2", [2]), (1, "8", [])])
+def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeypatch, apks, jobs, workers):
+    import concurrent.futures
+
+    started = []
+
+    class InlineExecutor:
+        """Records the pool size it is given and runs each job in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    src = tmp_path / "apks"
+    src.mkdir()
+    for i in range(apks):
+        (src / f"benign{i}.apk").write_bytes(corpus["benign"].read_bytes())
+    assert main(["scan", str(src), "--jobs", jobs]) == EXIT_CLEAN
+    assert len(json.loads(capsys.readouterr().out)) == apks
+    assert started == workers
+
+
 @pytest.mark.parametrize("command", ["scan", "dump-manifest", "dump-dex"])
 def test_missing_apk_is_an_error_not_a_traceback(tmp_path, capsys, command):
     missing = tmp_path / "no" / "such.apk"

@@ -25,7 +25,7 @@ from apkaudit.errors import (
     NotAZipError,
 )
 
-from .fixtures.apk_writer import SIG_MAGIC, build_apk, make_cert
+from .fixtures.apk_writer import SIG_MAGIC, V2_ID, V3_ID, _splice_signing_block, build_apk, make_cert
 
 
 def test_open_apk_enumerates_and_hashes(tmp_path):
@@ -430,18 +430,31 @@ def test_same_cert_in_both_schemes_dedupes(tmp_path):
     assert art.signers[0].scheme == "v2"  # signing block is preferred
 
 
-def test_malformed_signing_block_is_warning_not_fatal(tmp_path):
+def _sig_block(payload: bytes, size: int | None = None, head: int | None = None) -> bytes:
+    """A signing block around ``payload``; ``size``/``head`` override its
+    trailing/leading size fields."""
+    size = len(payload) + 24 if size is None else size
+    return struct.pack("<Q", size if head is None else head) + payload + struct.pack("<Q", size) + SIG_MAGIC
+
+
+def _pair(block_id: int, value: bytes) -> bytes:
+    return struct.pack("<QI", 4 + len(value), block_id) + value
+
+
+@pytest.mark.parametrize("bogus, reason", [
+    (_sig_block(b"\0" * 8), "truncated id-value pair header"),
+    (_sig_block(struct.pack("<QI", 99, V2_ID)), "id-value pair overruns block"),
+    (_sig_block(b"", size=1 << 40), "declared size larger than file prefix"),
+    (_sig_block(b"\0" * 16, head=999), "leading/trailing size mismatch"),
+    (_sig_block(_pair(V2_ID, b"\0\0")), "length prefix past end of buffer"),
+    (_sig_block(_pair(V3_ID, struct.pack("<I", 100))), "value past end of buffer"),
+], ids=["pair-header", "pair-overrun", "size-too-large", "size-mismatch", "lv-prefix", "lv-value"])
+def test_malformed_signing_block_is_warning_not_fatal(tmp_path, bogus, reason):
     p = build_apk(tmp_path / "m.apk", {"f": b"x"}, sign=None)
-    raw = bytearray(p.read_bytes())
-    eocd = raw.rfind(b"PK\x05\x06")
-    cd = struct.unpack_from("<I", raw, eocd + 16)[0]
-    # block with inconsistent leading/trailing sizes
-    bogus = struct.pack("<Q", 999) + b"\x00" * 8 + struct.pack("<Q", 40) + SIG_MAGIC
-    struct.pack_into("<I", raw, eocd + 16, cd + len(bogus))
-    p.write_bytes(bytes(raw[:cd]) + bogus + bytes(raw[cd:]))
+    _splice_signing_block(p, bogus)
     art = open_apk(p)
     assert art.signers == []
-    assert any("signing block" in w for w in art.warnings)
+    assert art.warnings == [f"malformed signing block: {reason}"]
 
 
 def test_authority_map_default_grouping():

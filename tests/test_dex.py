@@ -240,6 +240,11 @@ def test_uleb128_values(value):
     assert _uleb128(b"\xff" + enc + b"\x01", 1) == (value, 1 + len(enc))
 
 
+def test_uleb128_longer_than_five_bytes_raises_at_once():
+    with pytest.raises(ValueError, match=r"^uleb128 at offset 0 longer than 5 bytes$"):
+        _uleb128(b"\xff" * 1_000_000 + b"\0", 0)
+
+
 @pytest.mark.parametrize("tail", [b"", b"\x80", b"\xff\xff"])
 def test_truncated_uleb128_raises_malformed(tail):
     # the first string's size prefix starts at the end of the data and is cut
@@ -514,16 +519,32 @@ def test_insns_size_past_end_raises_malformed():
     assert isinstance(info.value, DexError)
 
 
-def test_analyze_apk_reports_malformed_dex_as_warning(tmp_path):
-    p = build_apk(tmp_path / "overrun.apk", {
-        "AndroidManifest.xml": manifest("com.fix.overrun"),
-        "classes.dex": _overrun_dex(),
+def _long_uleb_dex() -> bytes:
+    """A valid dex whose class data is moved to the end of the file behind
+    a six-byte uleb128 (a zero with five continuation bytes)."""
+    blob = bytearray(_simple_writer().build())
+    at = struct.unpack_from("<I", blob, 0x64)[0] + 24  # the first class_def's class_data_off
+    (class_data_off,) = struct.unpack_from("<I", blob, at)
+    struct.pack_into("<I", blob, at, len(blob))
+    blob += b"\x80" * 5 + b"\x00" + blob[class_data_off:]
+    struct.pack_into("<I", blob, 8, zlib.adler32(bytes(blob[12:])) & 0xFFFFFFFF)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("dex, error", [
+    (_overrun_dex, "IndexError"),
+    (_long_uleb_dex, "ValueError: uleb128 at offset"),
+], ids=["overrun", "long-uleb128"])
+def test_analyze_apk_reports_malformed_dex_as_warning(tmp_path, dex, error):
+    p = build_apk(tmp_path / "malformed.apk", {
+        "AndroidManifest.xml": manifest("com.fix.malformed"),
+        "classes.dex": dex(),
     })
     report = analyze_apk(p)
-    assert report.package == "com.fix.overrun"
+    assert report.package == "com.fix.malformed"
     dex_warnings = [w for w in report.warnings if w.startswith("dex:")]
     assert len(dex_warnings) == 1
-    assert dex_warnings[0].startswith("dex: classes.dex: malformed DEX (IndexError")
+    assert dex_warnings[0].startswith(f"dex: classes.dex: malformed DEX ({error}")
 
 
 @pytest.mark.parametrize("name, findings", [

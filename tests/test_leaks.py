@@ -348,7 +348,9 @@ PROP_CLASS = "Lt/H;"
 PROP_EXTERNAL = "Ljava/lang/StringBuilder;->append(Ljava/lang/String;)Ljava/lang/StringBuilder;"
 PROP_FIELDS = ("Lt/H;->f0:Ljava/lang/String;", "Lt/H;->f1:Ljava/lang/String;")
 _PROP_REG = st.integers(0, 1)
-_PROP_STEPS = ("source", "sink", "call", "external", "move", "const", "put", "get")
+_PROP_STEPS = ("source", "sink", "call", "external", "move", "const", "put", "get",
+               "aput-object", "aget-object", "add-int", "add-int/2addr", "add-int/lit8", "cmp-long",
+               "filled-new-array")
 
 
 def _prop_method(i: int) -> str:
@@ -358,17 +360,28 @@ def _prop_method(i: int) -> str:
 @st.composite
 def _acyclic_apps(draw):
     """Static methods h0..hn-1 of one String parameter (v1), each calling
-    only later ones, with random source, sink, external, move, const and
-    static-field steps.  Source and in-app calls move their result to a
-    register, an external call only sometimes."""
+    only later ones, with random source, sink, external, move, const,
+    static-field, array, arithmetic and compare steps.  Source and in-app
+    calls move their result to a register, an external call and
+    filled-new-array only sometimes."""
     n = draw(st.integers(1, 5))
     methods = []
     for i in range(n):
         code = []
         for _ in range(draw(st.integers(1, 10))):
             step = draw(st.sampled_from(_PROP_STEPS))
-            x, y = draw(_PROP_REG), draw(_PROP_REG)
-            if step == "move":
+            x, y, z = draw(_PROP_REG), draw(_PROP_REG), draw(_PROP_REG)
+            if step in ("aput-object", "aget-object", "add-int", "cmp-long"):
+                code.append((step, [x, y, z]))
+            elif step == "add-int/2addr":
+                code.append((step, [x, y]))
+            elif step == "add-int/lit8":
+                code.append((step, [x, y], 1))
+            elif step == "filled-new-array":
+                code.append((step, [x, y], "[Ljava/lang/String;"))
+                if draw(st.booleans()):
+                    code.append(("move-result-object", [z]))
+            elif step == "move":
                 code.append(("move-object", [x, y]))
             elif step == "const":
                 code.append(("const-string", [x], "clean"))

@@ -60,7 +60,7 @@ def test_component_collection_and_name_qualification():
     ]
     recv = m.components[2]
     assert recv.intent_filters == 1
-    assert recv.actions == ["android.provider.Telephony.SMS_RECEIVED"]
+    assert recv.actions == ("android.provider.Telephony.SMS_RECEIVED",)
     prov = m.components[3]
     assert prov.read_permission == "com.acme.READ"
 

@@ -322,19 +322,33 @@ def test_supplementary_sinks_apply_only_to_internet_apps(corpus, monkeypatch):
     assert [id(s) for s in specs] == [id(s) for s in expected]
 
 
-def test_manifest_tree_warnings_reach_the_report(corpus, tmp_path):
+def _unknown_chunks(blob: bytearray) -> None:
+    at = 8 + struct.unpack_from("<I", blob, 12)[0]  # after the string pool chunk
+    blob[at:at] = struct.pack("<HHI", 0x0BAD, 8, 8) + struct.pack("<HHI", 0x0BAE, 8, 8)
+
+
+def _second_root(blob: bytearray) -> None:
+    # a copy of the root's start and end chunks, before the closing namespace
+    # chunk: the pool is followed by the 24-byte namespace start, then the root
+    at = 8 + struct.unpack_from("<I", blob, 12)[0] + 24
+    start = blob[at : at + struct.unpack_from("<I", blob, at + 4)[0]]
+    blob[-24:-24] = start + blob[-48:-24]
+
+
+@pytest.mark.parametrize("edit, warning", [
+    (_unknown_chunks, "manifest: 2 chunk(s) skipped, first unknown chunk type 0x0bad"),
+    (_second_root, "manifest: extra root element <manifest> ignored"),
+], ids=["unknown-chunks", "second-root"])
+def test_manifest_tree_warnings_reach_the_report(corpus, tmp_path, edit, warning):
     with zipfile.ZipFile(corpus["benign"]) as z:
         entries = {name: z.read(name) for name in ("AndroidManifest.xml", "classes.dex")}
     blob = bytearray(entries["AndroidManifest.xml"])
-    at = 8 + struct.unpack_from("<I", blob, 12)[0]  # after the string pool chunk
-    blob[at:at] = struct.pack("<HHI", 0x0BAD, 8, 8) + struct.pack("<HHI", 0x0BAE, 8, 8)
+    edit(blob)
     struct.pack_into("<I", blob, 4, len(blob))
     entries["AndroidManifest.xml"] = bytes(blob)
-    report = analyze_apk(build_apk(tmp_path / "unknown_chunks.apk", entries))
+    report = analyze_apk(build_apk(tmp_path / "edited.apk", entries))
     assert report.package == "com.fix.benign"
-    assert [w for w in report.warnings if w.startswith("manifest:")] == [
-        "manifest: 2 chunk(s) skipped, first unknown chunk type 0x0bad"
-    ]
+    assert [w for w in report.warnings if w.startswith("manifest:")] == [warning]
 
 
 def test_truncated_manifest_chunk_gives_a_report_with_a_warning(corpus, tmp_path):
@@ -431,7 +445,7 @@ def test_records_share_no_mutable_default():
     for make in (
         lambda: AppReport(sha256="a"),
         lambda: ApkArtifact(Path("a.apk"), {}, "a", b"", []),
-        lambda: AxmlElement("", "manifest"),
+        lambda: AxmlElement("manifest"),
         lambda: ManifestModel("p"),
         lambda: ComponentDecl("activity", "p.A", None, None),
         lambda: CodeModel(),
@@ -442,6 +456,6 @@ def test_records_share_no_mutable_default():
         lambda: CorpusIndex(),
     ):
         a, b = make(), make()
-        for name in type(a).__slots__:
+        for name in type(a).__slots__ + getattr(type(a), "_fields", ()):
             if isinstance(getattr(a, name), (list, dict, set)):
                 assert getattr(a, name) is not getattr(b, name), (type(a).__name__, name)
