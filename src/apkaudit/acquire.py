@@ -69,14 +69,25 @@ class TranscriptBridge:
     """Offline stub replaying a recorded transcript.
 
     Transcript schema: {"shell": {command: output}, "files": {device_path:
-    local_source_path}}.  Pulls copy the mapped local file.
+    local_source_path}}, all strings; another shape raises BridgeError.
+    Pulls copy the mapped local file.
     """
 
     def __init__(self, transcript: dict | str | Path):
+        source = transcript
         if not isinstance(transcript, dict):
-            transcript = json.loads(Path(transcript).read_text())
-        self.shell_map: dict[str, str] = transcript.get("shell", {})
-        self.files: dict[str, str] = transcript.get("files", {})
+            try:
+                transcript = json.loads(Path(source).read_bytes())
+            except OSError as exc:
+                raise BridgeError(f"transcript {source}: {exc.strerror or exc}") from exc
+            except ValueError as exc:  # not JSON, or not Unicode
+                raise BridgeError(f"transcript {source}: {exc}") from exc
+        maps = [transcript.get(k, {}) if isinstance(transcript, dict) else None
+                for k in ("shell", "files")]
+        if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
+            raise BridgeError(
+                f"transcript {source}: not an object with 'shell' and 'files' objects of strings")
+        self.shell_map, self.files = maps
 
     def shell(self, serial: str, command: str) -> str:
         if command not in self.shell_map:
@@ -137,12 +148,9 @@ def partition_folder(device_path: str) -> str:
     return "/" + "/".join(parts[:take])
 
 
-class PullResult:
-    __slots__ = ("pulled", "failures")
-
-    def __init__(self):
-        self.pulled: list[Path] = []
-        self.failures: dict[str, str] = {}  # package → reason
+class PullResult(NamedTuple):
+    pulled: list[Path]
+    failures: dict[str, str]  # package → reason
 
 
 def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> PullResult:
@@ -154,7 +162,8 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
     them; other APKs in a flat folder belong to other packages.
     """
     out_dir = Path(out_dir)
-    result = PullResult()
+    pulled: list[Path] = []
+    failures: dict[str, str] = {}
     for pkg in pkgs:
         dest_dir = out_dir / pkg.package
         dest_dir.mkdir(parents=True, exist_ok=True)
@@ -167,14 +176,14 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
             dest = dest_dir / device_path.rsplit("/", 1)[1]
             try:
                 bridge.pull(serial, device_path, dest)
-                result.pulled.append(dest)
+                pulled.append(dest)
             except BridgeError as exc:
-                result.failures[pkg.package] = str(exc)
+                failures[pkg.package] = str(exc)
             except OSError as exc:
                 if exc.errno == 28:  # disk full is fatal
                     raise
-                result.failures[pkg.package] = str(exc)
-    return result
+                failures[pkg.package] = str(exc)
+    return PullResult(pulled, failures)
 
 
 def _sibling_apks(bridge, folder: str) -> list[str]:

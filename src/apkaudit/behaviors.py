@@ -21,7 +21,9 @@ from .manifest import ManifestModel
 DEFAULT_RULES = Path(__file__).parent / "data" / "rules.json"
 
 CATEGORIES = {"sms", "dangerous_command", "log_collection", "silent_install"}
-MATCH_SPACES = {"string_pool", "const_string", "method_ref"}
+# match space name -> the space it loads as; string_pool is an older name
+MATCH_SPACES = {"const_string": "const_string", "string_pool": "const_string",
+                "method_ref": "method_ref"}
 
 SMS_RECEIVED_ACTION = "android.provider.Telephony.SMS_RECEIVED"
 
@@ -54,13 +56,16 @@ def _parse_rules(raw) -> tuple[Rule, ...]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise RuleSchemaError(f"rule #{i} is not an object")
-        try:
-            rid = entry["id"]
-            category = entry["category"]
-            pattern = entry["pattern"]
-            space = entry["match_space"]
-        except KeyError as exc:
-            raise RuleSchemaError(f"rule #{i} missing key {exc}") from exc
+        for key in ("id", "category", "pattern", "match_space"):
+            if key not in entry:
+                raise RuleSchemaError(f"rule #{i} missing key {key!r}")
+            if not (isinstance(entry[key], str) and entry[key]):
+                raise RuleSchemaError(
+                    f"rule #{i}: {key} must be a non-empty string, not {entry[key]!r}")
+        rid, category, space = entry["id"], entry["category"], entry["match_space"]
+        perms = entry.get("required_permissions", [])
+        if not (isinstance(perms, list) and all(isinstance(p, str) for p in perms)):
+            raise RuleSchemaError(f"rule {rid!r}: required_permissions must be a list of strings")
         if category not in CATEGORIES:
             raise RuleSchemaError(f"rule {rid!r}: unknown category {category!r}")
         if space not in MATCH_SPACES:
@@ -68,20 +73,11 @@ def _parse_rules(raw) -> tuple[Rule, ...]:
         if rid in seen:
             raise RuleSchemaError(f"duplicate rule id {rid!r}")
         seen.add(rid)
-        rules.append(
-            Rule(
-                id=rid,
-                category=category,
-                pattern=pattern,
-                match_space=space,
-                required_permissions=frozenset(entry.get("required_permissions", [])),
-                co_occurrence=entry.get("co_occurrence"),
-            )
-        )
+        rules.append(Rule(rid, category, entry["pattern"], MATCH_SPACES[space], frozenset(perms),
+                          entry.get("co_occurrence")))
     for r in rules:
         partner = r.co_occurrence
-        # a JSON array or object is never an id, and cannot be looked up in a set
-        if partner and (isinstance(partner, (list, dict)) or partner not in seen):
+        if partner is not None and (not isinstance(partner, str) or partner not in seen):
             raise RuleSchemaError(f"rule {r.id!r}: unknown co_occurrence partner {partner!r}")
     return tuple(rules)
 
@@ -99,7 +95,7 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
     for rule in rules:
         pattern = rule.pattern
         hits: list[tuple[str, str, str]] = []
-        if rule.match_space in ("const_string", "string_pool"):
+        if rule.match_space == "const_string":
             for method_key, class_desc, s in const_strings:
                 if pattern in s:
                     hits.append((method_key, class_desc, "high"))

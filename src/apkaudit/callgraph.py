@@ -21,6 +21,7 @@ The index holds only tuples, which the cycle collector stops tracking.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .dex import OFFSET, OPCODE, REF, CodeModel, DexMethod
 from .dex.opcodes import CONST_STRINGS, EXACT_INVOKES, FIELD_READS, INVOKES, SUPER_INVOKES
@@ -34,12 +35,9 @@ _REFLECTIVE_CALLS = tuple(
 _NO_CODE = ((), (), ())
 
 
-class CallGraph:
-    __slots__ = ("adjacency", "index")
-
-    def __init__(self):
-        self.adjacency: dict[str, tuple[str, ...]] = {}
-        self.index: dict[DexMethod, tuple[tuple, tuple[str, ...], tuple[str, ...]]] = {}
+class CallGraph(NamedTuple):
+    adjacency: dict[str, tuple[str, ...]]
+    index: dict[DexMethod, tuple[tuple, tuple[str, ...], tuple[str, ...]]]
 
     def callees(self, key: str) -> tuple[str, ...]:
         return self.adjacency.get(key, ())
@@ -59,7 +57,8 @@ class CallGraph:
 
 
 def build_callgraph(m: CodeModel) -> CallGraph:
-    g = CallGraph()
+    adjacency: dict[str, tuple[str, ...]] = {}
+    index: dict[DexMethod, tuple] = {}
     # subtype map over in-app classes (superclass and interface edges)
     subclasses: dict[str, set[str]] = {}
     for cls in m.classes.values():
@@ -88,12 +87,12 @@ def build_callgraph(m: CodeModel) -> CallGraph:
                 elif opcode in FIELD_READS:
                     reads[ref] = None
             if not (sites or strings or reads):
-                g.index[meth] = _NO_CODE
+                index[meth] = _NO_CODE
                 continue
-            g.index[meth] = (tuple(sites), tuple(strings), tuple(reads))
+            index[meth] = (tuple(sites), tuple(strings), tuple(reads))
             if sites and meth.is_concrete:
-                g.adjacency[meth.key] = tuple(sorted({t for _, _, ts in sites for t in ts}))
-    return g
+                adjacency[meth.key] = tuple(sorted({t for _, _, ts in sites for t in ts}))
+    return CallGraph(adjacency, index)
 
 
 def _resolve(m: CodeModel, subclasses: dict[str, set[str]], opcode: int,

@@ -91,17 +91,13 @@ class SignerInfo(NamedTuple):
     scheme: str  # "v1" | "v2" | "v3"
 
 
-class ApkArtifact:
-    __slots__ = ("path", "entries", "sha256", "archive", "signers", "warnings")
-
-    def __init__(self, path: Path, entries: dict[str, ZipEntry], sha256: str, archive: bytes,
-                 warnings: list[str]):
-        self.path = path
-        self.entries = entries  # first entry of each name, in archive order
-        self.sha256 = sha256
-        self.archive = archive  # the APK's bytes
-        self.signers: list[SignerInfo] = []
-        self.warnings = warnings
+class ApkArtifact(NamedTuple):
+    path: Path
+    entries: dict[str, ZipEntry]  # first entry of each name, in archive order
+    sha256: str
+    archive: bytes  # the APK's bytes
+    warnings: list[str]
+    signers: tuple[SignerInfo, ...] = ()
 
 
 def open_apk(path) -> ApkArtifact:
@@ -125,8 +121,7 @@ def open_apk(path) -> ApkArtifact:
     except ValueError as exc:
         raise NotAZipError(f"{path}: {exc}") from exc
     art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), data, warnings)
-    art.signers = extract_signers(art, end)
-    return art
+    return art._replace(signers=extract_signers(art, end))
 
 
 def _read_directory(data: bytes, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]]:
@@ -268,7 +263,7 @@ def _entry_data(data: bytes, entry: ZipEntry) -> bytes:
     return body
 
 
-def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
+def extract_signers(a: ApkArtifact, end: int) -> tuple[SignerInfo, ...]:
     """Collect distinct signing certificates, preferring the signing block.
 
     ``end`` is the position of the end of central directory record in the
@@ -304,7 +299,7 @@ def extract_signers(a: ApkArtifact, end: int) -> list[SignerInfo]:
             continue
         for der, cn_o in certs:
             add(der, cn_o, "v1")
-    return list(signers.values())
+    return tuple(signers.values())
 
 
 class DerError(ValueError):
@@ -442,8 +437,10 @@ def _find_signing_block(raw: bytes, end: int) -> bytes | None:
     # size excludes only the leading size field, so the first id-value pair
     # starts at cd_offset - size and the leading copy sits 8 bytes before it
     size = struct.unpack_from("<Q", raw, cd_offset - 24)[0]
+    if size < 24:
+        raise MalformedSigningBlockError("declared size smaller than its size and magic fields")
     start = cd_offset - size
-    if start < 8 or size < 24:
+    if start < 8:
         raise MalformedSigningBlockError("declared size larger than file prefix")
     size_head = struct.unpack_from("<Q", raw, start - 8)[0]
     if size_head != size:

@@ -1,9 +1,8 @@
 """Report data model: findings, per-app reports and the corpus summary.
 
 This module imports only ``json`` and ``typing``, so ``apkaudit report``
-rolls up saved reports without loading any analyser.  The finding types and
-``CorpusSummary`` are ``NamedTuple``s; ``AppReport``, which the pipeline
-fills in stage by stage, is a class with ``__slots__``.  The pipeline that
+rolls up saved reports without loading any analyser.  The finding types,
+``AppReport`` and ``CorpusSummary`` are ``NamedTuple``s.  The pipeline that
 produces an :class:`AppReport` lives in :mod:`apkaudit.report`.
 """
 
@@ -79,43 +78,21 @@ _CODECS = {
 _HEADER = ("sha256", "package", "version_name", "version_code", "signer_label", "device")
 
 
-class AppReport:
+class AppReport(NamedTuple):
     """One app's findings and warnings; ``to_dict``/``from_dict`` give its
-    JSON form.  Two reports are equal when every field is."""
+    JSON form."""
 
-    __slots__ = ("sha256", "package", "version_name", "version_code", "signer_label", "device",
-                 "leaks", "behaviors", "exported_components", "warnings", "timings")
-
-    def __init__(
-        self,
-        sha256: str,
-        package: str = "",
-        version_name: str = "",
-        version_code: int = 0,
-        signer_label: str = "",
-        device: str = "",
-        leaks: list[LeakFinding] | None = None,
-        behaviors: list[BehaviorFinding] | None = None,
-        exported_components: list[ComponentFinding] | None = None,
-        warnings: list[str] | None = None,
-        timings: dict[str, float] | None = None,
-    ):
-        self.sha256 = sha256
-        self.package = package
-        self.version_name = version_name
-        self.version_code = version_code
-        self.signer_label = signer_label
-        self.device = device
-        self.leaks = leaks or []
-        self.behaviors = behaviors or []
-        self.exported_components = exported_components or []
-        self.warnings = warnings or []
-        self.timings = timings
-
-    def __eq__(self, other):
-        if type(other) is not AppReport:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    sha256: str
+    package: str = ""
+    version_name: str = ""
+    version_code: int = 0
+    signer_label: str = ""
+    device: str = ""
+    leaks: tuple[LeakFinding, ...] = ()
+    behaviors: tuple[BehaviorFinding, ...] = ()
+    exported_components: tuple[ComponentFinding, ...] = ()
+    warnings: tuple[str, ...] = ()
+    timings: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in _HEADER}
@@ -127,7 +104,7 @@ class AppReport:
             ]
             for key, (_finding, codec) in _CODECS.items()
         }
-        doc["warnings"] = self.warnings
+        doc["warnings"] = list(self.warnings)
         if self.timings is not None:
             doc["timings"] = self.timings
         return doc
@@ -138,13 +115,13 @@ class AppReport:
         field's default; a required one raises TypeError."""
         found = doc.get("findings", {})
 
-        def decode(key: str) -> list:
+        def decode(key: str) -> tuple:
             finding, codec = _CODECS[key]
-            return [
+            return tuple(
                 finding(**{name: tuple(v) if isinstance(v := x[k], list) else v
                            for name, k in codec if k in x})
                 for x in found.get(key, [])
-            ]
+            )
 
         return cls(
             sha256=doc["sha256"],
@@ -152,7 +129,7 @@ class AppReport:
             leaks=decode("leaks"),
             behaviors=decode("behaviors"),
             exported_components=decode("exported_components"),
-            warnings=list(doc.get("warnings", [])),
+            warnings=tuple(doc.get("warnings", ())),
             timings=doc.get("timings"),
         )
 

@@ -78,20 +78,17 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         timings: dict[str, float] = {}
 
         art = open_apk(path)  # invalid-apk propagates: no report without a container
-        report = AppReport(sha256=art.sha256, device=device)
-        report.warnings.extend(art.warnings)
-        report.signer_label = data.authorities.label(art.signers[0] if art.signers else None)
+        warnings = list(art.warnings)
 
         man: ManifestModel | None = None
+        header: tuple = ()  # package, version_name, version_code
         try:
             tree = decode_axml(read_entry(art, "AndroidManifest.xml"))
-            report.warnings.extend(f"manifest: {w}" for w in tree.warnings)
+            warnings.extend(f"manifest: {w}" for w in tree.warnings)
             man = build_manifest(tree)
-            report.package = man.package
-            report.version_name = man.version_name
-            report.version_code = man.version_code
+            header = (man.package, man.version_name, man.version_code)
         except ApkAuditError as exc:
-            report.warnings.append(f"manifest: {exc}")
+            warnings.append(f"manifest: {exc}")
         timings["manifest"] = time.monotonic() - t0
 
         code = None
@@ -99,37 +96,46 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
             t = time.monotonic()
             try:
                 code = load_app_code(art)
-                report.warnings.extend(code.warnings)
+                warnings.extend(code.warnings)
             except (CorruptEntryError, DexError) as exc:
-                report.warnings.append(f"dex: {exc}")
+                warnings.append(f"dex: {exc}")
             timings["dex"] = time.monotonic() - t
 
-        if man is not None and code is not None:
+        behaviors = exported = leaks = ()
+        if code is not None:  # code is only loaded once a manifest exists
             t = time.monotonic()
             graph = build_callgraph(code)
             timings["callgraph"] = time.monotonic() - t
 
             t = time.monotonic()
-            report.behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, graph)
+            behaviors = behaviors_mod.scan_behaviors(code, man, data.rules, graph)
             timings["behaviors"] = time.monotonic() - t
 
             t = time.monotonic()
-            report.exported_components, comp_warnings = components_mod.audit_components(
+            exported, comp_warnings = components_mod.audit_components(
                 man, code, graph, data.apis, config.depth
             )
-            report.warnings.extend(comp_warnings)
+            warnings.extend(comp_warnings)
             timings["components"] = time.monotonic() - t
 
             t = time.monotonic()
             spec = data.internet_spec if INTERNET_PERMISSION in man.uses_permissions else data.spec
-            report.warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
-            report.leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
+            warnings.extend(f"taint-spec: {w}" for w in spec.warnings)
+            leaks = leaks_mod.analyze_leaks(code, graph, spec, config.depth)
             timings["leaks"] = time.monotonic() - t
 
         timings["total"] = time.monotonic() - t0
-        if config.timings:
-            report.timings = {k: round(v, 6) for k, v in timings.items()}
-        return report
+        return AppReport(
+            art.sha256,
+            *header,
+            signer_label=data.authorities.label(art.signers[0] if art.signers else None),
+            device=device,
+            leaks=tuple(leaks),
+            behaviors=tuple(behaviors),
+            exported_components=tuple(exported),
+            warnings=tuple(warnings),
+            timings={k: round(v, 6) for k, v in timings.items()} if config.timings else None,
+        )
     finally:
         if enabled:
             gc.enable()

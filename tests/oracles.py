@@ -299,7 +299,7 @@ def behavior_oracle(code: CodeModel, man, rules) -> set[tuple]:
     hits: dict[str, list[tuple[str, str, str]]] = {}
     for rule in rules:
         rh = []
-        if rule.match_space in ("const_string", "string_pool"):
+        if rule.match_space == "const_string":
             rh += [(mk, cd, "high") for mk, cd, s in const_sites if rule.pattern in s]
             if any(rule.pattern in s for s in pool_only):
                 rh.append(("string-pool", "", "medium"))

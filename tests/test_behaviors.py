@@ -76,6 +76,13 @@ def test_rule_schema_validation(tmp_path):
                "co_occurrence": ["a"]}])
     with pytest.raises(RuleSchemaError):
         load([{"id": "a", "category": "sms"}])  # missing keys
+    for bad in ({"category": ["sms"]}, {"id": ["a"]}, {"pattern": 5}, {"match_space": None},
+                {"pattern": ""}, {"required_permissions": "android.permission.X"},
+                {"required_permissions": [1]}, {"co_occurrence": 5}, {"co_occurrence": ""}):
+        with pytest.raises(RuleSchemaError):  # a field of the wrong type
+            load([{**ok[0], **bad}])
+    # the older name of the const-string space loads as that space
+    assert load([{**ok[0], "match_space": "string_pool"}])[0].match_space == "const_string"
 
 
 def test_const_string_match_high_confidence():

@@ -290,6 +290,17 @@ def test_scan_rules_schema_error_names_file(corpus, tmp_path, capsys):
     assert len(errors) == 1 and "obj.json" in errors[0]
 
 
+def test_scan_rules_with_a_list_category_is_an_error(corpus, tmp_path, capsys):
+    rules = tmp_path / "typed.json"
+    rules.write_text(json.dumps(
+        [{"id": "a", "category": ["sms"], "pattern": "x", "match_space": "const_string"}]))
+    rc = main(["scan", str(corpus["benign"]), "--rules", str(rules)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert err.splitlines() == [
+        f"error: data file {rules}: rule #0: category must be a non-empty string, not ['sms']"]
+
+
 def test_scan_reports_dropped_spec_lines(corpus, tmp_path, capsys):
     spec = DEFAULT_SPEC.read_text()
     susi = tmp_path / "susi.txt"
@@ -373,6 +384,28 @@ def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, r
     assert line.startswith(f"error: {index}: not a corpus index ({reason}")
     assert list(out.iterdir()) == [index]  # read before anything is pulled
     assert index.read_bytes() == content
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"junk", "Expecting value"),
+    (None, "No such file or directory"),
+    (b"[]", "not an object with 'shell' and 'files' objects of strings"),
+    (b'{"files": []}', "not an object with 'shell' and 'files' objects of strings"),
+    (b'{"shell": {"pm list packages -f": 5}}', "not an object with 'shell' and 'files'"),
+    (b'{"files": {"/system/app/A.apk": 5}}', "not an object with 'shell' and 'files'"),
+], ids=["junk", "missing", "array", "files-array", "shell-number", "file-number"])
+def test_acquire_with_a_bad_transcript_is_an_error(tmp_path, capsys, content, reason):
+    tr_path = tmp_path / "transcript.json"
+    if content is not None:
+        tr_path.write_bytes(content)
+    out = tmp_path / "pulled"
+    rc = main(["acquire", "--serial", "SER1", "--out", str(out), "--transcript", str(tr_path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: transcript {tr_path}: {reason}")
+    assert not out.exists()
 
 
 def test_acquire_of_a_package_named_like_an_apk(tmp_path, capsys):

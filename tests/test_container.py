@@ -415,7 +415,7 @@ def test_signer_extraction(tmp_path, scheme):
 
 def test_unsigned_has_no_signers(tmp_path):
     art = open_apk(build_apk(tmp_path / "u.apk", {"f": b"x"}, sign=None))
-    assert art.signers == []
+    assert art.signers == ()
 
 
 def test_same_cert_in_both_schemes_dedupes(tmp_path):
@@ -445,15 +445,17 @@ def _pair(block_id: int, value: bytes) -> bytes:
     (_sig_block(b"\0" * 8), "truncated id-value pair header"),
     (_sig_block(struct.pack("<QI", 99, V2_ID)), "id-value pair overruns block"),
     (_sig_block(b"", size=1 << 40), "declared size larger than file prefix"),
+    (_sig_block(b"", size=8), "declared size smaller than its size and magic fields"),
     (_sig_block(b"\0" * 16, head=999), "leading/trailing size mismatch"),
     (_sig_block(_pair(V2_ID, b"\0\0")), "length prefix past end of buffer"),
     (_sig_block(_pair(V3_ID, struct.pack("<I", 100))), "value past end of buffer"),
-], ids=["pair-header", "pair-overrun", "size-too-large", "size-mismatch", "lv-prefix", "lv-value"])
+], ids=["pair-header", "pair-overrun", "size-too-large", "size-too-small", "size-mismatch",
+        "lv-prefix", "lv-value"])
 def test_malformed_signing_block_is_warning_not_fatal(tmp_path, bogus, reason):
     p = build_apk(tmp_path / "m.apk", {"f": b"x"}, sign=None)
     _splice_signing_block(p, bogus)
     art = open_apk(p)
-    assert art.signers == []
+    assert art.signers == ()
     assert art.warnings == [f"malformed signing block: {reason}"]
 
 
@@ -483,5 +485,5 @@ def test_authority_map_first_match_wins(tmp_path):
 def test_extract_signers_bad_v1_blob_warns(tmp_path):
     p = build_apk(tmp_path / "b.apk", {"META-INF/CERT.RSA": b"not pkcs7"}, sign=None)
     art = open_apk(p)
-    assert art.signers == []
+    assert art.signers == ()
     assert any("unparsable v1 signature" in w for w in art.warnings)

@@ -665,5 +665,5 @@ def test_invalid_mutf8_counted_in_one_warning_per_entry(tmp_path, caplog):
         "classes2.dex": _invalid_mutf8_dex(),
     })
     report = analyze_apk(p)
-    assert report.warnings == ["classes2.dex: 2 invalid MUTF-8 string(s) replaced"]
+    assert report.warnings == ("classes2.dex: 2 invalid MUTF-8 string(s) replaced",)
     assert not [r for r in caplog.records if r.name.startswith("apkaudit")]

@@ -11,9 +11,9 @@ from cryptography.hazmat.primitives.serialization import Encoding
 
 from apkaudit import leaks
 from apkaudit import report as report_mod
-from apkaudit.acquire import CorpusIndex, PullResult
+from apkaudit.acquire import CorpusIndex, pull_packages
 from apkaudit.axml import AxmlElement
-from apkaudit.callgraph import CallGraph
+from apkaudit.callgraph import build_callgraph
 from apkaudit.container import ApkArtifact, open_apk
 from apkaudit.dex import CodeModel, DexClass, DexMethod, load_app_code
 from apkaudit.errors import ApkAuditError, DexMagicError, NotAZipError
@@ -54,13 +54,13 @@ def _report(sha, label="", device="", leaks=0, comps=0, cats=()):
         sha256=sha,
         signer_label=label,
         device=device,
-        leaks=[leak] * leaks,
-        exported_components=[comp] * comps,
-        behaviors=[
+        leaks=(leak,) * leaks,
+        exported_components=(comp,) * comps,
+        behaviors=tuple(
             BehaviorFinding(category=c, rule_id=f"{c}_r", confidence="high",
                             method="m", matched="x", component=None)
             for c in cats
-        ],
+        ),
     )
 
 
@@ -120,16 +120,15 @@ def test_render_table_layout():
     assert lines[-1].startswith("Total apps") and lines[-1].endswith("1")
 
 
-def test_app_report_roundtrip(corpus):
-    report = analyze_apk(
-        corpus["listing5_leak"], AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS))
-    )
-    assert report.has_findings
-    back = AppReport.from_dict(report.to_dict())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_app_report_roundtrip(corpus, expected, name):
+    report = analyze_apk(corpus[name], AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS)))
+    assert report.has_findings == any(expected[name].values())
+    hash(report)  # every field a tuple or a string: no list reached the report
+    back = AppReport.from_dict(json.loads(report.to_json()))
+    assert back == report
+    hash(back)
     assert back.to_dict() == report.to_dict()
-    assert back.leaks == report.leaks
-    assert back.exported_components == report.exported_components
-    assert [b.rule_id for b in back.behaviors] == [b.rule_id for b in report.behaviors]
 
 
 def test_analyze_not_a_zip_propagates(tmp_path):
@@ -143,7 +142,7 @@ def test_analyze_degrades_without_manifest(tmp_path):
     p = build_apk(tmp_path / "noman.apk", {"classes.dex": b"xx", "a": b"b"})
     report = analyze_apk(p)
     assert report.package == ""
-    assert report.leaks == [] and report.behaviors == []
+    assert report.leaks == () and report.behaviors == ()
     assert any(w.startswith("manifest:") for w in report.warnings)
 
 
@@ -234,11 +233,11 @@ def test_analysis_leaves_no_cyclic_garbage(corpus, tmp_path, name):
 
 def test_degraded_dex_entries_keep_their_warnings_and_error(corpus, tmp_path):
     report = analyze_apk(_degraded_apk(corpus, tmp_path, "junk_dex"))
-    assert report.warnings == ["dex: classes.dex: bad DEX magic b'junk'"]
+    assert report.warnings == ("dex: classes.dex: bad DEX magic b'junk'",)
     with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic b'junk'$"):
         load_app_code(open_apk(tmp_path / "junk_dex.apk"))
     report = analyze_apk(_degraded_apk(corpus, tmp_path, "good_and_junk_dex"), LEAK_CONFIG)
-    assert report.warnings == ["dex: classes2.dex: bad DEX magic b'junk'"]
+    assert report.warnings == ("dex: classes2.dex: bad DEX magic b'junk'",)
     assert report.leaks
 
 
@@ -378,15 +377,15 @@ def _every_finding_report() -> AppReport:
     return AppReport(
         sha256=sha, package="com.x", version_name="1.2", version_code=12,
         signer_label="Google", device="tecno",
-        leaks=[LeakFinding("Lsrc;->a()V", "Lsink;->b(I)V", "log", ("La;->m()V", 3),
-                           ("La;->n()V", 7), ("La;->m()V", "La;->n()V"), "device_id")],
-        behaviors=[BehaviorFinding("sms", "sms_delete", "medium", "string-pool", "content://sms"),
+        leaks=(LeakFinding("Lsrc;->a()V", "Lsink;->b(I)V", "log", ("La;->m()V", 3),
+                           ("La;->n()V", 7), ("La;->m()V", "La;->n()V"), "device_id"),),
+        behaviors=(BehaviorFinding("sms", "sms_delete", "medium", "string-pool", "content://sms"),
                    BehaviorFinding("sms", "sms_recv", "high", "manifest", "SMS_RECEIVED",
-                                   component="Lcom/x/R;")],
-        exported_components=[ComponentFinding("Lcom/x/S;", "service", "Lapi;->c()V",
+                                   component="Lcom/x/R;")),
+        exported_components=(ComponentFinding("Lcom/x/S;", "service", "Lapi;->c()V",
                                               "Lcom/x/S;->run()V", ("Lcom/x/S;->run()V",),
-                                              "location", confidence="medium")],
-        warnings=["w1"],
+                                              "location", confidence="medium"),),
+        warnings=("w1",),
         timings={"total": 0.5},
     )
 
@@ -431,7 +430,7 @@ def test_app_report_from_dict_defaults():
     assert back.behaviors[1].component is None
     assert back.exported_components[0].confidence == "high"
     assert (back.package, back.version_name, back.version_code, back.signer_label,
-            back.device, back.warnings, back.timings) == ("", "", 0, "", "", [], None)
+            back.device, back.warnings, back.timings) == ("", "", 0, "", "", (), None)
     assert "timings" not in back.to_dict()
     bare = AppReport.from_dict({"sha256": "d" * 64})
     assert bare == AppReport(sha256="d" * 64)
@@ -441,7 +440,7 @@ def test_app_report_from_dict_defaults():
         AppReport.from_dict(doc)
 
 
-def test_records_share_no_mutable_default():
+def test_records_share_no_mutable_default(tmp_path):
     for make in (
         lambda: AppReport(sha256="a"),
         lambda: ApkArtifact(Path("a.apk"), {}, "a", b"", []),
@@ -451,8 +450,8 @@ def test_records_share_no_mutable_default():
         lambda: CodeModel(),
         lambda: DexClass("La;", None, ()),
         lambda: DexMethod("La;->m()V", 0),
-        lambda: CallGraph(),
-        lambda: PullResult(),
+        lambda: build_callgraph(CodeModel()),
+        lambda: pull_packages(None, "S1", [], tmp_path),
         lambda: CorpusIndex(),
     ):
         a, b = make(), make()

@@ -155,9 +155,9 @@ def test_apk_signers_match_cryptography(tmp_path, scheme, count):
         _splice_signing_block(p, _v2_block(ders[0], V2_ID if scheme == "v2" else V3_ID, ders[1:]))
     art = open_apk(p)
     assert art.warnings == []
-    assert art.signers == [
+    assert art.signers == tuple(
         SignerInfo(*_oracle_fields(d), hashlib.sha256(d).hexdigest(), scheme) for d in ders
-    ]
+    )
 
 
 def test_unparsable_v2_certificate_has_empty_subject(tmp_path):
@@ -203,7 +203,7 @@ BER_BLOB = b"\x30\x80" + BLOB[2 + (BLOB[1] & 0x7F) :] + b"\x00\x00"
 def test_bad_v1_blob_is_one_warning(tmp_path, blob, reason):
     p = build_apk(tmp_path / "b.apk", {"META-INF/CERT.RSA": blob}, sign=None)
     art = open_apk(p)
-    assert art.signers == []
+    assert art.signers == ()
     assert art.warnings == [f"unparsable v1 signature META-INF/CERT.RSA: {reason}"]
 
 
@@ -216,7 +216,7 @@ def test_v1_blob_with_a_malformed_certificate_adds_none(tmp_path):
     with pytest.raises(ValueError):
         _oracle_walk_pkcs7(bad)
     art = open_apk(build_apk(tmp_path / "m.apk", {"META-INF/CERT.RSA": bad}, sign=None))
-    assert art.signers == []
+    assert art.signers == ()
     offset = at - blob.index(second)
     assert art.warnings == [
         f"unparsable v1 signature META-INF/CERT.RSA: unexpected tag 0x05 at offset {offset}"
