@@ -4,7 +4,8 @@ A rule fires when its literal pattern occurs (case-sensitive substring) in
 its match space, its permission gate passes, and any co-occurrence partner
 matched inside the same class.  Matches sitting only in the string pool
 (never used by a decoded body) are kept at medium confidence instead of
-being dropped.
+being dropped.  The rules are matched while the call graph's code index is
+walked, in place.
 """
 
 from __future__ import annotations
@@ -85,38 +86,43 @@ def _parse_rules(raw) -> tuple[Rule, ...]:
 def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
                    g: CallGraph) -> list[BehaviorFinding]:
     """Reads the code through the index of ``g``, the app's call graph."""
-    const_strings, method_refs, pool_only = _collect_sites(code, g)
-    findings: list[BehaviorFinding] = []
+    per_rule: dict[str, list[tuple[str, str, str]]] = {r.id: [] for r in rules}  # (method, class, conf)
+    strings = [(r.pattern, per_rule[r.id]) for r in rules if r.match_space == "const_string"]
+    refs = [(r.pattern, per_rule[r.id]) for r in rules if r.match_space == "method_ref"]
+    used: set[str] = set()
+    for cls in code.classes.values():
+        for m in cls.methods:
+            sites, consts, _ = g.index[m]
+            for s in consts:
+                for pattern, hits in strings:
+                    if pattern in s:
+                        hits.append((m.key, cls.descriptor, "high"))
+            used.update(consts)
+            for _, ref, _ in sites:
+                for pattern, hits in refs:
+                    if pattern in ref:
+                        hits.append((m.key, cls.descriptor, "high"))
+    pool_hit = ("string-pool", "", "medium")  # one per rule, whichever string matched
+    for s in code.string_pool:
+        if s not in used:
+            for pattern, hits in strings:
+                if pattern in s and hits[-1:] != [pool_hit]:
+                    hits.append(pool_hit)
 
     # class → rule ids with a body-level match there (for co-occurrence)
     class_matches: dict[str, set[str]] = {}
-    per_rule: dict[str, list[tuple[str, str, str]]] = {}  # rule → (method, class, conf)
-
     for rule in rules:
-        pattern = rule.pattern
-        hits: list[tuple[str, str, str]] = []
-        if rule.match_space == "const_string":
-            for method_key, class_desc, s in const_strings:
-                if pattern in s:
-                    hits.append((method_key, class_desc, "high"))
-            for s in pool_only:  # one hit whichever string matched
-                if pattern in s:
-                    hits.append(("string-pool", "", "medium"))
-                    break
-        elif rule.match_space == "method_ref":
-            for method_key, class_desc, ref in method_refs:
-                if pattern in ref:
-                    hits.append((method_key, class_desc, "high"))
+        hits = per_rule[rule.id]
         # manifest side channel for the SMS broadcast action
-        if pattern == "Telephony.SMS_RECEIVED":
+        if rule.pattern == "Telephony.SMS_RECEIVED":
             for comp in man.components:
                 if SMS_RECEIVED_ACTION in comp.actions:
                     hits.append(("manifest", comp.class_name, "high"))
-        per_rule[rule.id] = hits
         for _method, cls, _conf in hits:
             if cls:
                 class_matches.setdefault(cls, set()).add(rule.id)
 
+    findings: list[BehaviorFinding] = []
     for rule in rules:
         if rule.required_permissions and not (rule.required_permissions & man.uses_permissions):
             continue
@@ -141,20 +147,3 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
             )
     return sorted(findings, key=BehaviorFinding.sort_key)
 
-
-def _collect_sites(code: CodeModel, g: CallGraph):
-    """(method key, class, string) of each const-string, (method key, class,
-    callee key) of each call site, and the pool strings no const-string uses."""
-    const_strings: list[tuple[str, str, str]] = []
-    method_refs: list[tuple[str, str, str]] = []
-    used: set[str] = set()
-    for cls in code.classes.values():
-        for m in cls.methods:
-            sites, strings, _ = g.index[m]
-            for s in strings:
-                const_strings.append((m.key, cls.descriptor, s))
-            used.update(strings)
-            for _, ref, _ in sites:
-                method_refs.append((m.key, cls.descriptor, ref))
-    pool_only = code.string_pool - used
-    return const_strings, method_refs, pool_only

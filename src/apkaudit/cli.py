@@ -148,9 +148,12 @@ def _cmd_scan(args) -> int:
     pool = None
     if len(paths) > 1 and args.jobs > 1:
         import concurrent.futures
+        import multiprocessing
 
-        # the fork start method starts every worker up front
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)))
+        # fork starts every worker up front, and the workers inherit the
+        # loaded detection data; Python 3.14 makes forkserver Linux's default
+        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)), mp_context=ctx)
     futures = [pool.submit(_scan_one, str(p), config) for p in paths] if pool else None
     # collected in path order for any --jobs
     for i, p in enumerate(paths):

@@ -1,33 +1,20 @@
 """APK container handling: entry enumeration, digests, signing certificates.
 
-APKs are ZIP files, read with a small strict reader over the one buffer of
-the APK's bytes; each APK is read from disk once, and the hash, the
-directory walk, the signing-block search and every entry read work over
-that buffer.  ``_read_directory`` finds the end record in the last 64 KiB
-+ 22 bytes (following a ZIP64 locator if there is one), walks the central
-directory once into one :class:`ZipEntry` per record and keeps the first
-entry of each name.  As in ``zipfile``, names are UTF-8 when flag bit 11 is
-set and cp437 otherwise, end at a NUL, and local-header offsets are shifted
-by the bytes prepended to the archive; a ZIP64 extra field is read only for
-a size or offset of 0xFFFFFFFF.  :func:`read_entry` inflates only the entry
-it is asked for: it checks the local header's signature and name, rejects
-encrypted and patched-data entries, inflates STORED or DEFLATE data (the
-only methods Android's own reader accepts) and checks the declared size and
-the CRC-32.  Nothing beyond the CRC-32 is verified.
-
-Certificate extraction understands both the v1 scheme (PKCS#7 blobs under
-META-INF/) and the APK Signing Block (v2/v3) that sits just before the
-central directory.  Certificates are read with a small strict DER walker
-(``_pkcs7_certs``, ``_subject_fields``): definite minimal lengths, the tag
-of every element it reads checked, fixed-depth loops.  It takes from a
-certificate only its bytes (for the fingerprint) and the first subject CN
-and O (for the authority label).  Nothing is verified: no signature, digest
-or chain.
+:func:`open_apk` opens an APK once and hashes it through one 64 KiB
+buffer; the ZIP directory, the signing block and each entry are then read
+by position, so only the bytes parsed are held.  The file stays open until
+the artifact is freed, so hold few at a time; a file changed after the
+hash is analysed as it then is.  Names and offsets are read as in
+``zipfile``.  Certificates come from v1 PKCS#7 blobs under META-INF/ and
+the v2/v3 APK Signing Block, read by a strict DER walker.  Nothing is
+verified beyond each entry's CRC-32.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 import struct
 import sys
 import zlib
@@ -68,7 +55,7 @@ _MAX32 = 0xFFFFFFFF
 _UTF8_NAME = 0x800  # flag bit 11
 _ENCRYPTED = 0x1  # flag bit 0
 _PATCHED = 0x20  # flag bit 5
-_STORED, _DEFLATED = 0, 8
+_STORED, _DEFLATED = 0, 8  # all Android's reader accepts
 
 
 class ZipEntry(NamedTuple):
@@ -91,18 +78,38 @@ class SignerInfo(NamedTuple):
     scheme: str  # "v1" | "v2" | "v3"
 
 
+class _ApkFile:
+    """A file read by position: ``len()`` and non-negative slices, as of
+    ``bytes``.  Like ``mmap``, it closes its own descriptor when freed."""
+
+    def __init__(self, fd, size):
+        self.fd, self.size = fd, size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, s):
+        stop = min(s.stop, self.size)  # os.read allocates all it is asked for
+        if s.start >= stop:
+            return b""
+        os.lseek(self.fd, s.start, os.SEEK_SET)
+        return os.read(self.fd, stop - s.start)
+
+    def __del__(self):
+        os.close(self.fd)
+
+
 class ApkArtifact(NamedTuple):
     path: Path
     entries: dict[str, ZipEntry]  # first entry of each name, in archive order
     sha256: str
-    archive: bytes  # the APK's bytes
+    archive: bytes | _ApkFile  # read by slices
     warnings: list[str]
     signers: tuple[SignerInfo, ...] = ()
 
 
 def open_apk(path) -> ApkArtifact:
-    """Read an APK once: hash its bytes, enumerate its entries and find its
-    signers, all over the one buffer.
+    """Open an APK once: hash it, enumerate its entries and find its signers.
 
     Entries are not decompressed here; use :func:`read_entry` for that.
     A file that cannot be read raises :class:`ApkReadError`, one whose ZIP
@@ -110,7 +117,15 @@ def open_apk(path) -> ApkArtifact:
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        # a device or FIFO may never end; a directory fails to open
+        if not (stat.S_ISREG(mode := path.stat().st_mode) or stat.S_ISDIR(mode)):
+            raise ApkReadError(f"{path}: not a regular file")
+        with path.open("rb", buffering=0) as file:
+            digest, size, buf = hashlib.sha256(), 0, bytearray(0x10000)
+            while n := file.readinto(buf):
+                digest.update(memoryview(buf)[:n])
+                size += n
+            data = _ApkFile(os.dup(file.fileno()), size)
     except OSError as exc:
         raise ApkReadError(f"{path}: {exc.strerror or exc}") from exc
     warnings: list[str] = []
@@ -120,29 +135,32 @@ def open_apk(path) -> ApkArtifact:
         raise NotAZipError(f"{path}: truncated record: {exc}") from exc
     except ValueError as exc:
         raise NotAZipError(f"{path}: {exc}") from exc
-    art = ApkArtifact(path, entries, hashlib.sha256(data).hexdigest(), data, warnings)
+    art = ApkArtifact(path, entries, digest.hexdigest(), data, warnings)
     return art._replace(signers=extract_signers(art, end))
 
 
-def _read_directory(data: bytes, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]]:
+def _read_directory(data, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]]:
     """The end record's position and the first entry of each name, in
     directory order.  Raises ValueError or struct.error."""
-    end = len(data) - _END.size
-    if not (end >= 0 and data.startswith(_END_SIG, end) and data.endswith(b"\0\0")):
-        # an archive comment of up to 64 KiB follows the end record
-        end = data.rfind(_END_SIG, max(end - 0x10000, 0))
-        if end < 0 or end + _END.size > len(data):
+    # an archive comment of up to 64 KiB follows the end record
+    base = max(len(data) - _END.size - 0x10000, 0)
+    tail = data[base : len(data)]
+    end = len(tail) - _END.size
+    if not (end >= 0 and tail.startswith(_END_SIG, end) and tail.endswith(b"\0\0")):
+        end = tail.rfind(_END_SIG)
+        if end < 0 or end + _END.size > len(tail):
             raise ValueError("File is not a zip file")  # no end of central directory record
-    size, offset = _END.unpack_from(data, end)[1:]
+    size, offset = _END.unpack_from(tail, end)[1:]
+    end += base
     stop = end  # where the directory ends
     locator = end - _ZIP64_LOCATOR.size
     if locator >= 0:
-        sig, disk, _, disks = _ZIP64_LOCATOR.unpack_from(data, locator)
+        sig, disk, _, disks = _ZIP64_LOCATOR.unpack(data[locator:end])
         if sig == b"PK\x06\x07":
             if disk != 0 or disks > 1:
                 raise ValueError("archive spans multiple disks")
             if locator >= _ZIP64_END.size:
-                sig, size64, offset64 = _ZIP64_END.unpack_from(data, locator - _ZIP64_END.size)
+                sig, size64, offset64 = _ZIP64_END.unpack(data[locator - _ZIP64_END.size : locator])
                 if sig == b"PK\x06\x06":
                     size, offset, stop = size64, offset64, locator - _ZIP64_END.size
     start = stop - size
@@ -228,9 +246,9 @@ def read_entry(a: ApkArtifact, name: str) -> bytes:
         raise type(exc)(f"{a.path}:{name}: {exc}") from None
 
 
-def _entry_data(data: bytes, entry: ZipEntry) -> bytes:
-    """The bytes of one entry of the APK's bytes; raises CorruptEntryError
-    with the bare reason."""
+def _entry_data(data, entry: ZipEntry) -> bytes:
+    """The bytes of one entry of the APK; raises CorruptEntryError with the
+    bare reason."""
     raw, flags, method, crc, csize, size, local = entry
     if flags & _ENCRYPTED:
         raise CorruptEntryError("encrypted entry (flag bit 0)")
@@ -238,7 +256,7 @@ def _entry_data(data: bytes, entry: ZipEntry) -> bytes:
         raise CorruptEntryError("compressed patched data (flag bit 5)")
     if not 0 <= local <= len(data) - _LOCAL.size:
         raise CorruptEntryError(f"local header offset {local} outside the file")
-    sig, name_len, extra_len = _LOCAL.unpack_from(data, local)
+    sig, name_len, extra_len = _LOCAL.unpack(data[local : local + _LOCAL.size])
     if sig != _LOCAL_SIG:
         raise CorruptEntryError(f"bad local header signature at offset {local}")
     start = local + _LOCAL.size
@@ -264,13 +282,9 @@ def _entry_data(data: bytes, entry: ZipEntry) -> bytes:
 
 
 def extract_signers(a: ApkArtifact, end: int) -> tuple[SignerInfo, ...]:
-    """Collect distinct signing certificates, preferring the signing block.
-
-    ``end`` is the position of the end of central directory record in the
-    APK's bytes.  Returns one :class:`SignerInfo` per distinct certificate
-    across schemes.  A malformed signing block is recorded as a warning,
-    never fatal.
-    """
+    """One :class:`SignerInfo` per distinct certificate, the signing block's
+    first; ``end`` is the end record's position.  A malformed signing block
+    is a warning, never fatal."""
     signers: dict[str, SignerInfo] = {}  # fingerprint -> its first signer
 
     def add(cert_der: bytes, cn_o: tuple[str, str], scheme: str) -> None:
@@ -406,8 +420,8 @@ def _subject_fields(cert_der: bytes) -> tuple[str, str]:
     return fields.get(_OID_CN, ""), fields.get(_OID_O, "")
 
 
-def _signing_block_certs(data: bytes, end: int):
-    """Yield (block_id, [cert_der, ...]) for every v2/v3 block of an APK's bytes."""
+def _signing_block_certs(data, end: int):
+    """Yield (block_id, [cert_der, ...]) for every v2/v3 block of an APK."""
     block = _find_signing_block(data, end)
     if block is None:
         return
@@ -415,7 +429,7 @@ def _signing_block_certs(data: bytes, end: int):
     while pos < len(block):
         if len(block) - pos < 12:
             raise MalformedSigningBlockError("truncated id-value pair header")
-        pair_len = struct.unpack_from("<Q", block, pos)[0]
+        pair_len = _U64.unpack_from(block, pos)[0]
         pos += 8
         if pair_len < 4 or pos + pair_len > len(block):
             raise MalformedSigningBlockError("id-value pair overruns block")
@@ -426,23 +440,23 @@ def _signing_block_certs(data: bytes, end: int):
             yield block_id, _scheme_block_certs(value, block_id)
 
 
-def _find_signing_block(raw: bytes, end: int) -> bytes | None:
+def _find_signing_block(raw, end: int) -> bytes | None:
     """The signing block before the directory offset that the end record at
     ``end`` gives, or None."""
-    cd_offset = _END.unpack_from(raw, end)[2]
+    cd_offset = _END.unpack(raw[end : end + _END.size])[2]
     if cd_offset < 32 or cd_offset > len(raw):
         return None
     if raw[cd_offset - 16 : cd_offset] != SIG_BLOCK_MAGIC:
         return None
     # size excludes only the leading size field, so the first id-value pair
     # starts at cd_offset - size and the leading copy sits 8 bytes before it
-    size = struct.unpack_from("<Q", raw, cd_offset - 24)[0]
+    size = _U64.unpack(raw[cd_offset - 24 : cd_offset - 16])[0]
     if size < 24:
         raise MalformedSigningBlockError("declared size smaller than its size and magic fields")
     start = cd_offset - size
     if start < 8:
         raise MalformedSigningBlockError("declared size larger than file prefix")
-    size_head = struct.unpack_from("<Q", raw, start - 8)[0]
+    size_head = _U64.unpack(raw[start - 8 : start])[0]
     if size_head != size:
         raise MalformedSigningBlockError("leading/trailing size mismatch")
     # payload: everything between the two size fields, minus the magic+size tail

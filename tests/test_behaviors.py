@@ -3,7 +3,7 @@ import json
 import pytest
 
 from apkaudit.axml import decode_axml
-from apkaudit.behaviors import load_rules, scan_behaviors
+from apkaudit.behaviors import Rule, load_rules, scan_behaviors
 from apkaudit.callgraph import build_callgraph
 from apkaudit.container import open_apk, read_entry
 from apkaudit.dex import load_app_code
@@ -106,6 +106,21 @@ def test_pool_only_string_is_medium():
     model.string_pool.add("rm -rf /data/local")  # pool entry with no using site
     found = scan_behaviors(model, _man(), load_rules(), build_callgraph(model))
     assert _tuples(found) == {("dangerous_command", "cmd_rm_rf", "medium", "string-pool", None)}
+
+
+def test_each_rule_gets_one_pool_hit_however_many_pool_strings_match():
+    # "alpha beta" matches two rules and both gamma strings match one; only
+    # "alpha body" is used by a body
+    model = _model_with(strings=["alpha body"])
+    model.string_pool.update({"alpha beta", "gamma one", "gamma two"})
+    rules = tuple(Rule(rid, "sms", rid, "const_string") for rid in ("alpha", "beta", "gamma"))
+    found = scan_behaviors(model, _man(), rules, build_callgraph(model))
+    assert [(f.rule_id, f.confidence, f.method) for f in found] == [
+        ("alpha", "high", "Lt/app/C;->m()V"),
+        ("alpha", "medium", "string-pool"),
+        ("beta", "medium", "string-pool"),
+        ("gamma", "medium", "string-pool"),
+    ]
 
 
 def test_permission_gate_blocks_and_admits():

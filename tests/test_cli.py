@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 import zipfile
 from pathlib import Path
 
@@ -54,7 +56,7 @@ def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeyp
     class InlineExecutor:
         """Records the pool size it is given and runs each job in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             started.append(max_workers)
 
         def submit(self, fn, *args):
@@ -73,6 +75,36 @@ def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeyp
     assert main(["scan", str(src), "--jobs", jobs]) == EXIT_CLEAN
     assert len(json.loads(capsys.readouterr().out)) == apks
     assert started == workers
+
+
+def test_scan_pool_names_the_fork_start_method_on_linux(corpus, tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    methods = []
+
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            methods.append(mp_context and mp_context.get_start_method())
+            super().__init__(max_workers, mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    src = tmp_path / "apks"
+    src.mkdir()
+    for name in ("benign", "silent_install"):
+        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+    assert main(["scan", str(src), "--jobs", "2"]) == EXIT_FINDINGS
+    assert len(json.loads(capsys.readouterr().out)) == 2
+    # the workers inherit the loaded detection data; elsewhere the default stays
+    assert methods == (["fork"] if sys.platform == "linux" else [None])
+
+
+@pytest.mark.parametrize("path", ["fifo", "/dev/null"])
+def test_a_path_that_is_not_a_regular_file_is_an_error(tmp_path, capsys, path):
+    if path == "fifo":
+        path = tmp_path / "fifo.apk"
+        os.mkfifo(path)  # no writer: reading it would block for ever
+    assert main(["scan", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: not a regular file"]
 
 
 @pytest.mark.parametrize("command", ["scan", "dump-manifest", "dump-dex"])
@@ -151,14 +183,14 @@ def test_scan_directory_reports_unreadable_apk_and_the_rest(corpus, tmp_path, ca
     for name in ("benign", "silent_install", "unsigned"):
         (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
     unreadable = src / "silent_install.apk"
-    read_bytes = Path.read_bytes
+    real_open = Path.open
 
-    def deny(self):
+    def deny(self, *args, **kwargs):
         if self == unreadable:
             raise PermissionError(13, "Permission denied", str(self))
-        return read_bytes(self)
+        return real_open(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", deny)
+    monkeypatch.setattr(Path, "open", deny)
     rc = main(["scan", str(src), "--jobs", "1"])
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR

@@ -2,8 +2,11 @@ import hashlib
 import io
 import random
 import struct
+import tracemalloc
+import warnings
 import zipfile
 import zlib
+from pathlib import Path
 
 import pytest
 from cryptography import x509
@@ -61,6 +64,58 @@ def test_damaged_central_directory_is_not_a_zip(tmp_path, how):
     with pytest.raises(NotAZipError) as err:
         open_apk(p)
     assert str(err.value).startswith(f"{p}: {reason}")
+
+
+def test_open_apk_holds_only_the_bytes_it_parses(tmp_path):
+    p = tmp_path / "big.apk"
+    asset = random.Random(0).randbytes(4 << 20)
+    with zipfile.ZipFile(p, "w", zipfile.ZIP_STORED) as zf:
+        zf.writestr("AndroidManifest.xml", b"\x03\x00\x08\x00")
+        zf.writestr("assets/big.bin", asset)
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    tracemalloc.start()
+    try:
+        art = open_apk(p)
+        assert read_entry(art, "AndroidManifest.xml") == b"\x03\x00\x08\x00"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # reading the whole file would take 4 MiB
+    assert art.sha256 == digest
+    assert read_entry(art, "assets/big.bin") == asset
+    # entries are read from the file as it is now, so the CRC-32 sees a change
+    with p.open("r+b") as f:
+        f.seek(art.entries["assets/big.bin"].header_offset + 30 + len("assets/big.bin"))
+        f.write(bytes([asset[0] ^ 0xFF]))
+    with pytest.raises(CrcMismatchError):
+        read_entry(art, "assets/big.bin")
+
+
+def test_dropping_an_artifact_closes_its_file(tmp_path):
+    p = build_apk(tmp_path / "a.apk", {"AndroidManifest.xml": b"\x03\x00"})
+    junk = tmp_path / "junk.apk"
+    junk.write_bytes(b"junk")
+    fds = Path("/proc/self/fd")  # Linux only
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        art = open_apk(p)
+        assert read_entry(art, "AndroidManifest.xml") == b"\x03\x00"
+        del art
+        with pytest.raises(NotAZipError):  # a failed open closes the file too
+            open_apk(junk)
+    assert caught == []
+    if before is not None:
+        assert len(list(fds.iterdir())) == before
+
+
+@pytest.mark.parametrize("content", [b"", b"PK\x05\x06" + bytes(10)], ids=["empty", "short"])
+def test_a_file_shorter_than_the_end_record_is_not_a_zip(tmp_path, content):
+    p = tmp_path / "short.apk"
+    p.write_bytes(content)
+    with pytest.raises(NotAZipError) as err:
+        open_apk(p)
+    assert str(err.value) == f"{p}: File is not a zip file"
 
 
 def test_unreadable_path_is_coded(tmp_path):
