@@ -4,10 +4,11 @@
 buffer; the ZIP directory, the signing block and each entry are then read
 by position, so only the bytes parsed are held.  The file stays open until
 the artifact is freed, so hold few at a time; a file changed after the
-hash is analysed as it then is.  Names and offsets are read as in
-``zipfile``.  Certificates come from v1 PKCS#7 blobs under META-INF/ and
-the v2/v3 APK Signing Block, read by a strict DER walker.  Nothing is
-verified beyond each entry's CRC-32.
+hash is analysed as it then is, and a read past its new end raises
+``CorruptEntryError``.  Names and offsets are read as in ``zipfile``.
+Certificates come from v1 PKCS#7 blobs under META-INF/ and the v2/v3 APK
+Signing Block, read by a strict DER walker.  Nothing is verified beyond
+each entry's CRC-32.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class SignerInfo(NamedTuple):
 
 class _ApkFile:
     """A file read by position: ``len()`` and non-negative slices, as of
-    ``bytes``.  Like ``mmap``, it closes its own descriptor when freed."""
+    ``bytes`` (CorruptEntryError for bytes the file no longer holds).  Like
+    ``mmap``, it closes its own descriptor when freed."""
 
     def __init__(self, fd, size):
         self.fd, self.size = fd, size
@@ -93,7 +95,11 @@ class _ApkFile:
         if s.start >= stop:
             return b""
         os.lseek(self.fd, s.start, os.SEEK_SET)
-        return os.read(self.fd, stop - s.start)
+        data = os.read(self.fd, stop - s.start)
+        if len(data) < stop - s.start:  # the file shrank after the hash
+            raise CorruptEntryError(f"file changed after open: read {len(data)} of "
+                                    f"{stop - s.start} byte(s) at offset {s.start}")
+        return data
 
     def __del__(self):
         os.close(self.fd)
@@ -113,7 +119,8 @@ def open_apk(path) -> ApkArtifact:
 
     Entries are not decompressed here; use :func:`read_entry` for that.
     A file that cannot be read raises :class:`ApkReadError`, one whose ZIP
-    directory cannot be read :class:`NotAZipError`.
+    directory cannot be read :class:`NotAZipError`, one cut short after
+    the hash :class:`CorruptEntryError`.
     """
     path = Path(path)
     try:
@@ -437,7 +444,7 @@ def _signing_block_certs(data, end: int):
         value = block[pos + 4 : pos + pair_len]
         pos += pair_len
         if block_id in (V2_BLOCK_ID, V3_BLOCK_ID):
-            yield block_id, _scheme_block_certs(value, block_id)
+            yield block_id, _scheme_block_certs(value)
 
 
 def _find_signing_block(raw, end: int) -> bytes | None:
@@ -463,7 +470,7 @@ def _find_signing_block(raw, end: int) -> bytes | None:
     return raw[start : cd_offset - 24]
 
 
-def _scheme_block_certs(value: bytes, block_id: int) -> list[bytes]:
+def _scheme_block_certs(value: bytes) -> list[bytes]:
     """Walk signer → signed-data → certificates for a v2/v3 block."""
     certs: list[bytes] = []
     signers = _lv(value, 0)[0]

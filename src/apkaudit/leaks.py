@@ -13,8 +13,8 @@ it calls or the field store bucket of a field it reads.  The call sites and
 field reads of each method come from the call graph's code index
 (``CallGraph.index``), and each call target is matched against the
 source/sink list once per app; only the transfer functions (``_analyze``)
-read the instructions, each one's effect kind looked up by opcode in a
-table built at import.  The findings of each method's last analysis are
+read the instructions, each one's register effect looked up by opcode in
+``dex.opcodes.EFFECTS``.  The findings of each method's last analysis are
 kept; only if the sweep bound stops the sweep are the methods still dirty
 that can reach a sink (those that call a sink or a method whose summary
 reaches one) analysed again, against the final summaries and field store.
@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 from .callgraph import CallGraph
 from .dex import OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher, format_method_key
-from .dex.opcodes import OPCODES
+from .dex.opcodes import (APUT, CLEAR, COPY, EFFECTS, FIELD_GET, FIELD_PUT, FILLED, INVOKE,
+                          INVOKE_STATIC, JOIN2, JOIN3, MOVE_RESULT, RETURN)
 from .errors import TaintSpecError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
 
@@ -295,14 +296,14 @@ class _Engine:
         findings: list[LeakFinding] = []
 
         for ins in m.instructions:
-            kind = _KIND_OF[ins[OPCODE] & 0xFF]
+            kind = EFFECTS[ins[OPCODE] & 0xFF]
             r = ins[REGISTERS]
-            if kind == _COPY:
+            if kind == COPY:
                 regs[r[0]] = get(r[1], _EMPTY)
-            elif kind == _MOVE_RESULT:
+            elif kind == MOVE_RESULT:
                 regs[r[0]] = pending
                 pending = _EMPTY
-            elif kind == _INVOKE or kind == _INVOKE_STATIC:
+            elif kind == INVOKE or kind == INVOKE_STATIC:
                 if ins[REF] is None:
                     # invoke-custom and out-of-range refs have no target: an
                     # opaque call, with no receiver write
@@ -311,19 +312,19 @@ class _Engine:
                     pending = self._invoke(
                         m, ins, kind, regs, sink_hits, param_fields, field_writes, findings
                     )
-            elif kind == _CLEAR:
+            elif kind == CLEAR:
                 regs[r[0]] = _EMPTY
-            elif kind == _RETURN:
+            elif kind == RETURN:
                 for t in get(r[0], _EMPTY):
                     if isinstance(t, int):
                         ret_params.add(t)
                     else:
                         ret_sources.add(t)
-            elif kind == _FIELD_GET:
+            elif kind == FIELD_GET:
                 fk = ins[REF]
                 stored = self.field_store.get(fk, ()) if fk else ()
                 regs[r[0]] = frozenset(self._rebase(t, m.key) for t in stored)
-            elif kind == _FIELD_PUT:
+            elif kind == FIELD_PUT:
                 fk = ins[REF]
                 if fk:
                     for t in get(r[0], _EMPTY):
@@ -331,13 +332,13 @@ class _Engine:
                             param_fields.add((t, fk))
                         else:
                             field_writes.setdefault(fk, set()).add(t)
-            elif kind == _APUT:
+            elif kind == APUT:
                 regs[r[1]] = get(r[1], _EMPTY) | get(r[0], _EMPTY)
-            elif kind == _JOIN2:
+            elif kind == JOIN2:
                 regs[r[0]] = get(r[0], _EMPTY) | get(r[1], _EMPTY)
-            elif kind == _JOIN3:
+            elif kind == JOIN3:
                 regs[r[0]] = get(r[1], _EMPTY) | get(r[2], _EMPTY)
-            elif kind == _FILLED:
+            elif kind == FILLED:
                 pending = _EMPTY.union(*[get(x, _EMPTY) for x in r])
 
         if not (ret_params or ret_sources or sink_hits or param_fields):
@@ -362,7 +363,7 @@ class _Engine:
             # a neutral call: an opaque callee passes its arguments to the
             # result, a callee with the empty summary gives nothing
             result = _EMPTY.union(*[get(x, _EMPTY) for x in r]) if callee_summary is None else _EMPTY
-            if kind == _INVOKE and len(r) > 1:
+            if kind == INVOKE and len(r) > 1:
                 extra = _EMPTY.union(*[get(x, _EMPTY) for x in r[1:]])
                 if extra:
                     regs[r[0]] = get(r[0], _EMPTY) | extra
@@ -416,7 +417,7 @@ class _Engine:
             result.add(SrcToken(source=target, label=label, site=(m.key, ins[OFFSET]), path=(m.key,)))
 
         # builder-style writes: a tainted argument taints the receiver
-        if kind == _INVOKE and len(r) > 1:
+        if kind == INVOKE and len(r) > 1:
             extra = _EMPTY.union(*arg_tokens[1:])
             if extra:
                 regs[r[0]] = get(r[0], _EMPTY) | extra
@@ -432,58 +433,3 @@ class _Engine:
             return t
         return t._replace(path=t.path + (method_key,))
 
-
-# Effect kinds of an instruction on the register taint; _NONE (0) is also
-# the kind of the opaque unused-* opcodes.
-(_NONE, _COPY, _MOVE_RESULT, _INVOKE, _INVOKE_STATIC, _CLEAR, _RETURN, _FIELD_GET,
- _FIELD_PUT, _APUT, _JOIN2, _JOIN3, _FILLED) = range(13)
-
-_BINOP_ROOTS = ("add-", "sub-", "rsub-", "mul-", "div-", "rem-", "and-", "or-", "xor-", "shl-", "shr-", "ushr-")
-_UNOP_ROOTS = ("neg-", "not-", "int-to-", "long-to-", "float-to-", "double-to-")
-
-
-def _effect_kind(op: str) -> int:
-    """The prefixes overlap (``move-result`` before ``move``), so the order of
-    the tests decides."""
-    if op.startswith("move-result"):
-        return _MOVE_RESULT
-    if op == "move-exception":
-        return _CLEAR
-    if op.startswith("move"):
-        return _COPY
-    if op.startswith("const") or op in ("new-instance", "new-array"):
-        return _CLEAR
-    if op.startswith("return"):
-        return _NONE if op == "return-void" else _RETURN
-    if op.startswith("aget"):
-        return _COPY
-    if op.startswith("aput"):
-        return _APUT
-    if op.startswith(("iget", "sget")):
-        return _FIELD_GET
-    if op.startswith(("iput", "sput")):
-        return _FIELD_PUT
-    if op.startswith("invoke-"):
-        # static and custom calls have no receiver to taint
-        return _INVOKE_STATIC if op.startswith(("invoke-static", "invoke-custom")) else _INVOKE
-    if op in ("filled-new-array", "filled-new-array/range"):
-        return _FILLED
-    if op == "array-length":
-        return _COPY
-    if op == "instance-of":
-        return _CLEAR
-    if op.startswith(_BINOP_ROOTS):
-        if op.endswith("/2addr"):
-            return _JOIN2
-        return _COPY if "lit" in op else _JOIN3
-    if op.startswith("cmp"):
-        return _JOIN3
-    if op.startswith(_UNOP_ROOTS):
-        return _COPY
-    # branches, switches, throw, monitor, check-cast, nop: no register effect
-    return _NONE
-
-
-# opcode -> effect kind, read as _KIND_OF[opcode & 0xFF]: a payload
-# pseudo-instruction's 16-bit ident has a low byte of 0x00 (nop), so it reads _NONE
-_KIND_OF = bytes(_effect_kind(OPCODES[code][0]) for code in range(256))

@@ -1,6 +1,9 @@
 import hashlib
 import io
+import os
 import random
+import re
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives.serialization import Encoding
 
+from apkaudit import report
 from apkaudit.container import (
     AuthorityMap,
     SignerInfo,
@@ -89,6 +93,36 @@ def test_open_apk_holds_only_the_bytes_it_parses(tmp_path):
         f.write(bytes([asset[0] ^ 0xFF]))
     with pytest.raises(CrcMismatchError):
         read_entry(art, "assets/big.bin")
+
+
+def _shrunk(corpus, tmp_path) -> tuple[Path, str]:
+    """A copy of a fixture and the reason a read of its manifest gives once
+    the copy is cut to 0 bytes after ``open_apk``."""
+    p = shutil.copyfile(corpus["listing5_leak"], tmp_path / "leak.apk")
+    offset = open_apk(p).entries["AndroidManifest.xml"].header_offset
+    return p, f"{p}:AndroidManifest.xml: file changed after open: read 0 of 30 byte(s) at offset {offset}"
+
+
+def test_a_read_after_the_file_shrinks_is_a_corrupt_entry(corpus, tmp_path):
+    p, reason = _shrunk(corpus, tmp_path)
+    art = open_apk(p)
+    os.truncate(p, 0)
+    # no ``as err``: its traceback would hold this frame, and so the open file, in a cycle
+    with pytest.raises(CorruptEntryError, match=f"^{re.escape(reason)}$"):
+        read_entry(art, "AndroidManifest.xml")
+
+
+def test_a_file_that_shrinks_after_open_gets_a_manifest_warning(corpus, tmp_path, monkeypatch):
+    p, reason = _shrunk(corpus, tmp_path)
+
+    def open_then_truncate(path):
+        art = open_apk(path)
+        os.truncate(path, 0)
+        return art
+
+    monkeypatch.setattr(report, "open_apk", open_then_truncate)
+    got = report.analyze_apk(p).warnings
+    assert [w for w in got if w.startswith("manifest:")] == [f"manifest: {reason}"]
 
 
 def test_dropping_an_artifact_closes_its_file(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from apkaudit import leaks
 from apkaudit.callgraph import build_callgraph
-from apkaudit.dex import OPCODE, REF
-from apkaudit.dex.opcodes import INVOKES, OPCODES
+from apkaudit.dex import OPCODE, REF, opcodes
+from apkaudit.dex.opcodes import EFFECTS, FIELD_READS, INVOKES, OPCODES
 from apkaudit.dex.parser import parse_dex
 from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
@@ -631,15 +631,42 @@ def test_findings_equal_a_final_pass_over_every_sink_reaching_method(monkeypatch
     assert found == sorted(final.values(), key=LeakFinding.sort_key)
 
 
-def test_kind_table_maps_every_opcode_as_effect_kind():
+# the register effect of every opcode (sha256 b56dfbf88c54c485...), as the
+# taint engine classified the mnemonics before the effect became a column
+# of the opcode table
+_EFFECTS_HEX = (
+    "0001010101010101010102020205000606060505050505050505050505000000"
+    "050105050c0c000000000000000b0b0b0b0b0000000000000000000000000000"
+    "0000000001010101010101090909090909090707070707070708080808080808"
+    "0707070707070708080808080808030303040300030303040300000101010101"
+    "010101010101010101010101010101010b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+    "0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
+    "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a01010101010101010101010101010101"
+    "0101010000000000000000000000000000000000000000000000030304040505"
+)
+
+
+def test_effects_column_keeps_every_opcode_register_effect():
+    assert EFFECTS.hex() == _EFFECTS_HEX
     for code in range(256):
-        name = OPCODES[code][0]
-        assert leaks._KIND_OF[code] == leaks._effect_kind(name), name
-        if name.startswith("unused-"):
-            assert leaks._KIND_OF[code] == leaks._NONE, name
+        if OPCODES[code][0].startswith("unused-"):
+            assert EFFECTS[code] == opcodes.NONE, OPCODES[code][0]
     # every payload ident the parser can produce: a nonzero unit with low byte 0x00
     for ident in range(0x100, 0x10000, 0x100):
-        assert leaks._KIND_OF[ident & 0xFF] == leaks._NONE
+        assert EFFECTS[ident & 0xFF] == opcodes.NONE
+
+
+def test_code_index_and_effects_agree_on_calls_and_field_reads():
+    """The fixpoint marks a method dirty through the code index's call sites
+    and field reads, while ``_analyze`` acts on the effects: a call or read
+    the one sees and the other does not would leave findings stale."""
+    assert FIELD_READS == {c for c in range(256) if EFFECTS[c] == opcodes.FIELD_GET}
+    calls = {c for c in range(256) if EFFECTS[c] in (opcodes.INVOKE, opcodes.INVOKE_STATIC)}
+    assert INVOKES < calls
+    # invoke-custom refers to a call site, not a method: no target to index
+    assert sorted(OPCODES[c] for c in calls - INVOKES) == [
+        ("invoke-custom", "35c", "none"), ("invoke-custom/range", "3rc", "none"),
+    ]
 
 
 # ---------------------------------------------------------------- witnesses
