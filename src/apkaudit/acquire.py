@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .container import AuthorityMap, open_apk
+from .container import AuthorityMap, find_apks, open_apk
 from .errors import ApkReadError, BridgeError, CorpusIndexError, NotAZipError
 
 log = logging.getLogger(__name__)
@@ -218,15 +218,16 @@ class CorpusIndex:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str | bytes, path) -> "CorpusIndex":
-        """Parse the index read from ``path``; a malformed one raises
-        CorpusIndexError naming the file."""
+    def from_json(cls, text: str | bytes | None, path) -> "CorpusIndex":
+        """Parse the index ``text`` read from ``path`` (read here when it is
+        None); an unreadable or malformed one raises CorpusIndexError naming
+        the file."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(Path(path).read_bytes() if text is None else text)
             idx = cls(created=doc.get("created", ""), updated=doc.get("updated", ""))
             for sha, e in doc.get("entries", {}).items():
                 idx.entries[sha] = {k: set(e[k]) if k in _SET_FIELDS else e[k] for k in _INDEX_FIELDS}
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorpusIndexError(
                 f"{path}: not a corpus index ({type(exc).__name__}: {exc})") from exc
         return idx
@@ -243,8 +244,7 @@ def index_corpus(directory, prior: CorpusIndex | None = None, device: str | None
     idx.updated = now
 
     skipped = 0
-    # only files: a package folder may itself end in ".apk" (com.acme.apk)
-    for path in sorted(p for p in directory.rglob("*.apk") if p.is_file()):
+    for path in find_apks(directory):
         try:
             art = open_apk(path)
         except (ApkReadError, NotAZipError) as exc:

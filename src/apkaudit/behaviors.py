@@ -86,7 +86,7 @@ def _parse_rules(raw) -> tuple[Rule, ...]:
 def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
                    g: CallGraph) -> list[BehaviorFinding]:
     """Reads the code through the index of ``g``, the app's call graph."""
-    per_rule: dict[str, list[tuple[str, str, str]]] = {r.id: [] for r in rules}  # (method, class, conf)
+    per_rule: dict[str, set[tuple[str, str, str]]] = {r.id: set() for r in rules}  # (method, class, conf)
     strings = [(r.pattern, per_rule[r.id]) for r in rules if r.match_space == "const_string"]
     refs = [(r.pattern, per_rule[r.id]) for r in rules if r.match_space == "method_ref"]
     used: set[str] = set()
@@ -96,54 +96,35 @@ def scan_behaviors(code: CodeModel, man: ManifestModel, rules: tuple[Rule, ...],
             for s in consts:
                 for pattern, hits in strings:
                     if pattern in s:
-                        hits.append((m.key, cls.descriptor, "high"))
+                        hits.add((m.key, cls.descriptor, "high"))
             used.update(consts)
             for _, ref, _ in sites:
                 for pattern, hits in refs:
                     if pattern in ref:
-                        hits.append((m.key, cls.descriptor, "high"))
-    pool_hit = ("string-pool", "", "medium")  # one per rule, whichever string matched
+                        hits.add((m.key, cls.descriptor, "high"))
     for s in code.string_pool:
         if s not in used:
             for pattern, hits in strings:
-                if pattern in s and hits[-1:] != [pool_hit]:
-                    hits.append(pool_hit)
-
-    # class → rule ids with a body-level match there (for co-occurrence)
-    class_matches: dict[str, set[str]] = {}
-    for rule in rules:
-        hits = per_rule[rule.id]
-        # manifest side channel for the SMS broadcast action
+                if pattern in s:
+                    hits.add(("string-pool", "", "medium"))  # one per rule, whichever string matched
+    for rule in rules:  # manifest side channel for the SMS broadcast action
         if rule.pattern == "Telephony.SMS_RECEIVED":
-            for comp in man.components:
-                if SMS_RECEIVED_ACTION in comp.actions:
-                    hits.append(("manifest", comp.class_name, "high"))
+            per_rule[rule.id].update(("manifest", comp.class_name, "high") for comp in man.components
+                                     if SMS_RECEIVED_ACTION in comp.actions)
+
+    # class → rule ids with a body-level match there (for co-occurrence);
+    # a pool hit's class "" is no key, so it never co-occurs
+    class_matches: dict[str, set[str]] = {}
+    for rule_id, hits in per_rule.items():
         for _method, cls, _conf in hits:
             if cls:
-                class_matches.setdefault(cls, set()).add(rule.id)
-
-    findings: list[BehaviorFinding] = []
-    for rule in rules:
-        if rule.required_permissions and not (rule.required_permissions & man.uses_permissions):
-            continue
-        emitted: set[tuple[str, str]] = set()
-        for method_key, class_desc, conf in per_rule[rule.id]:
-            if rule.co_occurrence is not None:
-                if not class_desc or rule.co_occurrence not in class_matches.get(class_desc, set()):
-                    continue
-            dedup = (method_key, class_desc)
-            if dedup in emitted:
-                continue
-            emitted.add(dedup)
-            findings.append(
-                BehaviorFinding(
-                    category=rule.category,
-                    rule_id=rule.id,
-                    confidence=conf,
-                    method=method_key,
-                    matched=rule.pattern,
-                    component=class_desc if method_key == "manifest" else None,
-                )
-            )
-    return sorted(findings, key=BehaviorFinding.sort_key)
-
+                class_matches.setdefault(cls, set()).add(rule_id)
+    # within one rule, (method, class) fixes the confidence, so a hit is one finding
+    return sorted(
+        (BehaviorFinding(rule.category, rule.id, conf, method, rule.pattern,
+                         cls if method == "manifest" else None)
+         for rule in rules
+         if not rule.required_permissions or rule.required_permissions & man.uses_permissions
+         for method, cls, conf in per_rule[rule.id]
+         if rule.co_occurrence is None or rule.co_occurrence in class_matches.get(cls, ())),
+        key=BehaviorFinding.sort_key)

@@ -74,6 +74,16 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def _out_dir(path) -> Path:
+    """Make the ``--out`` directory; one that cannot be made is an error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ApkAuditError(f"--out {out}: {exc.strerror}") from exc
+    return out
+
+
 def _cmd_acquire(args) -> int:
     import logging
 
@@ -86,18 +96,10 @@ def _cmd_acquire(args) -> int:
         bridge = acquire_mod.TranscriptBridge(args.transcript)
     else:
         bridge = acquire_mod.SubprocessBridge(args.bridge)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_ERROR
+    out = _out_dir(args.out)
     index_path = out / "corpus-index.json"
-    # a malformed prior index stops the run before anything is pulled
-    prior = (
-        acquire_mod.CorpusIndex.from_json(index_path.read_bytes(), index_path)
-        if index_path.exists() else None
-    )
+    # an unreadable or malformed prior index stops the run before anything is pulled
+    prior = acquire_mod.CorpusIndex.from_json(None, index_path) if index_path.exists() else None
     packages, skipped = acquire_mod.list_device_packages(bridge, args.serial)
     print(f"{len(packages)} packages listed ({skipped} unparseable lines skipped)")
     result = acquire_mod.pull_packages(bridge, args.serial, packages, out)
@@ -117,6 +119,7 @@ def _scan_one(path: str, config) -> dict:
 
 
 def _cmd_scan(args) -> int:
+    from .container import find_apks
     from .report import AnalysisConfig, load_detection
 
     config = AnalysisConfig(
@@ -129,19 +132,13 @@ def _cmd_scan(args) -> int:
     )
     target = Path(args.target)
     is_dir = target.is_dir()
-    paths = sorted(p for p in target.rglob("*.apk") if p.is_file()) if is_dir else [target]
+    paths = find_apks(target) if is_dir else [target]
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR
     # a bad data file stops the run before any APK; forked workers inherit the loaded data
     load_detection(config)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: --out {out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_ERROR
+    out = _out_dir(args.out) if args.out else None
 
     docs: list[dict] = []
     errors = 0
@@ -184,8 +181,7 @@ def _cmd_scan(args) -> int:
 
     if errors:
         return EXIT_ERROR
-    findings = any(d["findings"]["leaks"] or d["findings"]["behaviors"] or d["findings"]["exported_components"] for d in docs)
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
+    return EXIT_FINDINGS if any(any(d["findings"].values()) for d in docs) else EXIT_CLEAN
 
 
 def _cmd_report(args) -> int:
@@ -194,12 +190,12 @@ def _cmd_report(args) -> int:
         print(f"error: {directory}: not a directory", file=sys.stderr)
         return EXIT_ERROR
     reports = []
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted(p for p in directory.glob("*.json") if p.is_file()):
         if path.name == "corpus-index.json":
             continue
         try:
             reports.append(AppReport.from_dict(json.loads(path.read_text())))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ReportFormatError(
                 f"{path}: not an apkaudit report ({type(exc).__name__}: {exc})"
             ) from exc

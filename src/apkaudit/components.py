@@ -12,7 +12,7 @@ from bisect import bisect_left
 from pathlib import Path
 
 from .callgraph import CallGraph, reachable_hits
-from .dex import CodeModel, KeyMatcher
+from .dex import CodeModel, KeyMatcher, class_to_descriptor
 from .errors import read_data_file
 from .findings import DEFAULT_DEPTH, ComponentFinding
 from .manifest import ManifestModel, is_exported, is_protected
@@ -39,10 +39,6 @@ def load_sensitive_apis(path=None) -> KeyMatcher:
         pattern, _, label = line.partition(" ")
         entries.append((pattern, label.strip() or "sensitive"))
     return KeyMatcher(entries)
-
-
-def class_to_descriptor(class_name: str) -> str:
-    return "L" + class_name.replace(".", "/") + ";"
 
 
 def audit_components(

@@ -137,18 +137,18 @@ def open_apk(path) -> ApkArtifact:
         raise ApkReadError(f"{path}: {exc.strerror or exc}") from exc
     warnings: list[str] = []
     try:
-        end, entries = _read_directory(data, warnings)
+        cd_offset, entries = _read_directory(data, warnings)
     except struct.error as exc:
         raise NotAZipError(f"{path}: truncated record: {exc}") from exc
     except ValueError as exc:
         raise NotAZipError(f"{path}: {exc}") from exc
     art = ApkArtifact(path, entries, digest.hexdigest(), data, warnings)
-    return art._replace(signers=extract_signers(art, end))
+    return art._replace(signers=extract_signers(art, cd_offset))
 
 
 def _read_directory(data, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]]:
-    """The end record's position and the first entry of each name, in
-    directory order.  Raises ValueError or struct.error."""
+    """The end record's (not ZIP64's) directory offset and the first entry
+    of each name, in directory order.  Raises ValueError or struct.error."""
     # an archive comment of up to 64 KiB follows the end record
     base = max(len(data) - _END.size - 0x10000, 0)
     tail = data[base : len(data)]
@@ -158,6 +158,7 @@ def _read_directory(data, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]
         if end < 0 or end + _END.size > len(tail):
             raise ValueError("File is not a zip file")  # no end of central directory record
     size, offset = _END.unpack_from(tail, end)[1:]
+    cd_offset = offset
     end += base
     stop = end  # where the directory ends
     locator = end - _ZIP64_LOCATOR.size
@@ -211,7 +212,7 @@ def _read_directory(data, warnings: list[str]) -> tuple[int, dict[str, ZipEntry]
             entries[name] = new_entry(ZipEntry, (raw, flags, method, crc, csize, usize, local + shift))
     if bad_names:
         warnings.append(f"{bad_names} entry name(s) not valid UTF-8 replaced")
-    return end, entries
+    return cd_offset, entries
 
 
 def _zip64_fields(extra: bytes, usize: int, csize: int, local: int) -> tuple[int, int, int]:
@@ -233,6 +234,11 @@ def _zip64_fields(extra: bytes, usize: int, csize: int, local: int) -> tuple[int
             break
         pos += n
     return usize, csize, local
+
+
+def find_apks(directory) -> list[Path]:
+    """The sorted ``*.apk`` files under ``directory``; no folder (``com.acme.apk/``)."""
+    return sorted(p for p in Path(directory).rglob("*.apk") if p.is_file())
 
 
 def read_entry(a: ApkArtifact, name: str) -> bytes:
@@ -288,10 +294,10 @@ def _entry_data(data, entry: ZipEntry) -> bytes:
     return body
 
 
-def extract_signers(a: ApkArtifact, end: int) -> tuple[SignerInfo, ...]:
+def extract_signers(a: ApkArtifact, cd_offset: int) -> tuple[SignerInfo, ...]:
     """One :class:`SignerInfo` per distinct certificate, the signing block's
-    first; ``end`` is the end record's position.  A malformed signing block
-    is a warning, never fatal."""
+    first; the block ends at ``cd_offset``.  A malformed signing block is a
+    warning, never fatal."""
     signers: dict[str, SignerInfo] = {}  # fingerprint -> its first signer
 
     def add(cert_der: bytes, cn_o: tuple[str, str], scheme: str) -> None:
@@ -299,8 +305,7 @@ def extract_signers(a: ApkArtifact, end: int) -> tuple[SignerInfo, ...]:
         signers.setdefault(fp, SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
 
     try:
-        for block_id, certs in _signing_block_certs(a.archive, end):
-            scheme = "v2" if block_id == V2_BLOCK_ID else "v3"
+        for scheme, certs in _signing_block_certs(a.archive, cd_offset):
             for der in certs:
                 try:
                     cn_o = _subject_fields(der)
@@ -427,9 +432,9 @@ def _subject_fields(cert_der: bytes) -> tuple[str, str]:
     return fields.get(_OID_CN, ""), fields.get(_OID_O, "")
 
 
-def _signing_block_certs(data, end: int):
-    """Yield (block_id, [cert_der, ...]) for every v2/v3 block of an APK."""
-    block = _find_signing_block(data, end)
+def _signing_block_certs(data, cd_offset: int):
+    """Yield (scheme, [cert_der, ...]) for every v2/v3 block of an APK."""
+    block = _find_signing_block(data, cd_offset)
     if block is None:
         return
     pos = 0
@@ -444,16 +449,12 @@ def _signing_block_certs(data, end: int):
         value = block[pos + 4 : pos + pair_len]
         pos += pair_len
         if block_id in (V2_BLOCK_ID, V3_BLOCK_ID):
-            yield block_id, _scheme_block_certs(value)
+            yield "v2" if block_id == V2_BLOCK_ID else "v3", _scheme_block_certs(value)
 
 
-def _find_signing_block(raw, end: int) -> bytes | None:
-    """The signing block before the directory offset that the end record at
-    ``end`` gives, or None."""
-    cd_offset = _END.unpack(raw[end : end + _END.size])[2]
-    if cd_offset < 32 or cd_offset > len(raw):
-        return None
-    if raw[cd_offset - 16 : cd_offset] != SIG_BLOCK_MAGIC:
+def _find_signing_block(raw, cd_offset: int) -> bytes | None:
+    """The signing block that ends at ``cd_offset``, or None."""
+    if not 32 <= cd_offset <= len(raw) or raw[cd_offset - 16 : cd_offset] != SIG_BLOCK_MAGIC:
         return None
     # size excludes only the leading size field, so the first id-value pair
     # starts at cd_offset - size and the leading copy sits 8 bytes before it
@@ -463,8 +464,7 @@ def _find_signing_block(raw, end: int) -> bytes | None:
     start = cd_offset - size
     if start < 8:
         raise MalformedSigningBlockError("declared size larger than file prefix")
-    size_head = _U64.unpack(raw[start - 8 : start])[0]
-    if size_head != size:
+    if _U64.unpack(raw[start - 8 : start])[0] != size:
         raise MalformedSigningBlockError("leading/trailing size mismatch")
     # payload: everything between the two size fields, minus the magic+size tail
     return raw[start : cd_offset - 24]
@@ -478,11 +478,9 @@ def _scheme_block_certs(value: bytes) -> list[bytes]:
     while pos < len(signers):
         signer, pos = _lv(signers, pos)
         signed_data = _lv(signer, 0)[0]
-        # v2 and v3 signed data both start with digests then certificates;
-        # the v3 minSDK/maxSDK fields come after and can be ignored here.
-        p = 0
-        _digests, p = _lv(signed_data, p)
-        cert_seq, p = _lv(signed_data, p)
+        # v2 and v3 signed data: digests, then certificates
+        _digests, p = _lv(signed_data, 0)
+        cert_seq = _lv(signed_data, p)[0]
         cp = 0
         while cp < len(cert_seq):
             der, cp = _lv(cert_seq, cp)

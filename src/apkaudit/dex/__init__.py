@@ -10,6 +10,7 @@ from .model import (  # noqa: F401
     DexMethod,
     Instruction,
     KeyMatcher,
+    class_to_descriptor,
     format_method_key,
 )
 from .parser import load_app_code, method_body, parse_dex  # noqa: F401

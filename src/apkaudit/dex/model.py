@@ -80,6 +80,10 @@ class KeyMatcher:
         return None if best is None else best[1]
 
 
+def class_to_descriptor(class_name: str) -> str:
+    return "L" + class_name.replace(".", "/") + ";"
+
+
 def format_field_key(class_desc: str, name: str, type_desc: str) -> str:
     return f"{class_desc}->{name}:{type_desc}"
 

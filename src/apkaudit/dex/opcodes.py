@@ -152,7 +152,7 @@ def _opcodes(test) -> frozenset[int]:
 # ones, static and direct with their /range forms, name their target
 INVOKES = _opcodes(lambda name, ref: ref == "method")
 CONST_STRINGS = _opcodes(lambda name, ref: ref == "string")
-FIELD_READS = _opcodes(lambda name, ref: ref == "field" and name.startswith(("iget", "sget")))
+FIELD_READS = frozenset(c for c in range(256) if EFFECTS[c] == FIELD_GET)
 EXACT_INVOKES = _opcodes(lambda name, ref: name.partition("/")[0] in ("invoke-static", "invoke-direct"))
 SUPER_INVOKES = _opcodes(lambda name, ref: name.partition("/")[0] == "invoke-super")
 

@@ -85,7 +85,6 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
         for name in names:
             try:
                 parse_dex(read_entry(a, name), into=model, origin=name)
-                model.dex_count += 1
             except (CorruptEntryError, DexError) as exc:
                 first = first or exc
                 model.warnings.append(f"dex: {exc}")
@@ -100,8 +99,6 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
 
 def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes.dex") -> CodeModel:
     model = into if into is not None else CodeModel()
-    if into is None:
-        model.dex_count = 1
     d = _DexReader(data, origin, model.register_tuples)
     warnings = d.check_header()
     try:
@@ -116,6 +113,7 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
     for cls in classes:
         model.add_class(cls)
     model.string_pool.update(d.strings)
+    model.dex_count += 1
     return model
 
 

@@ -190,6 +190,7 @@ class CorpusSummary(NamedTuple):
 def aggregate(reports: list[AppReport]) -> CorpusSummary:
     """App-level counts: an app counts once per category it has findings in."""
     counts = {key: 0 for key, _ in CATEGORY_ORDER}
+    per_device: dict[str, dict[str, int]] = {}
     for r in reports:
         if r.exported_components:
             counts["exported_components"] += 1
@@ -197,14 +198,9 @@ def aggregate(reports: list[AppReport]) -> CorpusSummary:
             counts["leaks"] += 1
         for cat in {f.category for f in r.behaviors} & counts.keys():
             counts[cat] += 1
-
-    per_device: dict[str, dict[str, int]] = {}
-    for r in reports:
-        if not r.signer_label:
-            continue
-        dev = r.device or "unknown"
-        per_device.setdefault(dev, {}).setdefault(r.signer_label, 0)
-        per_device[dev][r.signer_label] += 1
+        if r.signer_label:
+            labels = per_device.setdefault(r.device or "unknown", {})
+            labels[r.signer_label] = labels.get(r.signer_label, 0) + 1
     distribution = {
         dev: {
             label: format_percent(n, sum(labels.values()))

@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .callgraph import CallGraph
-from .dex import OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher, format_method_key
+from .dex import (OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatcher,
+                  class_to_descriptor, format_method_key)
 from .dex.opcodes import (APUT, CLEAR, COPY, EFFECTS, FIELD_GET, FIELD_PUT, FILLED, INVOKE,
                           INVOKE_STATIC, JOIN2, JOIN3, MOVE_RESULT, RETURN)
 from .errors import TaintSpecError, read_data_file
@@ -143,7 +144,7 @@ def _java_to_descriptor(t: str) -> str:
     while t.endswith("[]"):
         t = t[:-2]
         dims += 1
-    base = _PRIMITIVES.get(t) or ("L" + t.replace(".", "/") + ";")
+    base = _PRIMITIVES.get(t) or class_to_descriptor(t)
     return "[" * dims + base
 
 

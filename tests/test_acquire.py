@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from apkaudit.acquire import (
+    BRIDGE_ENV,
     CorpusIndex,
+    SubprocessBridge,
     TranscriptBridge,
     _is_split,
     index_corpus,
@@ -65,6 +68,73 @@ def _transcript(tmp_path, with_files=True):
             "/product/app/Radio/Radio.apk": apks.get("Radio", ""),
         } if with_files else {},
     }
+
+
+def _fake_bridge(tmp_path, stdout="", stderr="", code=0):
+    """An executable bridge that appends its arguments to a log, one JSON
+    list a line, then writes ``stdout`` and ``stderr`` and exits ``code``."""
+    log = tmp_path / "argv.jsonl"
+    exe = tmp_path / "fake-bridge"
+    exe.write_text(
+        f"#!{sys.executable}\n"
+        "import json, sys\n"
+        f"with open({str(log)!r}, 'a') as f:\n"
+        "    f.write(json.dumps(sys.argv[1:]) + '\\n')\n"
+        f"sys.stdout.write({stdout!r})\n"
+        f"sys.stderr.write({stderr!r})\n"
+        f"sys.exit({code})\n"
+    )
+    exe.chmod(0o755)
+    return exe, log
+
+
+def _calls(log):
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def test_subprocess_bridge_shell_and_pull_arguments(tmp_path):
+    exe, log = _fake_bridge(tmp_path, stdout=PM_ALL)
+    bridge = SubprocessBridge(str(exe))
+    assert bridge.shell("SER1", "pm list packages -f") == PM_ALL
+    dest = tmp_path / "Gallery.apk"
+    assert bridge.pull("SER1", "/system/app/Gallery/Gallery.apk", dest) is None
+    assert _calls(log) == [
+        ["-s", "SER1", "shell", "pm list packages -f"],
+        ["-s", "SER1", "pull", "/system/app/Gallery/Gallery.apk", str(dest)],
+    ]
+
+
+def test_subprocess_bridge_executable_defaults_to_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv(BRIDGE_ENV, str(tmp_path / "env-bridge"))
+    assert SubprocessBridge().executable == str(tmp_path / "env-bridge")
+    assert SubprocessBridge("given").executable == "given"
+    monkeypatch.delenv(BRIDGE_ENV)
+    assert SubprocessBridge().executable == "adb"
+
+
+@pytest.mark.parametrize("stderr, message", [
+    ("error: no devices/emulators found\n", "no device: error: no devices/emulators found"),
+    ("error: device offline\n", "no device: error: device offline"),
+    ("error: device unauthorized.\n", "device unauthorized: error: device unauthorized."),
+    ("remote object does not exist\n", "bridge command failed: remote object does not exist"),
+])
+def test_subprocess_bridge_failure_is_a_bridge_error(tmp_path, stderr, message):
+    exe, log = _fake_bridge(tmp_path, stdout="partial", stderr=stderr, code=1)
+    bridge = SubprocessBridge(str(exe))
+    with pytest.raises(BridgeError) as err:
+        bridge.shell("SER1", "pm list packages -f")
+    assert str(err.value) == message
+    with pytest.raises(BridgeError) as err:
+        bridge.pull("SER1", "/data/app/x/base.apk", tmp_path / "base.apk")
+    assert str(err.value) == message
+    assert len(_calls(log)) == 2
+
+
+def test_subprocess_bridge_missing_executable(tmp_path):
+    missing = tmp_path / "no-such-bridge"
+    with pytest.raises(BridgeError) as err:
+        SubprocessBridge(str(missing)).shell("SER1", "pm list packages -f")
+    assert str(err.value) == f"bridge executable not found: {missing}"
 
 
 def test_list_device_packages(tmp_path):

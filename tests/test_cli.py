@@ -400,6 +400,7 @@ def test_acquire_with_transcript(tmp_path, capsys):
     (b"not json", "JSONDecodeError: Expecting value"),
     (b"\x80 not UTF-8", "UnicodeDecodeError: 'utf-8' codec"),
     (b'{"entries": {"ab12": {"packages": []}}}', "KeyError: 'path'"),
+    (None, "IsADirectoryError: [Errno 21] Is a directory"),  # a directory named like the index
 ])
 def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, reason):
     tr_path = tmp_path / "transcript.json"
@@ -407,7 +408,10 @@ def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, r
     out = tmp_path / "pulled"
     out.mkdir()
     index = out / "corpus-index.json"
-    index.write_bytes(content)
+    if content is None:
+        index.mkdir()
+    else:
+        index.write_bytes(content)
     rc = main(["acquire", "--serial", "SER1", "--out", str(out), "--transcript", str(tr_path)])
     captured = capsys.readouterr()
     assert rc == EXIT_ERROR
@@ -415,7 +419,10 @@ def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, r
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {index}: not a corpus index ({reason}")
     assert list(out.iterdir()) == [index]  # read before anything is pulled
-    assert index.read_bytes() == content
+    if content is None:
+        assert list(index.iterdir()) == []
+    else:
+        assert index.read_bytes() == content
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -501,6 +508,38 @@ def test_report_bad_file_is_an_error_not_a_traceback(corpus, tmp_path, capsys, c
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {bad}: not an apkaudit report ({reason}")
     assert line.endswith(")")
+
+
+def test_report_skips_a_directory_named_like_a_report(corpus, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["scan", str(corpus["benign"]), "--out", str(out)]) == EXIT_CLEAN
+    (out / "x.json").mkdir()
+    capsys.readouterr()
+    rc = main(["report", str(out), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CLEAN
+    assert captured.err == ""
+    assert json.loads(captured.out)["total_apps"] == 1
+
+
+def test_report_file_that_cannot_be_read_is_an_error(corpus, tmp_path, capsys, monkeypatch):
+    # root reads a mode-000 file, so the read itself is made to fail
+    out = tmp_path / "reports"
+    assert main(["scan", str(corpus["benign"]), "--out", str(out)]) == EXIT_CLEAN
+    [report] = out.iterdir()
+    capsys.readouterr()
+
+    def read_text(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    rc = main(["report", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {report}: not an apkaudit report "
+        f"(PermissionError: [Errno 13] Permission denied: '{report}')"]
 
 
 def test_scan_out_that_is_a_file_is_an_error_before_any_apk(corpus, tmp_path, capsys, monkeypatch):

@@ -130,17 +130,30 @@ def test_dropping_an_artifact_closes_its_file(tmp_path):
     junk = tmp_path / "junk.apk"
     junk.write_bytes(b"junk")
     fds = Path("/proc/self/fd")  # Linux only
-    before = len(list(fds.iterdir())) if fds.is_dir() else None
+
+    def open_on(path):
+        """How many of this process's descriptors are open on ``path``;
+        descriptors other code left open do not count."""
+        if not fds.is_dir():
+            return 0
+        count = 0
+        for fd in fds.iterdir():
+            try:
+                count += os.readlink(fd) == str(path.resolve())
+            except OSError:  # closed since the listing (the listing's own)
+                pass
+        return count
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         art = open_apk(p)
         assert read_entry(art, "AndroidManifest.xml") == b"\x03\x00"
+        assert open_on(p) == (1 if fds.is_dir() else 0)
         del art
         with pytest.raises(NotAZipError):  # a failed open closes the file too
             open_apk(junk)
     assert caught == []
-    if before is not None:
-        assert len(list(fds.iterdir())) == before
+    assert open_on(p) == open_on(junk) == 0
 
 
 @pytest.mark.parametrize("content", [b"", b"PK\x05\x06" + bytes(10)], ids=["empty", "short"])
