@@ -166,7 +166,6 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
     failures: dict[str, str] = {}
     for pkg in pkgs:
         dest_dir = out_dir / pkg.package
-        dest_dir.mkdir(parents=True, exist_ok=True)
         paths = [pkg.device_path]
         folder = pkg.device_path.rsplit("/", 1)[0]
         for sibling in _sibling_apks(bridge, folder):
@@ -175,6 +174,8 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
         for device_path in paths:
             dest = dest_dir / device_path.rsplit("/", 1)[1]
             try:
+                # a regular file named like the package fails this package only
+                dest_dir.mkdir(parents=True, exist_ok=True)
                 bridge.pull(serial, device_path, dest)
                 pulled.append(dest)
             except BridgeError as exc:

@@ -112,10 +112,32 @@ def _cmd_acquire(args) -> int:
     return EXIT_CLEAN
 
 
-def _scan_one(path: str, config) -> dict:
+def _scan_one(path: str, config, out: Path | None) -> dict:
+    # with --out the report is written as soon as it is done
     from .report import analyze_apk
 
-    return analyze_apk(path, config).to_dict()
+    doc = analyze_apk(path, config).to_dict()
+    if out is not None:
+        # a name that is not *.json, so report never reads a half-written file;
+        # the pid keeps two workers on copies of one APK off each other's file
+        part = out / f"{doc['sha256']}.{os.getpid()}.part"
+        try:
+            part.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            os.replace(part, out / f"{doc['sha256']}.json")
+        except OSError:
+            part.unlink(missing_ok=True)
+            raise
+    return doc
+
+
+def _spread(cpus, allowed: set[int]) -> None:
+    # pool initializer: move to the next CPU on the queue, then unpin
+    cpu = cpus.get()
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass  # the worker stays where it is; a raising initializer would fail every app
 
 
 def _cmd_scan(args) -> int:
@@ -143,19 +165,34 @@ def _cmd_scan(args) -> int:
     docs: list[dict] = []
     errors = 0
     pool = None
+    cpus = None
     if len(paths) > 1 and args.jobs > 1:
         import concurrent.futures
         import multiprocessing
 
-        # fork starts every worker up front, and the workers inherit the
-        # loaded detection data; Python 3.14 makes forkserver Linux's default
-        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)), mp_context=ctx)
-    futures = [pool.submit(_scan_one, str(p), config) for p in paths] if pool else None
-    # collected in path order for any --jobs
+        workers = min(args.jobs, len(paths))
+        setup = {}
+        if sys.platform == "linux":
+            # fork starts every worker up front, and the workers inherit the
+            # loaded detection data (Python 3.14 makes forkserver Linux's
+            # default).  A forked worker starts on this CPU, and Linux spreads
+            # it only at exec or about a second later, so each worker moves
+            # itself to its own CPU, round robin, then allows them all again
+            # so that the kernel can still move it
+            ctx = multiprocessing.get_context("fork")
+            allowed = os.sched_getaffinity(0)
+            order = sorted(allowed)
+            cpus = ctx.SimpleQueue()
+            for i in range(workers):
+                cpus.put(order[i % len(order)])
+            setup = {"mp_context": ctx, "initializer": _spread, "initargs": (cpus, allowed)}
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, **setup)
+    futures = [pool.submit(_scan_one, str(p), config, out) for p in paths] if pool else None
+    # each worker writes its own report; the docs are collected in path
+    # order for any --jobs, for stdout, the table and the exit code
     for i, p in enumerate(paths):
         try:
-            docs.append(futures[i].result() if futures else _scan_one(str(p), config))
+            docs.append(futures[i].result() if futures else _scan_one(str(p), config, out))
         except ApkAuditError as exc:
             # container errors already start with the path
             msg = str(exc) if str(exc).startswith(f"{p}:") else f"{p}: {exc}"
@@ -167,12 +204,9 @@ def _cmd_scan(args) -> int:
             errors += 1
     if pool:
         pool.shutdown()
+    if cpus is not None:
+        cpus.close()
 
-    if out is not None:
-        for doc in docs:
-            (out / f"{doc['sha256']}.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
     if args.format == "table":
         reports = [AppReport.from_dict(d) for d in docs]
         print(aggregate(reports).render_table(), end="")

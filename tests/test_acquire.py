@@ -214,6 +214,19 @@ def test_pull_failure_recorded_and_run_continues(tmp_path):
     assert len(result.pulled) == 2  # the other two packages still arrive
 
 
+def test_package_folder_that_is_a_file_is_a_failure_and_run_continues(tmp_path):
+    bridge = TranscriptBridge(_transcript(tmp_path))
+    pkgs, _ = list_device_packages(bridge, "SER1")
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "com.vendor.gallery").write_text("a file")
+    result = pull_packages(bridge, "SER1", pkgs, out)
+    assert list(result.failures) == ["com.vendor.gallery"]
+    assert "File exists" in result.failures["com.vendor.gallery"]
+    assert (out / "com.vendor.gallery").read_text() == "a file"
+    assert sorted(p.parent.name for p in result.pulled) == ["com.game", "com.vendor.radio"]
+
+
 def test_disk_full_is_fatal(tmp_path):
     class FullBridge(TranscriptBridge):
         def pull(self, serial, device_path, dest):

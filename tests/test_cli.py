@@ -56,7 +56,7 @@ def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeyp
     class InlineExecutor:
         """Records the pool size it is given and runs each job in this process."""
 
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             started.append(max_workers)
 
         def submit(self, fn, *args):
@@ -96,6 +96,72 @@ def test_scan_pool_names_the_fork_start_method_on_linux(corpus, tmp_path, capsys
     assert len(json.loads(capsys.readouterr().out)) == 2
     # the workers inherit the loaded detection data; elsewhere the default stays
     assert methods == (["fork"] if sys.platform == "linux" else [None])
+
+
+def _copies(corpus, tmp_path, names):
+    src = tmp_path / "apks"
+    src.mkdir()
+    for i, name in enumerate(names):
+        (src / f"{i}-{name}.apk").write_bytes(corpus[name].read_bytes())
+    return src
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool spreads its workers only on Linux")
+def test_scan_moves_each_worker_to_its_own_cpu_and_does_not_pin_it(corpus, tmp_path, capsys, monkeypatch):
+    calls = tmp_path / "calls.txt"
+
+    def record(pid, mask):
+        # forked workers inherit the patch; each appends its own lines
+        with open(calls, "a") as f:
+            f.write(f"{os.getpid()} {sorted(mask)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    src = _copies(corpus, tmp_path, ["benign"] * 3)
+    assert main(["scan", str(src), "--jobs", "3"]) == EXIT_CLEAN
+    assert len(json.loads(capsys.readouterr().out)) == 3
+    by_worker: dict[str, list[str]] = {}
+    for line in calls.read_text().splitlines():
+        pid, mask = line.split(" ", 1)
+        by_worker.setdefault(pid, []).append(mask)
+    assert os.getpid() not in map(int, by_worker)
+    # one CPU, then the whole mask back; three workers on two CPUs wrap round
+    assert sorted(by_worker.values()) == [["[3]", "[3, 5]"], ["[3]", "[3, 5]"], ["[5]", "[3, 5]"]]
+
+
+def test_scan_workers_that_cannot_move_still_report_every_app(corpus, tmp_path, capsys, monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    src = _copies(corpus, tmp_path, ["benign", "silent_install", "unsigned"])
+    out = tmp_path / "reports"
+    assert main(["scan", str(src), "--jobs", "2", "--out", str(out)]) == EXIT_FINDINGS
+    assert capsys.readouterr().err == ""
+    assert sorted(p.stem for p in out.iterdir()) == sorted(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in src.iterdir())
+
+
+def test_scan_of_two_copies_of_one_apk_writes_one_whole_report(corpus, tmp_path, capsys):
+    src = _copies(corpus, tmp_path, ["silent_install"] * 2)
+    out = tmp_path / "reports"
+    assert main(["scan", str(src), "--jobs", "2", "--timings", "--out", str(out)]) == EXIT_FINDINGS
+    [report] = out.iterdir()  # and no temporary file left behind
+    assert report.name == f"{json.loads(report.read_text())['sha256']}.json"
+
+
+def test_scan_report_that_cannot_be_written_is_an_error_and_leaves_no_part_file(corpus, tmp_path, capsys,
+                                                                                 monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    src = _copies(corpus, tmp_path, ["benign", "silent_install"])
+    out = tmp_path / "reports"
+    assert main(["scan", str(src), "--jobs", "1", "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {p}: PermissionError: [Errno 13] Permission denied" for p in sorted(src.iterdir())]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("path", ["fifo", "/dev/null"])
@@ -220,7 +286,8 @@ def test_scan_survives_an_analyser_fault_in_one_app(corpus, tmp_path, capsys, mo
     rc = main(["scan", str(src), "--out", str(out), "--jobs", jobs])
     assert rc == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == [f"error: {faulty}: RuntimeError: analyser fault"]
-    assert len(list(out.glob("*.json"))) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}.json" for p in src.iterdir() if p != faulty)
 
 
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):
