@@ -1,8 +1,11 @@
 """Device package acquisition and content-addressed corpus indexing.
 
 The debug bridge is invoked as an external command; a transcript-backed
-stub implements the same interface for offline tests.  The corpus index
-dedups files by sha256 and merges package/device/partition metadata.
+stub implements the same interface for offline tests.  Each package's
+files are the ones ``pm path <package>`` lists, and each pulled file keeps
+the package record it came from.  The corpus index holds what was pulled:
+it dedups those files by sha256 and merges their packages, partition
+folders and devices.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .container import AuthorityMap, find_apks, open_apk
+from .container import AuthorityMap, open_apk
 from .errors import ApkReadError, BridgeError, CorpusIndexError, NotAZipError
 
 log = logging.getLogger(__name__)
@@ -70,7 +73,9 @@ class TranscriptBridge:
 
     Transcript schema: {"shell": {command: output}, "files": {device_path:
     local_source_path}}, all strings; another shape raises BridgeError.
-    Pulls copy the mapped local file.
+    ``shell`` records ``pm list packages -f``, ``pm list packages -f -s``
+    and ``pm path <package>`` for each package pulled.  Pulls copy the
+    mapped local file.
     """
 
     def __init__(self, transcript: dict | str | Path):
@@ -149,50 +154,39 @@ def partition_folder(device_path: str) -> str:
 
 
 class PullResult(NamedTuple):
-    pulled: list[Path]
+    pulled: dict[Path, DevicePackage]  # destination file → the package it came from
     failures: dict[str, str]  # package → reason
 
 
 def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> PullResult:
-    """Pull each package APK to ``out_dir/<package>/<basename>``.
+    """Pull the files ``pm path <package>`` lists (the base APK and its
+    splits) to ``out_dir/<package>/<basename>``.
 
-    Per-item failures are recorded and the run continues.  Split APKs
-    sitting next to the base APK (transcript ``files`` siblings named as
-    ``_is_split`` accepts) are pulled alongside when the bridge exposes
-    them; other APKs in a flat folder belong to other packages.
+    A package whose listing or pull fails is recorded and the run continues.
     """
     out_dir = Path(out_dir)
-    pulled: list[Path] = []
+    pulled: dict[Path, DevicePackage] = {}
     failures: dict[str, str] = {}
     for pkg in pkgs:
         dest_dir = out_dir / pkg.package
-        paths = [pkg.device_path]
-        folder = pkg.device_path.rsplit("/", 1)[0]
-        for sibling in _sibling_apks(bridge, folder):
-            if sibling != pkg.device_path:
-                paths.append(sibling)
-        for device_path in paths:
-            dest = dest_dir / device_path.rsplit("/", 1)[1]
-            try:
-                # a regular file named like the package fails this package only
-                dest_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            listed = [line.strip() for line in bridge.shell(serial, f"pm path {pkg.package}").splitlines()]
+            paths = [line.removeprefix("package:") for line in listed if line.startswith("package:/")]
+            if not paths:
+                raise BridgeError(f"pm path {pkg.package} listed no file")
+            # a regular file named like the package fails this package only
+            dest_dir.mkdir(parents=True, exist_ok=True)
+            for device_path in paths:
+                dest = dest_dir / device_path.rpartition("/")[2]
                 bridge.pull(serial, device_path, dest)
-                pulled.append(dest)
-            except BridgeError as exc:
-                failures[pkg.package] = str(exc)
-            except OSError as exc:
-                if exc.errno == 28:  # disk full is fatal
-                    raise
-                failures[pkg.package] = str(exc)
+                pulled[dest] = pkg
+        except BridgeError as exc:
+            failures[pkg.package] = str(exc)
+        except OSError as exc:
+            if exc.errno == 28:  # disk full is fatal
+                raise
+            failures[pkg.package] = str(exc)
     return PullResult(pulled, failures)
-
-
-def _sibling_apks(bridge, folder: str) -> list[str]:
-    files = getattr(bridge, "files", None)
-    if files is not None:
-        return sorted(p for p in files if p.rsplit("/", 1)[0] == folder and p.endswith(".apk")
-                      and _is_split(p.rsplit("/", 1)[1]))
-    return []
 
 
 _INDEX_FIELDS = ("path", "packages", "devices", "partition_folders", "signer_label", "split")
@@ -234,9 +228,14 @@ class CorpusIndex:
         return idx
 
 
-def index_corpus(directory, prior: CorpusIndex | None = None, device: str | None = None) -> CorpusIndex:
-    """Walk a directory of APKs and build/merge the dedup index."""
-    directory = Path(directory)
+def index_corpus(pulled: dict[Path, DevicePackage], prior: CorpusIndex | None,
+                 device: str) -> CorpusIndex:
+    """Merge the pulled files into ``prior`` (or a new index) by sha256.
+
+    Each entry gains the file's package and partition folder and this run's
+    ``device``; a file is a split when it is not the base APK that
+    ``pm list packages -f`` gave for its package.
+    """
     amap = AuthorityMap.load()
     now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     idx = prior or CorpusIndex(created=now)
@@ -245,14 +244,13 @@ def index_corpus(directory, prior: CorpusIndex | None = None, device: str | None
     idx.updated = now
 
     skipped = 0
-    for path in find_apks(directory):
+    for path, pkg in sorted(pulled.items()):
         try:
             art = open_apk(path)
         except (ApkReadError, NotAZipError) as exc:
             log.warning("unreadable file skipped: %s (%s)", path, exc)
             skipped += 1
             continue
-        signer = art.signers[0] if art.signers else None
         entry = idx.entries.setdefault(
             art.sha256,
             {
@@ -260,17 +258,14 @@ def index_corpus(directory, prior: CorpusIndex | None = None, device: str | None
                 "packages": set(),
                 "devices": set(),
                 "partition_folders": set(),
-                "signer_label": amap.label(signer),
-                "split": _is_split(path.name),
+                "signer_label": amap.label(art.signers),
+                # the pulled file keeps its device name
+                "split": path.name != pkg.device_path.rpartition("/")[2],
             },
         )
-        entry["packages"].add(path.parent.name)
-        if device:
-            entry["devices"].add(device)
+        entry["packages"].add(pkg.package)
+        entry["partition_folders"].add(pkg.partition_folder)
+        entry["devices"].add(device)
     if skipped:
         log.warning("%d unreadable files skipped", skipped)
     return idx
-
-
-def _is_split(name: str) -> bool:
-    return name.startswith(("split_", "config.")) or ".config." in name

@@ -106,7 +106,7 @@ def _cmd_acquire(args) -> int:
     print(f"pulled {len(result.pulled)} files, {len(result.failures)} failures")
     for pkg, reason in sorted(result.failures.items()):
         print(f"  failed: {pkg}: {reason}", file=sys.stderr)
-    idx = acquire_mod.index_corpus(out, prior, device=args.device_tag or args.serial)
+    idx = acquire_mod.index_corpus(result.pulled, prior, args.device_tag or args.serial)
     index_path.write_text(idx.to_json())
     print(f"index: {len(idx.entries)} unique APKs -> {index_path}")
     return EXIT_CLEAN

@@ -76,7 +76,6 @@ class SignerInfo(NamedTuple):
     subject_cn: str
     subject_o: str
     fingerprint_sha256: str
-    scheme: str  # "v1" | "v2" | "v3"
 
 
 class _ApkFile:
@@ -300,18 +299,17 @@ def extract_signers(a: ApkArtifact, cd_offset: int) -> tuple[SignerInfo, ...]:
     warning, never fatal."""
     signers: dict[str, SignerInfo] = {}  # fingerprint -> its first signer
 
-    def add(cert_der: bytes, cn_o: tuple[str, str], scheme: str) -> None:
+    def add(cert_der: bytes, cn_o: tuple[str, str]) -> None:
         fp = hashlib.sha256(cert_der).hexdigest()
-        signers.setdefault(fp, SignerInfo(*cn_o, fingerprint_sha256=fp, scheme=scheme))
+        signers.setdefault(fp, SignerInfo(*cn_o, fp))
 
     try:
-        for scheme, certs in _signing_block_certs(a.archive, cd_offset):
-            for der in certs:
-                try:
-                    cn_o = _subject_fields(der)
-                except DerError:
-                    cn_o = ("", "")
-                add(der, cn_o, scheme)
+        for der in _signing_block_certs(a.archive, cd_offset):
+            try:
+                cn_o = _subject_fields(der)
+            except DerError:
+                cn_o = ("", "")
+            add(der, cn_o)
     except MalformedSigningBlockError as exc:
         a.warnings.append(f"malformed signing block: {exc}")
 
@@ -324,7 +322,7 @@ def extract_signers(a: ApkArtifact, cd_offset: int) -> tuple[SignerInfo, ...]:
             a.warnings.append(f"unparsable v1 signature {name}: {exc}")
             continue
         for der, cn_o in certs:
-            add(der, cn_o, "v1")
+            add(der, cn_o)
     return tuple(signers.values())
 
 
@@ -433,7 +431,7 @@ def _subject_fields(cert_der: bytes) -> tuple[str, str]:
 
 
 def _signing_block_certs(data, cd_offset: int):
-    """Yield (scheme, [cert_der, ...]) for every v2/v3 block of an APK."""
+    """Yield the certificates (DER) of every v2/v3 block of an APK, in order."""
     block = _find_signing_block(data, cd_offset)
     if block is None:
         return
@@ -449,7 +447,7 @@ def _signing_block_certs(data, cd_offset: int):
         value = block[pos + 4 : pos + pair_len]
         pos += pair_len
         if block_id in (V2_BLOCK_ID, V3_BLOCK_ID):
-            yield "v2" if block_id == V2_BLOCK_ID else "v3", _scheme_block_certs(value)
+            yield from _scheme_block_certs(value)
 
 
 def _find_signing_block(raw, cd_offset: int) -> bytes | None:
@@ -513,10 +511,11 @@ class AuthorityMap:
     def load(cls, path=None) -> "AuthorityMap":
         return cls(read_data_file(path or DEFAULT_AUTHORITY_MAP, as_json=True))
 
-    def label(self, signer: SignerInfo | None) -> str:
-        if signer is None:
+    def label(self, signers: tuple[SignerInfo, ...]) -> str:
+        """The label of an app's signers: its first signer labels it."""
+        if not signers:
             return FALLBACK_AUTHORITY
-        subject = f"CN={signer.subject_cn}, O={signer.subject_o}"
+        subject = f"CN={signers[0].subject_cn}, O={signers[0].subject_o}"
         for match, lab in self.rules:
             if match in subject:
                 return lab

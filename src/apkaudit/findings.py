@@ -136,10 +136,6 @@ class AppReport(NamedTuple):
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @property
-    def has_findings(self) -> bool:
-        return bool(self.leaks or self.behaviors or self.exported_components)
-
 
 def format_percent(count: int, total: int) -> str:
     """Percent rendering used by the summary table.

@@ -128,7 +128,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
         return AppReport(
             art.sha256,
             *header,
-            signer_label=data.authorities.label(art.signers[0] if art.signers else None),
+            signer_label=data.authorities.label(art.signers),
             device=device,
             leaks=tuple(leaks),
             behaviors=tuple(behaviors),

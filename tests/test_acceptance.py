@@ -19,7 +19,7 @@ from apkaudit.dex import load_app_code
 from apkaudit.dex.parser import parse_dex
 from apkaudit.leaks import analyze_leaks, load_taint_spec
 from apkaudit.manifest import build_manifest
-from apkaudit.acquire import index_corpus
+from apkaudit.acquire import DevicePackage, index_corpus
 from apkaudit.findings import AppReport, aggregate, format_percent
 from apkaudit.report import AnalysisConfig, analyze_apk
 
@@ -91,7 +91,7 @@ def test_c3_signer_distribution(tmp_path):
             art = open_apk(p)
             reports.append(AppReport(
                 sha256=art.sha256,
-                signer_label=amap.label(art.signers[0]),
+                signer_label=amap.label(art.signers),
                 device="SMART8",
             ))
             n += 1
@@ -264,15 +264,17 @@ def test_c8_determinism_roundtrip_reindex(corpus, tmp_path):
         report = AppReport.from_dict(json.loads(first))
         assert report.to_json() == first, name
 
-    d = tmp_path / "corpus"
+    pulled = {}
     for name in ("benign", "silent_install"):
-        (d / name).mkdir(parents=True)
-        (d / name / "base.apk").write_bytes(corpus[name].read_bytes())
-    idx = index_corpus(d, device="D")
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "base.apk"
+        path.write_bytes(corpus[name].read_bytes())
+        pulled[path] = DevicePackage(name, f"/system/app/{name}/base.apk", "/system/app", True)
+    idx = index_corpus(pulled, None, "D")
     entries_before = json.loads(idx.to_json())["entries"]
-    again = index_corpus(d, prior=idx, device="D")
+    again = index_corpus(pulled, idx, "D")
     assert json.loads(again.to_json())["entries"] == entries_before
-    restored = index_corpus(d, prior=type(idx).from_json(idx.to_json(), "index"), device="D")
+    restored = index_corpus(pulled, type(idx).from_json(idx.to_json(), "index"), "D")
     assert json.loads(restored.to_json())["entries"] == entries_before
 
 

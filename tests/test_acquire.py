@@ -1,14 +1,15 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from apkaudit.acquire import (
     BRIDGE_ENV,
     CorpusIndex,
+    DevicePackage,
     SubprocessBridge,
     TranscriptBridge,
-    _is_split,
     index_corpus,
     list_device_packages,
     partition_folder,
@@ -28,14 +29,6 @@ def test_partition_folder_rules():
     assert partition_folder("/system/vendor/overlay/Z.apk") == "/system/vendor/overlay"
     assert partition_folder("/system/preload/app/W.apk") == "/system/preload/app"
     assert partition_folder("/product/priv-app/A/A.apk") == "/product/priv-app"
-
-
-def test_is_split():
-    assert _is_split("split_config.arm64_v8a.apk")
-    assert _is_split("config.en.apk")
-    assert _is_split("base.config.xhdpi.apk")
-    assert not _is_split("base.apk")
-    assert not _is_split("Gallery.apk")
 
 
 PM_ALL = """\
@@ -61,6 +54,9 @@ def _transcript(tmp_path, with_files=True):
         "shell": {
             "pm list packages -f": PM_ALL,
             "pm list packages -f -s": PM_SYSTEM,
+            "pm path com.vendor.gallery": "package:/system/app/Gallery/Gallery.apk\n",
+            "pm path com.game": "package:/data/app/com.game-x1/base.apk\n",
+            "pm path com.vendor.radio": "package:/product/app/Radio/Radio.apk\n",
         },
         "files": {
             "/system/app/Gallery/Gallery.apk": apks.get("Gallery", ""),
@@ -176,31 +172,82 @@ def test_transcript_bridge_from_file(tmp_path):
     assert "Gallery" in bridge.shell("SER1", "pm list packages -f")
 
 
+def _add_split(tmp_path, tr):
+    """Give com.game a split APK that ``pm path`` lists after its base."""
+    split = "/data/app/com.game-x1/split_config.arm64_v8a.apk"
+    split_src = build_apk(tmp_path / "src_split.apk", {"AndroidManifest.xml": b"", "f": b"split"})
+    tr["files"][split] = str(split_src)
+    tr["shell"]["pm path com.game"] += f"package:{split}\n"
+
+
 def test_pull_packages_end_to_end(tmp_path):
     tr = _transcript(tmp_path)
-    # add a split sibling next to the game base APK
-    split_src = build_apk(tmp_path / "src_split.apk", {"AndroidManifest.xml": b"", "f": b"split"})
-    tr["files"]["/data/app/com.game-x1/split_config.arm64_v8a.apk"] = str(split_src)
+    _add_split(tmp_path, tr)
     # two packages in one flat folder: neither is a split of the other
     for name in ("Foo", "Bar"):
         path = f"/system/app/{name}.apk"
         tr["shell"]["pm list packages -f"] += f"package:{path}=com.vendor.{name.lower()}\n"
+        tr["shell"][f"pm path com.vendor.{name.lower()}"] = f"package:{path}\n"
         tr["files"][path] = str(build_apk(tmp_path / f"src_{name}.apk", {"f": name.encode()}))
     bridge = TranscriptBridge(tr)
     pkgs, _ = list_device_packages(bridge, "SER1")
     out = tmp_path / "corpus"
     result = pull_packages(bridge, "SER1", pkgs, out)
     assert result.failures == {}
-    names = sorted(p.relative_to(out).as_posix() for p in result.pulled)
-    assert names == [
-        "com.game/base.apk",
-        "com.game/split_config.arm64_v8a.apk",
-        "com.vendor.bar/Bar.apk",
-        "com.vendor.foo/Foo.apk",
-        "com.vendor.gallery/Gallery.apk",
-        "com.vendor.radio/Radio.apk",
-    ]
-    assert (out / "com.game" / "base.apk").read_bytes() == split_src.parent.joinpath("src_base.apk").read_bytes()
+    assert {p.relative_to(out).as_posix(): pkg.package for p, pkg in result.pulled.items()} == {
+        "com.game/base.apk": "com.game",
+        "com.game/split_config.arm64_v8a.apk": "com.game",
+        "com.vendor.bar/Bar.apk": "com.vendor.bar",
+        "com.vendor.foo/Foo.apk": "com.vendor.foo",
+        "com.vendor.gallery/Gallery.apk": "com.vendor.gallery",
+        "com.vendor.radio/Radio.apk": "com.vendor.radio",
+    }
+    assert (out / "com.game" / "base.apk").read_bytes() == (tmp_path / "src_base.apk").read_bytes()
+
+
+def test_a_bridge_without_files_pulls_the_splits_pm_path_lists(tmp_path):
+    tr = _transcript(tmp_path)
+    _add_split(tmp_path, tr)
+    transcript = TranscriptBridge(tr)
+
+    class DeviceBridge:  # a bridge as a device is: commands and pulls, no file table
+        def shell(self, serial, command):
+            return transcript.shell(serial, command)
+
+        def pull(self, serial, device_path, dest):
+            transcript.pull(serial, device_path, dest)
+
+    bridge = DeviceBridge()
+    pkgs, _ = list_device_packages(bridge, "SER1")
+    out = tmp_path / "corpus"
+    result = pull_packages(bridge, "SER1", pkgs, out)
+    assert result.failures == {}
+    assert sorted(p.name for p in result.pulled if p.parent.name == "com.game") == [
+        "base.apk", "split_config.arm64_v8a.apk"]
+    idx = index_corpus(result.pulled, None, "DEV1")
+    assert sorted((Path(e["path"]).name, e["split"]) for e in idx.entries.values()) == [
+        ("Gallery.apk", False), ("Radio.apk", False), ("base.apk", False),
+        ("split_config.arm64_v8a.apk", True)]
+
+
+@pytest.mark.parametrize("listing, reason", [
+    ("", "pm path com.game listed no file"),
+    ("Error: no package\n", "pm path com.game listed no file"),
+    (None, "transcript has no output for 'pm path com.game'"),
+], ids=["empty", "no-package-line", "failed"])
+def test_a_failed_or_empty_pm_path_fails_that_package_only(tmp_path, listing, reason):
+    tr = _transcript(tmp_path)
+    if listing is None:
+        del tr["shell"]["pm path com.game"]
+    else:
+        tr["shell"]["pm path com.game"] = listing
+    bridge = TranscriptBridge(tr)
+    pkgs, _ = list_device_packages(bridge, "SER1")
+    out = tmp_path / "corpus"
+    result = pull_packages(bridge, "SER1", pkgs, out)
+    assert result.failures == {"com.game": reason}
+    assert sorted(p.parent.name for p in result.pulled) == ["com.vendor.gallery", "com.vendor.radio"]
+    assert not (out / "com.game").exists()
 
 
 def test_pull_failure_recorded_and_run_continues(tmp_path):
@@ -238,7 +285,9 @@ def test_disk_full_is_fatal(tmp_path):
         pull_packages(bridge, "SER1", pkgs, tmp_path / "corpus")
 
 
-def _corpus_dir(tmp_path):
+def _pulled(tmp_path):
+    """A pull of two packages: com.a from /system/app, com.b from /data/app
+    with a split and a file that is no APK."""
     d = tmp_path / "corpus"
     (d / "com.a").mkdir(parents=True)
     (d / "com.b").mkdir()
@@ -250,33 +299,51 @@ def _corpus_dir(tmp_path):
     build_apk(d / "com.b" / "split_config.en.apk", {"AndroidManifest.xml": b"", "f": b"two"},
               sign="v2", cn="Bob", org="Google")
     (d / "com.b" / "notes.apk").write_bytes(b"not a zip at all")
-    return d
+    a = DevicePackage("com.a", "/system/app/A/base.apk", "/system/app", True)
+    b = DevicePackage("com.b", "/data/app/com.b-1/base.apk", "/data/app", False)
+    return {d / "com.a" / "base.apk": a, d / "com.b" / "base.apk": b,
+            d / "com.b" / "split_config.en.apk": b, d / "com.b" / "notes.apk": b}
 
 
 def test_index_corpus_dedup_and_labels(tmp_path):
-    d = _corpus_dir(tmp_path)
-    idx = index_corpus(d, device="DEV1")
+    idx = index_corpus(_pulled(tmp_path), None, "DEV1")
     assert len(idx.entries) == 2  # two distinct payloads, bad file skipped
     by_label = {e["signer_label"]: e for e in idx.entries.values()}
     assert set(by_label) == {"Infinix", "Google"}
     assert by_label["Infinix"]["packages"] == {"com.a", "com.b"}
+    assert by_label["Infinix"]["partition_folders"] == {"/system/app", "/data/app"}
     assert by_label["Infinix"]["devices"] == {"DEV1"}
     assert by_label["Infinix"]["split"] is False
+    assert by_label["Google"]["partition_folders"] == {"/data/app"}
     assert by_label["Google"]["split"] is True
 
 
+def test_index_holds_only_what_was_pulled(tmp_path):
+    pulled = _pulled(tmp_path)
+    a_only = {p: pkg for p, pkg in pulled.items() if pkg.package == "com.a"}
+    idx = index_corpus(a_only, None, "DEV1")
+    [entry] = idx.entries.values()
+    assert (entry["packages"], entry["devices"]) == ({"com.a"}, {"DEV1"})
+    # com.b's files sit in the same folder, but this run did not pull them
+    b_only = {p: pkg for p, pkg in pulled.items() if pkg.package == "com.b"}
+    index_corpus(b_only, idx, "DEV2")
+    by_label = {e["signer_label"]: e for e in idx.entries.values()}
+    assert by_label["Infinix"]["devices"] == {"DEV1", "DEV2"}  # same bytes on both
+    assert by_label["Google"]["devices"] == {"DEV2"}
+
+
 def test_index_merge_and_idempotence(tmp_path):
-    d = _corpus_dir(tmp_path)
-    idx = index_corpus(d, device="DEV1")
-    again = index_corpus(d, prior=idx, device="DEV1")
+    pulled = _pulled(tmp_path)
+    idx = index_corpus(pulled, None, "DEV1")
+    again = index_corpus(pulled, idx, "DEV1")
     assert again is idx
     assert len(again.entries) == 2
-    merged = index_corpus(d, prior=idx, device="DEV2")
+    merged = index_corpus(pulled, idx, "DEV2")
     assert all(e["devices"] == {"DEV1", "DEV2"} for e in merged.entries.values())
 
 
 def test_index_json_roundtrip(tmp_path):
-    idx = index_corpus(_corpus_dir(tmp_path), device="DEV1")
+    idx = index_corpus(_pulled(tmp_path), None, "DEV1")
     text = idx.to_json()
     back = CorpusIndex.from_json(text, "corpus-index.json")
     assert back.entries == idx.entries

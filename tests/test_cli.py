@@ -463,6 +463,35 @@ def test_acquire_with_transcript(tmp_path, capsys):
     assert idx2["entries"] == idx["entries"]
 
 
+def test_acquire_of_two_devices_into_one_out(tmp_path, capsys):
+    # device A holds com.a, device B com.b; both hold the same Gallery APK
+    shared = build_apk(tmp_path / "src_gallery.apk", {"AndroidManifest.xml": b"", "f": b"g"})
+    gallery = "/system/app/Gallery/Gallery.apk"
+    out = tmp_path / "pulled"
+    for device, pkg, path in (("A", "com.a", "/system/priv-app/A/A.apk"),
+                              ("B", "com.b", "/data/app/com.b-1/base.apk")):
+        src = build_apk(tmp_path / f"src_{pkg}.apk", {"AndroidManifest.xml": b"", "f": pkg.encode()})
+        listing = f"package:{gallery}=com.vendor.gallery\npackage:{path}={pkg}\n"
+        tr = {"shell": {"pm list packages -f": listing,
+                        "pm list packages -f -s": f"package:{gallery}=com.vendor.gallery\n",
+                        "pm path com.vendor.gallery": f"package:{gallery}\n",
+                        f"pm path {pkg}": f"package:{path}\n"},
+              "files": {gallery: str(shared), path: str(src)}}
+        tr_path = tmp_path / f"transcript_{device}.json"
+        tr_path.write_text(json.dumps(tr))
+        rc = main(["acquire", "--serial", f"SER{device}", "--out", str(out),
+                   "--transcript", str(tr_path), "--device-tag", device])
+        assert rc == EXIT_CLEAN
+    assert "index: 3 unique APKs" in capsys.readouterr().out
+    idx = json.loads((out / "corpus-index.json").read_text())
+    got = {e["packages"][0]: (e["devices"], e["partition_folders"]) for e in idx["entries"].values()}
+    assert got == {
+        "com.a": (["A"], ["/system/priv-app"]),
+        "com.b": (["B"], ["/data/app"]),
+        "com.vendor.gallery": (["A", "B"], ["/system/app"]),
+    }
+
+
 @pytest.mark.parametrize("content, reason", [
     (b"not json", "JSONDecodeError: Expecting value"),
     (b"\x80 not UTF-8", "UnicodeDecodeError: 'utf-8' codec"),
@@ -518,6 +547,7 @@ def test_acquire_of_a_package_named_like_an_apk(tmp_path, capsys):
     # the package folder out/com.acme.apk is a directory that matches *.apk
     tr = _transcript(tmp_path)
     tr["shell"]["pm list packages -f"] += "package:/data/app/com.acme.apk-1/base.apk=com.acme.apk\n"
+    tr["shell"]["pm path com.acme.apk"] = "package:/data/app/com.acme.apk-1/base.apk\n"
     acme = build_apk(tmp_path / "src_acme.apk", {"AndroidManifest.xml": b"", "f": b"acme"})
     tr["files"]["/data/app/com.acme.apk-1/base.apk"] = str(acme)
     tr_path = tmp_path / "transcript.json"

@@ -509,7 +509,7 @@ def test_signer_extraction(tmp_path, scheme):
     art = open_apk(p)
     assert len(art.signers) == 1
     s = art.signers[0]
-    assert (s.subject_cn, s.subject_o, s.scheme) == ("Acme", "AcmeOrg", scheme)
+    assert (s.subject_cn, s.subject_o) == ("Acme", "AcmeOrg")
     # fingerprint oracle: sha256 over the DER bytes of the known cert
     cert, _ = make_cert("Acme", "AcmeOrg")
     assert s.fingerprint_sha256 == hashlib.sha256(cert.public_bytes(Encoding.DER)).hexdigest()
@@ -529,7 +529,6 @@ def test_same_cert_in_both_schemes_dedupes(tmp_path):
     _splice_signing_block(p, _v2_block(cert.public_bytes(Encoding.DER)))
     art = open_apk(p)
     assert len(art.signers) == 1
-    assert art.signers[0].scheme == "v2"  # signing block is preferred
 
 
 def _sig_block(payload: bytes, size: int | None = None, head: int | None = None) -> bytes:
@@ -565,7 +564,7 @@ def test_authority_map_default_grouping():
     amap = AuthorityMap.load()
 
     def lab(cn, o):
-        return amap.label(SignerInfo(cn, o, "00", "v1"))
+        return amap.label((SignerInfo(cn, o, "00"), SignerInfo("Other", "Other", "01")))
 
     assert lab("Infinix", "Infinix Mobility") == "Infinix"
     assert lab("Android", "Google Inc.") == "Google"
@@ -574,14 +573,14 @@ def test_authority_map_default_grouping():
     assert lab("Facebook", "Facebook Inc") == "Facebook"
     assert lab("Android", "Android") == "Default"
     assert lab("RandomVendor", "Whoever") == "Others"
-    assert amap.label(None) == "Others"
+    assert amap.label(()) == "Others"
 
 
 def test_authority_map_first_match_wins(tmp_path):
     rules = tmp_path / "map.json"
     rules.write_text('[{"match": "A", "label": "first"}, {"match": "Acme", "label": "second"}]')
     amap = AuthorityMap.load(rules)
-    assert amap.label(SignerInfo("Acme", "X", "00", "v1")) == "first"
+    assert amap.label((SignerInfo("Acme", "X", "00"),)) == "first"
 
 
 def test_extract_signers_bad_v1_blob_warns(tmp_path):

@@ -630,7 +630,7 @@ def test_undecompressable_only_dex_is_a_dex_warning_in_the_report(corpus, tmp_pa
     assert report.signer_label == "Infinix"
     dex = [w for w in report.warnings if w.startswith("dex: ")]
     assert len(dex) == 1 and dex[0].startswith(f"dex: {p}:classes.dex: error: ")
-    assert not report.has_findings
+    assert not any(report.to_dict()["findings"].values())
 
 
 def _invalid_mutf8_dex() -> bytes:

@@ -123,7 +123,7 @@ def test_render_table_layout():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_app_report_roundtrip(corpus, expected, name):
     report = analyze_apk(corpus[name], AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS)))
-    assert report.has_findings == any(expected[name].values())
+    assert any(report.to_dict()["findings"].values()) == any(expected[name].values())
     hash(report)  # every field a tuple or a string: no list reached the report
     back = AppReport.from_dict(json.loads(report.to_json()))
     assert back == report
@@ -149,7 +149,7 @@ def test_analyze_degrades_without_manifest(tmp_path):
 def test_analyze_degrades_with_bad_dex(tmp_path, corpus):
     report = analyze_apk(corpus["corrupt_dex"])
     assert any("adler32" in w for w in report.warnings)
-    assert report.has_findings  # analysis still ran on the damaged dex
+    assert any(report.to_dict()["findings"].values())  # analysis still ran on the damaged dex
 
 
 def test_mutated_apks_give_a_report_or_an_apkaudit_error(corpus, tmp_path):
@@ -176,7 +176,7 @@ def test_analyze_reads_the_apk_once(corpus, tmp_path, monkeypatch):
     p = tmp_path / "multidex_v2.apk"
     p.write_bytes(corpus["multidex"].read_bytes())  # v1-signed, two dex entries
     _splice_signing_block(p, _v2_block(make_cert("V2", "V2Org")[0].public_bytes(Encoding.DER)))
-    assert [s.scheme for s in open_apk(p).signers] == ["v2", "v1"]
+    assert [s.subject_cn for s in open_apk(p).signers] == ["V2", "Test"]  # the block's signer first
     opens, archives = [], []
     real_open, real_zipfile = io.open, zipfile.ZipFile
 

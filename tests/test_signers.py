@@ -156,7 +156,7 @@ def test_apk_signers_match_cryptography(tmp_path, scheme, count):
     art = open_apk(p)
     assert art.warnings == []
     assert art.signers == tuple(
-        SignerInfo(*_oracle_fields(d), hashlib.sha256(d).hexdigest(), scheme) for d in ders
+        SignerInfo(*_oracle_fields(d), hashlib.sha256(d).hexdigest()) for d in ders
     )
 
 
