@@ -160,15 +160,18 @@ class PullResult(NamedTuple):
 
 def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> PullResult:
     """Pull the files ``pm path <package>`` lists (the base APK and its
-    splits) to ``out_dir/<package>/<basename>``.
+    splits) to ``out_dir/<package>/<serial>/<basename>``, so that the same
+    package pulled from two devices into one ``out_dir`` keeps both files.
 
     A package whose listing or pull fails is recorded and the run continues.
     """
+    if serial in ("", ".", "..") or "/" in serial or os.sep in serial:
+        raise BridgeError(f"serial {serial!r} cannot name a folder")
     out_dir = Path(out_dir)
     pulled: dict[Path, DevicePackage] = {}
     failures: dict[str, str] = {}
     for pkg in pkgs:
-        dest_dir = out_dir / pkg.package
+        dest_dir = out_dir / pkg.package / serial
         try:
             listed = [line.strip() for line in bridge.shell(serial, f"pm path {pkg.package}").splitlines()]
             paths = [line.removeprefix("package:") for line in listed if line.startswith("package:/")]

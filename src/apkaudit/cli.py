@@ -112,49 +112,59 @@ def _cmd_acquire(args) -> int:
     return EXIT_CLEAN
 
 
-def _scan_one(path: str, config, out: Path | None) -> dict:
-    # with --out the report is written as soon as it is done
+def _scan_one(path: str, config, out: Path | None) -> dict | str:
+    """The app's report document, or the text of its ``error:`` line."""
     from .report import analyze_apk
 
-    doc = analyze_apk(path, config).to_dict()
-    if out is not None:
-        # a name that is not *.json, so report never reads a half-written file;
-        # the pid keeps two workers on copies of one APK off each other's file
-        part = out / f"{doc['sha256']}.{os.getpid()}.part"
-        try:
-            part.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            os.replace(part, out / f"{doc['sha256']}.json")
-        except OSError:
-            part.unlink(missing_ok=True)
-            raise
-    return doc
-
-
-def _spread(cpus, allowed: set[int]) -> None:
-    # pool initializer: move to the next CPU on the queue, then unpin
-    cpu = cpus.get()
     try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, allowed)
+        doc = analyze_apk(path, config).to_dict()
+        if out is not None:
+            # a name that is not *.json, so report never reads a half-written file;
+            # the pid keeps two workers on copies of one APK off each other's file
+            part = out / f"{doc['sha256']}.{os.getpid()}.part"
+            try:
+                part.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                os.replace(part, out / f"{doc['sha256']}.json")
+            except OSError:
+                part.unlink(missing_ok=True)
+                raise
+        return doc
+    except ApkAuditError as exc:
+        # container errors already start with the path
+        return str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
+    except Exception as exc:
+        # an analyser fault in one app must not cost the rest of the corpus
+        return f"{path}: {type(exc).__name__}: {exc}"
+
+
+def _worker(paths: list[str], config, out, cpu, allowed, counter, conn) -> None:
+    """Claim apps by index until none is left, sending ``(index, outcome)`` for each."""
+    try:  # to its own CPU, then allow them all again so that the kernel can still move it
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, allowed)
     except OSError:
-        pass  # the worker stays where it is; a raising initializer would fail every app
+        pass  # a worker that cannot move stays where it is
+    while True:
+        with counter.get_lock():  # claim the next app
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(paths):
+            break
+        conn.send((i, _scan_one(paths[i], config, out)))
+    conn.close()
 
 
 def _cmd_scan(args) -> int:
     from .container import find_apks
     from .report import AnalysisConfig, load_detection
 
-    config = AnalysisConfig(
-        rules_path=args.rules,
-        taint_path=args.susi,
-        extra_sinks_path=args.extra_sinks,
-        apis_path=args.sensitive_apis,
-        depth=args.depth,
-        timings=args.timings,
-    )
+    config = AnalysisConfig(rules_path=args.rules, taint_path=args.susi,
+                            extra_sinks_path=args.extra_sinks, apis_path=args.sensitive_apis,
+                            depth=args.depth, timings=args.timings)
     target = Path(args.target)
     is_dir = target.is_dir()
-    paths = find_apks(target) if is_dir else [target]
+    paths = [str(p) for p in find_apks(target)] if is_dir else [str(target)]
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR
@@ -162,50 +172,40 @@ def _cmd_scan(args) -> int:
     load_detection(config)
     out = _out_dir(args.out) if args.out else None
 
-    docs: list[dict] = []
-    errors = 0
-    pool = None
-    cpus = None
+    outcomes = (_scan_one(p, config, out) for p in paths)  # each error printed as it happens
     if len(paths) > 1 and args.jobs > 1:
-        import concurrent.futures
-        import multiprocessing
+        import multiprocessing.connection
 
-        workers = min(args.jobs, len(paths))
-        setup = {}
-        if sys.platform == "linux":
-            # fork starts every worker up front, and the workers inherit the
-            # loaded detection data (Python 3.14 makes forkserver Linux's
-            # default).  A forked worker starts on this CPU, and Linux spreads
-            # it only at exec or about a second later, so each worker moves
-            # itself to its own CPU, round robin, then allows them all again
-            # so that the kernel can still move it
-            ctx = multiprocessing.get_context("fork")
-            allowed = os.sched_getaffinity(0)
-            order = sorted(allowed)
-            cpus = ctx.SimpleQueue()
-            for i in range(workers):
-                cpus.put(order[i % len(order)])
-            setup = {"mp_context": ctx, "initializer": _spread, "initargs": (cpus, allowed)}
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, **setup)
-    futures = [pool.submit(_scan_one, str(p), config, out) for p in paths] if pool else None
-    # each worker writes its own report; the docs are collected in path
-    # order for any --jobs, for stdout, the table and the exit code
-    for i, p in enumerate(paths):
-        try:
-            docs.append(futures[i].result() if futures else _scan_one(str(p), config, out))
-        except ApkAuditError as exc:
-            # container errors already start with the path
-            msg = str(exc) if str(exc).startswith(f"{p}:") else f"{p}: {exc}"
-            print(f"error: {msg}", file=sys.stderr)
-            errors += 1
-        except Exception as exc:
-            # an analyser fault in one app must not cost the rest of the corpus
-            print(f"error: {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            errors += 1
-    if pool:
-        pool.shutdown()
-    if cpus is not None:
-        cpus.close()
+        # fork starts each worker at once, with the loaded data (Python 3.14 makes
+        # forkserver Linux's default).  A forked worker starts on this CPU, and Linux
+        # spreads it only at exec or a second later, so each moves itself to its
+        # own, round robin
+        linux = sys.platform == "linux"
+        ctx = multiprocessing.get_context("fork" if linux else None)
+        cpus = sorted(os.sched_getaffinity(0)) if linux else [None]
+        counter = ctx.Value("q", 0)
+        outcomes = [None] * len(paths)  # None: the app's worker died before sending it
+        conns = {}
+        for w in range(min(args.jobs, len(paths))):
+            conn, send = ctx.Pipe(duplex=False)
+            worker_args = (paths, config, out, cpus[w % len(cpus)], cpus, counter, send)
+            conns[conn] = ctx.Process(target=_worker, args=worker_args, daemon=True)
+            conns[conn].start()
+            send.close()  # the worker holds the only send end: its exit is EOF here
+        while conns:
+            for conn in multiprocessing.connection.wait(list(conns)):
+                try:
+                    i, outcomes[i] = conn.recv()
+                except EOFError:
+                    conns.pop(conn).join()
+                    conn.close()
+    # taken in path order for any --jobs, for stderr, stdout, the table and the exit code
+    docs: list[dict] = []
+    for p, outcome in zip(paths, outcomes):
+        if isinstance(outcome, dict):
+            docs.append(outcome)
+        else:
+            print(f"error: {outcome or f'{p}: its worker exited before reporting it'}", file=sys.stderr)
 
     if args.format == "table":
         reports = [AppReport.from_dict(d) for d in docs]
@@ -213,7 +213,7 @@ def _cmd_scan(args) -> int:
     elif out is None and (docs or is_dir):
         print(json.dumps(docs, indent=2, sort_keys=True))
 
-    if errors:
+    if len(docs) < len(paths):
         return EXIT_ERROR
     return EXIT_FINDINGS if any(any(d["findings"].values()) for d in docs) else EXIT_CLEAN
 

@@ -195,14 +195,14 @@ def test_pull_packages_end_to_end(tmp_path):
     result = pull_packages(bridge, "SER1", pkgs, out)
     assert result.failures == {}
     assert {p.relative_to(out).as_posix(): pkg.package for p, pkg in result.pulled.items()} == {
-        "com.game/base.apk": "com.game",
-        "com.game/split_config.arm64_v8a.apk": "com.game",
-        "com.vendor.bar/Bar.apk": "com.vendor.bar",
-        "com.vendor.foo/Foo.apk": "com.vendor.foo",
-        "com.vendor.gallery/Gallery.apk": "com.vendor.gallery",
-        "com.vendor.radio/Radio.apk": "com.vendor.radio",
+        "com.game/SER1/base.apk": "com.game",
+        "com.game/SER1/split_config.arm64_v8a.apk": "com.game",
+        "com.vendor.bar/SER1/Bar.apk": "com.vendor.bar",
+        "com.vendor.foo/SER1/Foo.apk": "com.vendor.foo",
+        "com.vendor.gallery/SER1/Gallery.apk": "com.vendor.gallery",
+        "com.vendor.radio/SER1/Radio.apk": "com.vendor.radio",
     }
-    assert (out / "com.game" / "base.apk").read_bytes() == (tmp_path / "src_base.apk").read_bytes()
+    assert (out / "com.game" / "SER1" / "base.apk").read_bytes() == (tmp_path / "src_base.apk").read_bytes()
 
 
 def test_a_bridge_without_files_pulls_the_splits_pm_path_lists(tmp_path):
@@ -222,7 +222,7 @@ def test_a_bridge_without_files_pulls_the_splits_pm_path_lists(tmp_path):
     out = tmp_path / "corpus"
     result = pull_packages(bridge, "SER1", pkgs, out)
     assert result.failures == {}
-    assert sorted(p.name for p in result.pulled if p.parent.name == "com.game") == [
+    assert sorted(p.name for p, pkg in result.pulled.items() if pkg.package == "com.game") == [
         "base.apk", "split_config.arm64_v8a.apk"]
     idx = index_corpus(result.pulled, None, "DEV1")
     assert sorted((Path(e["path"]).name, e["split"]) for e in idx.entries.values()) == [
@@ -246,7 +246,7 @@ def test_a_failed_or_empty_pm_path_fails_that_package_only(tmp_path, listing, re
     out = tmp_path / "corpus"
     result = pull_packages(bridge, "SER1", pkgs, out)
     assert result.failures == {"com.game": reason}
-    assert sorted(p.parent.name for p in result.pulled) == ["com.vendor.gallery", "com.vendor.radio"]
+    assert sorted(pkg.package for pkg in result.pulled.values()) == ["com.vendor.gallery", "com.vendor.radio"]
     assert not (out / "com.game").exists()
 
 
@@ -269,9 +269,9 @@ def test_package_folder_that_is_a_file_is_a_failure_and_run_continues(tmp_path):
     (out / "com.vendor.gallery").write_text("a file")
     result = pull_packages(bridge, "SER1", pkgs, out)
     assert list(result.failures) == ["com.vendor.gallery"]
-    assert "File exists" in result.failures["com.vendor.gallery"]
+    assert "Not a directory" in result.failures["com.vendor.gallery"]
     assert (out / "com.vendor.gallery").read_text() == "a file"
-    assert sorted(p.parent.name for p in result.pulled) == ["com.game", "com.vendor.radio"]
+    assert sorted(pkg.package for pkg in result.pulled.values()) == ["com.game", "com.vendor.radio"]
 
 
 def test_disk_full_is_fatal(tmp_path):

@@ -47,53 +47,54 @@ def test_scan_of_a_directory_without_apks_is_an_error(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "no APKs found\n")
 
 
+class _RecordingContext:
+    """A multiprocessing context that records the start method it was asked
+    for and how many worker processes the scan made from it."""
+
+    def __init__(self, method, get_context, made):
+        self.method, self.ctx, self.processes = method, get_context(method), 0
+        made.append(self)
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def Process(self, *args, **kwargs):
+        self.processes += 1
+        return self.ctx.Process(*args, **kwargs)
+
+
+def _record_contexts(monkeypatch) -> list:
+    import multiprocessing
+
+    made: list[_RecordingContext] = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: _RecordingContext(method, get_context, made))
+    return made
+
+
 @pytest.mark.parametrize("apks, jobs, workers", [(2, "8", [2]), (3, "2", [2]), (1, "8", [])])
 def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeypatch, apks, jobs, workers):
-    import concurrent.futures
-
-    started = []
-
-    class InlineExecutor:
-        """Records the pool size it is given and runs each job in this process."""
-
-        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-            started.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    made = _record_contexts(monkeypatch)
     src = tmp_path / "apks"
     src.mkdir()
     for i in range(apks):
         (src / f"benign{i}.apk").write_bytes(corpus["benign"].read_bytes())
     assert main(["scan", str(src), "--jobs", jobs]) == EXIT_CLEAN
     assert len(json.loads(capsys.readouterr().out)) == apks
+    started = [ctx.processes for ctx in made]
     assert started == workers
 
 
 def test_scan_pool_names_the_fork_start_method_on_linux(corpus, tmp_path, capsys, monkeypatch):
-    import concurrent.futures
-
-    methods = []
-
-    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, mp_context=None, **kwargs):
-            methods.append(mp_context and mp_context.get_start_method())
-            super().__init__(max_workers, mp_context, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    made = _record_contexts(monkeypatch)
     src = tmp_path / "apks"
     src.mkdir()
     for name in ("benign", "silent_install"):
         (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
     assert main(["scan", str(src), "--jobs", "2"]) == EXIT_FINDINGS
     assert len(json.loads(capsys.readouterr().out)) == 2
+    methods = [ctx.method for ctx in made]
     # the workers inherit the loaded detection data; elsewhere the default stays
     assert methods == (["fork"] if sys.platform == "linux" else [None])
 
@@ -288,6 +289,52 @@ def test_scan_survives_an_analyser_fault_in_one_app(corpus, tmp_path, capsys, mo
     assert capsys.readouterr().err.splitlines() == [f"error: {faulty}: RuntimeError: analyser fault"]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}.json" for p in src.iterdir() if p != faulty)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only forked workers inherit the patched module")
+def test_scan_worker_that_dies_costs_only_its_own_app(corpus, tmp_path, capsys, monkeypatch):
+    import apkaudit.report
+
+    src = _copies(corpus, tmp_path, ["benign", "silent_install", "sms_delete", "unsigned",
+                                     "unexported_negative", "listing5_leak"])
+    fatal = src / "2-sms_delete.apk"
+    analyze_apk = apkaudit.report.analyze_apk
+
+    def analyze_or_die(path, config=None, device=""):
+        if Path(path) == fatal:
+            os._exit(3)  # the worker process ends without a word
+        return analyze_apk(path, config, device)
+
+    monkeypatch.setattr(apkaudit.report, "analyze_apk", analyze_or_die)
+    out = tmp_path / "reports"
+    assert main(["scan", str(src), "--out", str(out), "--jobs", "2"]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {fatal}: its worker exited before reporting it"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}.json" for p in src.iterdir() if p != fatal)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only forked workers inherit the patched module")
+def test_scan_workers_claim_each_app_exactly_once(corpus, tmp_path):
+    # more workers than CPUs race for the shared counter: a lost update
+    # would analyse an app twice or never
+    src = _copies(corpus, tmp_path, sorted(corpus) * 4)
+    claims = tmp_path / "claims.txt"
+    code = (
+        "import sys, apkaudit.report as report\n"
+        "from apkaudit.cli import main\n"
+        "analyze_apk = report.analyze_apk\n"
+        "def logged(path, *args):\n"
+        f"    with open({str(claims)!r}, 'a') as f:\n"
+        "        f.write(f'{path}\\n')\n"
+        "    return analyze_apk(path, *args)\n"
+        "report.analyze_apk = logged\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    jobs = len(os.sched_getaffinity(0)) + 2
+    proc = _python("-c", code, "scan", str(src), "--jobs", str(jobs))
+    assert (proc.returncode, proc.stderr) == (EXIT_FINDINGS, "")
+    assert len(json.loads(proc.stdout)) == 4 * len(corpus)
+    assert sorted(claims.read_text().splitlines()) == sorted(str(p) for p in src.iterdir())
 
 
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):
@@ -490,6 +537,38 @@ def test_acquire_of_two_devices_into_one_out(tmp_path, capsys):
         "com.b": (["B"], ["/data/app"]),
         "com.vendor.gallery": (["A", "B"], ["/system/app"]),
     }
+
+
+def test_acquire_of_one_package_with_other_bytes_on_each_device_keeps_both_files(tmp_path, capsys):
+    gallery = "/system/app/Gallery/Gallery.apk"
+    out = tmp_path / "pulled"
+    for device in ("A", "B"):
+        src = build_apk(tmp_path / f"src_{device}.apk", {"AndroidManifest.xml": b"", "f": device.encode()})
+        tr = {"shell": {"pm list packages -f": f"package:{gallery}=com.g\n",
+                        "pm list packages -f -s": f"package:{gallery}=com.g\n",
+                        "pm path com.g": f"package:{gallery}\n"},
+              "files": {gallery: str(src)}}
+        tr_path = tmp_path / f"transcript_{device}.json"
+        tr_path.write_text(json.dumps(tr))
+        assert main(["acquire", "--serial", f"SER{device}", "--out", str(out),
+                     "--transcript", str(tr_path), "--device-tag", device]) == EXIT_CLEAN
+    capsys.readouterr()
+    entries = json.loads((out / "corpus-index.json").read_text())["entries"]
+    assert sorted((e["devices"], Path(e["path"]).relative_to(out).as_posix()) for e in entries.values()) == [
+        (["A"], "com.g/SERA/Gallery.apk"), (["B"], "com.g/SERB/Gallery.apk")]
+    for sha, e in entries.items():
+        assert hashlib.sha256(Path(e["path"]).read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("serial", ["..", "a/b", ""])
+def test_acquire_with_a_serial_that_cannot_name_a_folder_is_an_error(tmp_path, capsys, serial):
+    tr_path = tmp_path / "transcript.json"
+    tr_path.write_text(json.dumps(_transcript(tmp_path)))
+    out = tmp_path / "pulled"
+    rc = main(["acquire", "--serial", serial, "--out", str(out), "--transcript", str(tr_path)])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: serial {serial!r} cannot name a folder"]
+    assert sorted(p.name for p in out.iterdir()) == []
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -2,6 +2,7 @@
 and the analysing commands run on the standard library alone, without
 `dataclasses`, `inspect` or `logging`."""
 
+import ast
 import json
 import os
 import subprocess
@@ -40,7 +41,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def _assert_light(modules: set[str]) -> None:
     assert not {m for m in modules if m.startswith("apkaudit")} - ALLOWED
     assert not {m for m in modules if m == "cryptography" or m.startswith("cryptography.")}
-    assert "concurrent.futures" not in modules
+    assert not {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
 
 
 def _scan_fixtures(corpus, tmp_path) -> Path:
@@ -122,4 +123,17 @@ def test_one_apk_commands_need_only_the_standard_library(corpus, capsys, command
     modules = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "apkaudit.container" in modules
     assert not {m for m in modules if m.startswith("cryptography.")}
-    assert "concurrent.futures" not in modules
+    # one APK is analysed in this process: no worker is started
+    assert not {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_no_module_imports_concurrent_futures():
+    # scan --jobs runs its own workers, without an executor
+    imported = set()
+    for path in (SRC / "apkaudit").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert not {(name, module) for name, module in imported if module.split(".")[0] == "concurrent"}
