@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--extra-sinks", help="supplementary sinks for INTERNET apps")
     p_scan.add_argument("--sensitive-apis")
     p_scan.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # the CPUs this process may use: a cpuset can allow fewer than the host has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p_scan.add_argument("--jobs", type=int, default=cpus)
     p_scan.add_argument("--format", choices=["json", "table"], default="json")
     p_scan.add_argument("--timings", action="store_true")
 

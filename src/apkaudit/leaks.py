@@ -1,35 +1,34 @@
 """Source-to-sink taint leak detection.
 
-Phase 1 is a forward, flow-sensitive register taint per method over the
-linear instruction stream.  A global, flow-insensitive field store links
-writes and reads of the same field key.  Phase 2 is depth-bounded and
-summary-based: each method summary records which parameter slots taint the
-return value and which reach a sink inside, and callers apply summaries at
-call sites.  Summaries are computed callees first, and cycles are cut by
-repeating that sweep up to a bounded number of times.  Each sweep analyses
-only the dirty methods: every method is dirty at the start, and a method
-turns dirty again when its inputs change, that is, the summary of a method
-it calls or the field store bucket of a field it reads.  The call sites and
-field reads of each method come from the call graph's code index
-(``CallGraph.index``), and each call target is matched against the
-source/sink list once per app; only the transfer functions (``_analyze``)
-read the instructions, each one's register effect looked up by opcode in
-``dex.opcodes.EFFECTS``.  The findings of each method's last analysis are
-kept; only if the sweep bound stops the sweep are the methods still dirty
-that can reach a sink (those that call a sink or a method whose summary
-reaches one) analysed again, against the final summaries and field store.
-Of the witnesses of one flow (source, sink and their sites) the least by
-(length, path) is reported, so the report does not depend on set iteration
-order.  A call to a target that is neither a source nor a sink takes a
-short path when its callee is opaque (the result is the union of the
-argument taint) or has the empty summary, always the one ``_NO_SUMMARY``
-(the result is empty).
-
 Taint is tracked per named register slot, as a set of tokens: a
 ``SrcToken``, or the int index of the parameter the value came from.  The
-second register of a wide value is not modeled separately.  Any invoke
-with a tainted argument taints the receiver register (builder-style
-writes) and, for calls we cannot see into, the result.
+second register of a wide value is not modeled separately.
+
+Each method gets one ``Summary`` (FlowDroid-style): the tokens that reach
+its return value, the parameters that reach a sink inside it and the
+parameters it stores into fields.  The transfer functions (``_analyze``)
+walk a method's linear instruction stream once, forward, each instruction's
+register effect looked up by opcode in ``dex.opcodes.EFFECTS``.  A call
+(``_invoke``) applies its callee's summary, within the depth bound; a callee
+with no summary (opaque, or a call with no target) passes its arguments to
+the result, and the empty summary is always the one ``_NO_SUMMARY``.  An
+invoke with a target also taints its receiver with its other arguments
+(builder-style writes).  A global, flow-insensitive field store links
+writes and reads of the same field key.
+
+Summaries are computed callees first, and cycles are cut by repeating that
+sweep up to a bounded number of times.  Each sweep analyses only the dirty
+methods: every method is dirty at the start, and a method turns dirty again
+when its inputs change, that is, the summary of a method it calls or the
+field store bucket of a field it reads.  The call sites and field reads of
+each method come from the call graph's code index (``CallGraph.index``),
+and each call target is matched against the source/sink list once per app.
+The findings of each method's last analysis are kept; only if the sweep
+bound stops the sweep are the methods still dirty that can reach a sink
+(those that call a sink or a method whose summary reaches one) analysed
+again, against the final summaries and field store.  Of the witnesses of
+one flow (source, sink and their sites) the least by (length, path) is
+reported, so the report does not depend on set iteration order.
 """
 
 from __future__ import annotations
@@ -164,10 +163,9 @@ class SinkHit(NamedTuple):
 
 
 class Summary(NamedTuple):
-    ret_params: frozenset[int] = frozenset()
-    ret_sources: frozenset[SrcToken] = frozenset()
+    ret: frozenset = frozenset()  # parameter indices and SrcTokens that reach the return value
     sink_hits: frozenset[SinkHit] = frozenset()
-    param_fields: tuple[tuple[int, str], ...] = ()
+    param_fields: frozenset[tuple[int, str]] = frozenset()  # (parameter index, field key)
 
 
 _EMPTY: frozenset = frozenset()
@@ -201,6 +199,8 @@ class _Engine:
         self.spec = spec
         self.depth = depth
         self.summaries: dict[str, Summary] = {}
+        # depth 0 reads no callee summary
+        self.callee_summaries = self.summaries if depth >= 1 else {}
         self.field_store: dict[str, set[SrcToken]] = {}
         self.matches: dict[str, tuple[str | None, str | None]] = {}  # target -> (channel, label)
 
@@ -276,12 +276,11 @@ class _Engine:
         return order
 
     def _reaches_sink(self, target: str) -> bool:
-        if self.matches[target][0] is not None:
-            return True
-        summary = self.summaries.get(target) if self.depth >= 1 else None
-        return summary is not None and bool(summary.sink_hits)
+        return (self.matches[target][0] is not None
+                or bool(self.callee_summaries.get(target, _NO_SUMMARY).sink_hits))
 
     def _analyze(self, m: DexMethod):
+        key = m.key
         base = m.registers - m.ins
         if len(_PARAM_TAINT) < m.ins:
             _PARAM_TAINT.extend(frozenset({i}) for i in range(len(_PARAM_TAINT), m.ins))
@@ -289,8 +288,7 @@ class _Engine:
         get = regs.get
 
         pending = _EMPTY
-        ret_params: set[int] = set()
-        ret_sources: set[SrcToken] = set()
+        ret: set = set()
         sink_hits: set[SinkHit] = set()
         param_fields: set[tuple[int, str]] = set()
         field_writes: dict[str, set[SrcToken]] = {}
@@ -305,34 +303,28 @@ class _Engine:
                 regs[r[0]] = pending
                 pending = _EMPTY
             elif kind == INVOKE or kind == INVOKE_STATIC:
-                if ins[REF] is None:
-                    # invoke-custom and out-of-range refs have no target: an
-                    # opaque call, with no receiver write
-                    pending = _EMPTY.union(*[get(x, _EMPTY) for x in r])
-                else:
-                    pending = self._invoke(
-                        m, ins, kind, regs, sink_hits, param_fields, field_writes, findings
-                    )
+                pending = self._invoke(key, ins, get, sink_hits, param_fields, field_writes, findings)
+                # builder-style writes: a tainted argument taints the receiver;
+                # a call with no target (invoke-custom, an out-of-range ref) has none
+                if kind == INVOKE and len(r) > 1 and ins[REF] is not None:
+                    extra = _EMPTY.union(*[get(x, _EMPTY) for x in r[1:]])
+                    if extra:
+                        regs[r[0]] = get(r[0], _EMPTY) | extra
             elif kind == CLEAR:
                 regs[r[0]] = _EMPTY
             elif kind == RETURN:
-                for t in get(r[0], _EMPTY):
-                    if isinstance(t, int):
-                        ret_params.add(t)
-                    else:
-                        ret_sources.add(t)
+                ret.update(get(r[0], _EMPTY))
             elif kind == FIELD_GET:
                 fk = ins[REF]
-                stored = self.field_store.get(fk, ()) if fk else ()
-                regs[r[0]] = frozenset(self._rebase(t, m.key) for t in stored)
+                # a read extends each stored token's path to this method once
+                regs[r[0]] = frozenset(
+                    t if t.path[-1] == key else t._replace(path=t.path + (key,))
+                    for t in (self.field_store.get(fk, ()) if fk else ())
+                )
             elif kind == FIELD_PUT:
                 fk = ins[REF]
                 if fk:
-                    for t in get(r[0], _EMPTY):
-                        if isinstance(t, int):
-                            param_fields.add((t, fk))
-                        else:
-                            field_writes.setdefault(fk, set()).add(t)
+                    _store(get(r[0], _EMPTY), fk, param_fields, field_writes)
             elif kind == APUT:
                 regs[r[1]] = get(r[1], _EMPTY) | get(r[0], _EMPTY)
             elif kind == JOIN2:
@@ -342,95 +334,65 @@ class _Engine:
             elif kind == FILLED:
                 pending = _EMPTY.union(*[get(x, _EMPTY) for x in r])
 
-        if not (ret_params or ret_sources or sink_hits or param_fields):
+        if not (ret or sink_hits or param_fields):
             return _NO_SUMMARY, field_writes, findings
-        summary = Summary(
-            ret_params=frozenset(ret_params),
-            ret_sources=frozenset(ret_sources),
-            sink_hits=frozenset(sink_hits),
-            param_fields=tuple(sorted(param_fields)),
-        )
-        return summary, field_writes, findings
+        return Summary(frozenset(ret), frozenset(sink_hits), frozenset(param_fields)), field_writes, findings
 
-    def _invoke(self, m, ins, kind, regs, sink_hits, param_fields, field_writes, findings):
+    def _invoke(self, key, ins, get, sink_hits, param_fields, field_writes, findings):
+        """The taint of a call's result: the callee's summary applied to the
+        arguments, where a callee with no summary (opaque, or no target at
+        all) passes them all on, and a new token if the target is a source.
+        A sink target records the arguments' taint as findings and sink hits."""
         target = ins[REF]
-        channel, label = self.matches[target]
-        callee_summary = self.summaries.get(target) if self.depth >= 1 else None
-        get = regs.get
-        r = ins[REGISTERS]
-        if channel is None and label is None and (
-            callee_summary is None or callee_summary is _NO_SUMMARY
-        ):
-            # a neutral call: an opaque callee passes its arguments to the
-            # result, a callee with the empty summary gives nothing
-            result = _EMPTY.union(*[get(x, _EMPTY) for x in r]) if callee_summary is None else _EMPTY
-            if kind == INVOKE and len(r) > 1:
-                extra = _EMPTY.union(*[get(x, _EMPTY) for x in r[1:]])
-                if extra:
-                    regs[r[0]] = get(r[0], _EMPTY) | extra
-            return result
-
-        arg_tokens = [get(x, _EMPTY) for x in r]
-        result: set = set()
-
-        if channel is not None:
-            for tokens in arg_tokens:
-                for t in tokens:
-                    if isinstance(t, SrcToken):
-                        findings.append(self._finding(t, target, channel, (m.key, ins[OFFSET]), t.path))
-                    else:
-                        sink_hits.add(SinkHit(t, target, channel, (m.key, ins[OFFSET]), (m.key,)))
-
-        if callee_summary is not None:
-            for hit in callee_summary.sink_hits:
-                suffix = (m.key,) + hit.suffix
-                if len(suffix) - 1 > self.depth:
-                    continue
-                if hit.param < len(arg_tokens):
-                    for t in arg_tokens[hit.param]:
+        channel, label = self.matches.get(target, (None, None))
+        summary = self.callee_summaries.get(target)
+        result = _EMPTY
+        if channel is not None or summary is not _NO_SUMMARY:  # else no argument is read
+            arg_tokens = [get(x, _EMPTY) for x in ins[REGISTERS]]
+            if channel is not None:
+                for tokens in arg_tokens:
+                    for t in tokens:
                         if isinstance(t, SrcToken):
-                            full = t.path + hit.suffix
-                            if len(full) - 1 <= self.depth:
-                                findings.append(
-                                    self._finding(t, hit.sink, hit.channel, hit.site, full)
-                                )
+                            findings.append(self._finding(t, target, channel, (key, ins[OFFSET]), t.path))
                         else:
-                            sink_hits.add(hit._replace(param=t, suffix=suffix))
-            for i in callee_summary.ret_params:
-                if i < len(arg_tokens):
-                    result |= arg_tokens[i]
-            for t in callee_summary.ret_sources:
-                ext = t.path + (m.key,)
-                if len(ext) - 1 <= self.depth:
-                    result.add(t._replace(path=ext))
-            for i, fk in callee_summary.param_fields:
-                if i < len(arg_tokens):
-                    for t in arg_tokens[i]:
+                            sink_hits.add(SinkHit(t, target, channel, (key, ins[OFFSET]), (key,)))
+            if summary is None:
+                result = _EMPTY.union(*arg_tokens)
+            elif summary is not _NO_SUMMARY:
+                for hit in summary.sink_hits:
+                    suffix = (key,) + hit.suffix
+                    if len(suffix) - 1 > self.depth or hit.param >= len(arg_tokens):
+                        continue
+                    for t in arg_tokens[hit.param]:
                         if isinstance(t, int):
-                            param_fields.add((t, fk))
-                        else:
-                            field_writes.setdefault(fk, set()).add(t)
-        else:
-            # opaque callee: arguments may flow into the result
-            result.update(*arg_tokens)
-
+                            sink_hits.add(hit._replace(param=t, suffix=suffix))
+                        elif len(t.path) + len(hit.suffix) - 1 <= self.depth:
+                            findings.append(self._finding(t, hit.sink, hit.channel, hit.site,
+                                                          t.path + hit.suffix))
+                ret: set = set()
+                for t in summary.ret:
+                    if isinstance(t, int):
+                        if t < len(arg_tokens):
+                            ret |= arg_tokens[t]
+                    elif len(t.path) <= self.depth:
+                        ret.add(t._replace(path=t.path + (key,)))
+                result = frozenset(ret)
+                for i, fk in summary.param_fields:
+                    if i < len(arg_tokens):
+                        _store(arg_tokens[i], fk, param_fields, field_writes)
         if label is not None:
-            result.add(SrcToken(source=target, label=label, site=(m.key, ins[OFFSET]), path=(m.key,)))
-
-        # builder-style writes: a tainted argument taints the receiver
-        if kind == INVOKE and len(r) > 1:
-            extra = _EMPTY.union(*arg_tokens[1:])
-            if extra:
-                regs[r[0]] = get(r[0], _EMPTY) | extra
-
-        return frozenset(result)
+            result = result | {SrcToken(target, label, (key, ins[OFFSET]), (key,))}
+        return result
 
     def _finding(self, t: SrcToken, sink: str, channel: str, sink_site, path) -> LeakFinding:
         return LeakFinding(t.source, sink, channel, t.site, sink_site, tuple(path), t.label)
 
-    @staticmethod
-    def _rebase(t: SrcToken, method_key: str) -> SrcToken:
-        if t.path and t.path[-1] == method_key:
-            return t
-        return t._replace(path=t.path + (method_key,))
 
+def _store(tokens, fk: str, param_fields: set, field_writes: dict) -> None:
+    """Store tokens into field ``fk``: a parameter index becomes a summary
+    fact, a source token goes to the method's field writes."""
+    for t in tokens:
+        if isinstance(t, int):
+            param_fields.add((t, fk))
+        else:
+            field_writes.setdefault(fk, set()).add(t)

@@ -3,6 +3,7 @@ synthetic v2 signing block spliced in front of the central directory."""
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zipfile
 from datetime import datetime, timedelta, timezone
@@ -18,30 +19,41 @@ SIG_MAGIC = b"APK Sig Block 42"
 V2_ID = 0x7109871A
 V3_ID = 0xF05368C0
 
-_cert_cache: dict[tuple, tuple] = {}
+# a fixed RSA-1024 key: PKCS#1 v1.5 signatures are deterministic, so with a
+# serial derived from the subject every certificate and v1 signature blob,
+# and so every fixture APK, has the same bytes in every build
+_P = int(
+    "f4ffbfa37e79c0aa9944997c87b6854747fda0eabffc09ac3c9cd7be7eadebc3"
+    "aa44cbaf286d818af4aa2337aebddb8e10ea6b14e7dc0d0620f44869ab46e049", 16)
+_Q = int(
+    "ed84d88beb6a3d2e1efa0a969261fca860dce6813417102ae481c979262942ef"
+    "23033a5178d34fccc69d0c15e672ab9291c971dbf865040962b136c1f867f9eb", 16)
+_D = pow(65537, -1, (_P - 1) * (_Q - 1))
+KEY = rsa.RSAPrivateNumbers(
+    p=_P, q=_Q, d=_D, dmp1=rsa.rsa_crt_dmp1(_D, _P), dmq1=rsa.rsa_crt_dmq1(_D, _Q),
+    iqmp=rsa.rsa_crt_iqmp(_P, _Q), public_numbers=rsa.RSAPublicNumbers(65537, _P * _Q),
+).private_key()
 
 
 def make_cert(cn: str = "Test", org: str = "TestOrg") -> tuple:
-    """Self-signed cert + key, cached because RSA keygen dominates runtime."""
-    if (cn, org) not in _cert_cache:
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        name = x509.Name([
-            x509.NameAttribute(NameOID.COMMON_NAME, cn),
-            x509.NameAttribute(NameOID.ORGANIZATION_NAME, org),
-        ])
-        now = datetime(2020, 1, 1, tzinfo=timezone.utc)
-        cert = (
-            x509.CertificateBuilder()
-            .subject_name(name)
-            .issuer_name(name)
-            .public_key(key.public_key())
-            .serial_number(x509.random_serial_number())
-            .not_valid_before(now)
-            .not_valid_after(now + timedelta(days=365 * 30))
-            .sign(key, hashes.SHA256())
-        )
-        _cert_cache[(cn, org)] = (cert, key)
-    return _cert_cache[(cn, org)]
+    """Self-signed cert + key; the same (cn, org) gives the same bytes."""
+    name = x509.Name([
+        x509.NameAttribute(NameOID.COMMON_NAME, cn),
+        x509.NameAttribute(NameOID.ORGANIZATION_NAME, org),
+    ])
+    serial = int.from_bytes(hashlib.sha256(f"{cn}\0{org}".encode()).digest()[:8], "big") >> 1 | 1
+    now = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(KEY.public_key())
+        .serial_number(serial)
+        .not_valid_before(now)
+        .not_valid_after(now + timedelta(days=365 * 30))
+        .sign(KEY, hashes.SHA256())
+    )
+    return cert, KEY
 
 
 def build_apk(
@@ -68,7 +80,10 @@ def build_apk(
                 pkcs7.PKCS7SignatureBuilder()
                 .set_data(manifest)
                 .add_signer(cert, key, hashes.SHA256())
-                .sign(serialization.Encoding.DER, [pkcs7.PKCS7Options.DetachedSignature])
+                .sign(
+                    serialization.Encoding.DER,
+                    [pkcs7.PKCS7Options.DetachedSignature, pkcs7.PKCS7Options.NoAttributes],
+                )
             )
             zf.writestr(zipfile.ZipInfo("META-INF/CERT.RSA", (2020, 1, 1, 0, 0, 0)), blob)
     if sign == "v2":
@@ -79,7 +94,6 @@ def build_apk(
 
 def _jar_manifest(entries: dict[str, bytes]) -> bytes:
     import base64
-    import hashlib
 
     lines = ["Manifest-Version: 1.0", ""]
     for name, data in sorted(entries.items()):

@@ -88,8 +88,8 @@ def _string_pool(strings: list[str], utf8: bool) -> bytes:
         offsets.append(pos)
         if utf8:
             enc = s.encode("utf-8")
-            assert len(s) < 0x80 and len(enc) < 0x80, "writer keeps short strings only"
-            blob = bytes([len(s), len(enc)]) + enc + b"\x00"
+            assert len(s) < 0x8000 and len(enc) < 0x8000
+            blob = _utf8_length(len(s)) + _utf8_length(len(enc)) + enc + b"\x00"
         else:
             assert len(s) < 0x8000
             blob = struct.pack("<H", len(s)) + s.encode("utf-16-le") + b"\x00\x00"
@@ -106,6 +106,11 @@ def _string_pool(strings: list[str], utf8: bool) -> bytes:
         "<HHIIIIII", CHUNK_STRING_POOL, header_size, total, len(strings), 0, flags, strings_start, 0
     )
     return head + struct.pack(f"<{len(strings)}I", *offsets) + data
+
+
+def _utf8_length(n: int) -> bytes:
+    """One byte under 0x80, else two with the high bit of the first set."""
+    return bytes([n]) if n < 0x80 else bytes([0x80 | n >> 8, n & 0xFF])
 
 
 def _ns_chunk(ctype: int, prefix_ix: int, uri_ix: int) -> bytes:

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,6 +125,16 @@ def test_subprocess_bridge_failure_is_a_bridge_error(tmp_path, stderr, message):
         bridge.pull("SER1", "/data/app/x/base.apk", tmp_path / "base.apk")
     assert str(err.value) == message
     assert len(_calls(log)) == 2
+
+
+def test_subprocess_bridge_timeout_is_a_bridge_error(monkeypatch):
+    def hang(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    with pytest.raises(BridgeError) as err:
+        SubprocessBridge("bridge").shell("SER1", "pm list packages -f")
+    assert str(err.value) == "bridge timed out: ['-s', 'SER1', 'shell', 'pm list packages -f']"
 
 
 def test_subprocess_bridge_missing_executable(tmp_path):
@@ -349,3 +360,8 @@ def test_index_json_roundtrip(tmp_path):
     assert back.entries == idx.entries
     assert back.to_json() == text
     assert (back.created, back.updated) == (idx.created, idx.updated)
+
+
+def test_a_prior_index_without_a_creation_time_gets_this_run_s():
+    idx = index_corpus({}, CorpusIndex(updated="2020-01-01T00:00:00Z"), "D")
+    assert idx.created and idx.created == idx.updated != "2020-01-01T00:00:00Z"

@@ -155,16 +155,47 @@ def test_unknown_chunk_skipped_with_warning():
     assert tree.root.name == "manifest"
 
 
-def test_element_chunk_before_pool_is_fatal():
-    import struct
-
+def _without_pool(chunks_after: int) -> bytes:
+    """The sample manifest without its string pool and the chunks_after bytes after it."""
     blob = bytearray(encode_axml(_sample_tree()))
     pool_size = struct.unpack_from("<I", blob, 8 + 4)[0]
-    # excise the string pool entirely
-    del blob[8 : 8 + pool_size]
+    del blob[8 : 8 + pool_size + chunks_after]
     struct.pack_into("<I", blob, 4, len(blob))
-    with pytest.raises(BadStringPoolError):
-        decode_axml(bytes(blob))
+    return bytes(blob)
+
+
+def test_namespace_chunk_before_pool_is_fatal():
+    with pytest.raises(BadStringPoolError, match="^namespace chunk before string pool$"):
+        decode_axml(_without_pool(0))
+
+
+def test_element_chunk_before_pool_is_fatal():
+    # the 24-byte start-namespace chunk goes too, so an element comes first
+    with pytest.raises(BadStringPoolError, match="^element chunk before string pool$"):
+        decode_axml(_without_pool(24))
+
+
+def test_pool_without_elements_has_no_root():
+    blob, _ = _utf8_pool_file(b"\x01\x01a\x00")
+    with pytest.raises(TruncatedChunkError, match="^no root element$"):
+        decode_axml(blob)
+
+
+def test_utf8_strings_of_128_bytes_or_more_take_two_byte_lengths():
+    # 150 code units in 300 bytes: both lengths take their two-byte form
+    package = "com." + "\u00e9" * 146
+    blob = encode_axml(XElem("manifest", [XAttr("package", package, ns=None)]), utf8_pool=True)
+    assert decode_axml(blob).root.attr("package", None) == package
+
+
+def test_string_attribute_without_raw_index_takes_its_typed_value():
+    blob = bytearray(encode_axml(XElem("manifest", [XAttr("package", "com.raw", ns=None)])))
+    # the raw index of the one attribute: after the pool, the 24-byte namespace
+    # chunk, the element's 36-byte header and the attribute's ns and name
+    raw = 8 + struct.unpack_from("<I", blob, 12)[0] + 24 + 36 + 8
+    assert struct.unpack_from("<I", blob, raw)[0] != 0xFFFFFFFF
+    struct.pack_into("<I", blob, raw, 0xFFFFFFFF)
+    assert decode_axml(bytes(blob)).root.attributes[0].value == "com.raw"
 
 
 def _after_pool(chunk: bytes) -> tuple[bytes, int]:

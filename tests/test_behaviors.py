@@ -76,6 +76,8 @@ def test_rule_schema_validation(tmp_path):
                "co_occurrence": ["a"]}])
     with pytest.raises(RuleSchemaError):
         load([{"id": "a", "category": "sms"}])  # missing keys
+    with pytest.raises(RuleSchemaError, match="rule #1 is not an object"):
+        load(ok + [["id", "category", "pattern", "match_space"]])
     for bad in ({"category": ["sms"]}, {"id": ["a"]}, {"pattern": 5}, {"match_space": None},
                 {"pattern": ""}, {"required_permissions": "android.permission.X"},
                 {"required_permissions": [1]}, {"co_occurrence": 5}, {"co_occurrence": ""}):

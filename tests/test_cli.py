@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from apkaudit.acquire import CorpusIndex
+from apkaudit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from apkaudit.leaks import DEFAULT_SPEC
 
 from .conftest import EXTRA_SINKS
@@ -97,6 +98,17 @@ def test_scan_pool_names_the_fork_start_method_on_linux(corpus, tmp_path, capsys
     methods = [ctx.method for ctx in made]
     # the workers inherit the loaded detection data; elsewhere the default stays
     assert methods == (["fork"] if sys.platform == "linux" else [None])
+
+
+def test_scan_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert build_parser().parse_args(["scan", "x.apk"]).jobs == 2
+    # where the process cannot ask for its CPUs, the host's count stands
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["scan", "x.apk"]).jobs == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["scan", "x.apk"]).jobs == 1
 
 
 def _copies(corpus, tmp_path, names):
@@ -335,6 +347,29 @@ def test_scan_workers_claim_each_app_exactly_once(corpus, tmp_path):
     assert (proc.returncode, proc.stderr) == (EXIT_FINDINGS, "")
     assert len(json.loads(proc.stdout)) == 4 * len(corpus)
     assert sorted(claims.read_text().splitlines()) == sorted(str(p) for p in src.iterdir())
+
+
+def test_scan_workers_started_by_spawn_match_one_job(corpus, tmp_path, capsys):
+    """The start method of platforms without fork, run here: each worker gets
+    its arguments pickled and loads the detection data itself."""
+    src = _copies(corpus, tmp_path, ["listing5_leak", "silent_install", "benign"])
+    code = (
+        "import multiprocessing, sys\n"
+        "from apkaudit.cli import main\n"
+        "get_context = multiprocessing.get_context\n"
+        "def spawn(method=None):\n"
+        "    print('spawn', file=sys.stderr)\n"
+        "    return get_context('spawn')\n"
+        "multiprocessing.get_context = spawn\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    args = ["scan", str(src), "--extra-sinks", str(EXTRA_SINKS), "--out"]
+    proc = _python("-c", code, *args, str(tmp_path / "spawned"), "--jobs", "2")
+    assert main([*args, str(tmp_path / "one"), "--jobs", "1"]) == EXIT_FINDINGS
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_FINDINGS, "spawn\n", capsys.readouterr().out)
+    reports = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(reports) == 3 and sorted(p.name for p in (tmp_path / "spawned").iterdir()) == reports
+    for name in reports:
+        assert (tmp_path / "spawned" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):
@@ -695,6 +730,17 @@ def test_report_skips_a_directory_named_like_a_report(corpus, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == EXIT_CLEAN
     assert captured.err == ""
+    assert json.loads(captured.out)["total_apps"] == 1
+
+
+def test_report_skips_the_corpus_index(corpus, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["scan", str(corpus["benign"]), "--out", str(out)]) == EXIT_CLEAN
+    (out / "corpus-index.json").write_text(CorpusIndex(created="2020-01-01T00:00:00Z").to_json())
+    capsys.readouterr()
+    rc = main(["report", str(out), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (EXIT_CLEAN, "")
     assert json.loads(captured.out)["total_apps"] == 1
 
 

@@ -222,6 +222,8 @@ def _damage(raw: bytearray, name: bytes, how: str) -> None:
         # an LZMA header whose filter properties byte is out of range
         struct.pack_into("<H", raw, cd + 10, zipfile.ZIP_LZMA)
         raw[data : data + 9] = b"\x09\x14\x05\x00" + b"\xff" * 5
+    elif how == "patched flag":
+        raw[cd + 8] |= 0x20
     elif how == "local header signature":
         raw[local] ^= 0xFF
     elif how == "local header name":
@@ -235,6 +237,7 @@ _DAMAGE_REASONS = {
     # Android reads only STORED and DEFLATE entries, and so does the reader
     "bzip2 method": "unsupported compression method 12",
     "lzma method": "unsupported compression method 14",
+    "patched flag": "compressed patched data (flag bit 5)",
     "local header signature": "bad local header signature at offset ",
     "local header name": "local header name differs from the central directory's",
 }
@@ -328,19 +331,25 @@ def test_stored_and_deflated_entries_read_as_zipfile(tmp_path):
     _assert_reads_as_zipfile(p)
 
 
-def test_zip64_archive_reads_as_zipfile(tmp_path, monkeypatch):
+def _zip64(p, monkeypatch, extra: bytes = b"") -> bytes:
+    """Write _PAYLOADS as a ZIP64 archive, each entry also carrying ``extra``."""
     # a low limit makes zipfile write ZIP64 extra fields for the sizes and
     # offsets, and a ZIP64 end record and locator
     monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 100)
-    p = tmp_path / "zip64.apk"
     with zipfile.ZipFile(p, "w") as zf:
         for name, data, method in _PAYLOADS:
             info = zipfile.ZipInfo(name)
             info.compress_type = method
+            info.extra = extra
             with zf.open(info, "w", force_zip64=True) as f:
                 f.write(data)
     monkeypatch.undo()
-    raw = p.read_bytes()
+    return p.read_bytes()
+
+
+def test_zip64_archive_reads_as_zipfile(tmp_path, monkeypatch):
+    p = tmp_path / "zip64.apk"
+    raw = _zip64(p, monkeypatch)
     assert b"PK\x06\x06" in raw and b"PK\x06\x07" in raw
     with zipfile.ZipFile(p) as zf:  # sizes and offsets held in ZIP64 extra fields
         start_dir = zf.start_dir
@@ -354,6 +363,40 @@ def test_zip64_archive_reads_as_zipfile(tmp_path, monkeypatch):
     with pytest.raises(CorruptEntryError) as err:
         read_entry(open_apk(p), name.decode())
     assert str(err.value) == f"{p}:assets/text.txt: 4200 byte(s) where {2**64 - 1} are declared"
+
+
+def test_zip64_field_after_another_extra_field_reads_as_zipfile(tmp_path, monkeypatch):
+    p = tmp_path / "zip64.apk"
+    other = struct.pack("<HH", 0xCAFE, 6) + b"\xff" * 6
+    raw = bytearray(_zip64(p, monkeypatch, other))
+    with zipfile.ZipFile(p) as zf:
+        start_dir = zf.start_dir
+    # zipfile writes the ZIP64 field first: move it behind the other field
+    moved = 0
+    cd = raw.find(b"PK\x01\x02", start_dir)
+    while cd >= 0:
+        name_len, extra_len = struct.unpack_from("<HH", raw, cd + 28)
+        at = cd + 46 + name_len
+        extra = bytes(raw[at : at + extra_len])
+        if extra.startswith(b"\x01\x00") and extra.endswith(other):
+            raw[at : at + extra_len] = other + extra[: -len(other)]
+            moved += 1
+        cd = raw.find(b"PK\x01\x02", at)
+    assert moved == len(_PAYLOADS)
+    p.write_bytes(bytes(raw))
+    _assert_reads_as_zipfile(p)
+
+
+def test_zip64_locator_naming_another_disk_is_not_a_zip(tmp_path, monkeypatch):
+    p = tmp_path / "zip64.apk"
+    raw = bytearray(_zip64(p, monkeypatch))
+    locator = raw.rindex(b"PK\x06\x07")
+    struct.pack_into("<I", raw, locator + 4, 1)  # the disk that holds the ZIP64 end record
+    p.write_bytes(bytes(raw))
+    with pytest.raises(zipfile.BadZipFile):
+        zipfile.ZipFile(p)
+    with pytest.raises(NotAZipError, match="archive spans multiple disks"):
+        open_apk(p)
 
 
 class _Unseekable(io.RawIOBase):

@@ -120,6 +120,12 @@ def test_render_table_layout():
     assert lines[-1].startswith("Total apps") and lines[-1].endswith("1")
 
 
+def test_empty_corpus_percent_is_zero():
+    summary = aggregate([])
+    assert summary.percent("sms") == "0%"
+    assert "Access / Send / Delete SMS     0 (0%)" in summary.render_table()
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_app_report_roundtrip(corpus, expected, name):
     report = analyze_apk(corpus[name], AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS)))

@@ -5,35 +5,26 @@ what `container` called before it read certificates itself.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+import time
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import rsa
 from cryptography.hazmat.primitives.serialization import Encoding, pkcs7
 from cryptography.x509.name import _ASN1Type
 from cryptography.x509.oid import NameOID
 
 from apkaudit.container import DerError, SignerInfo, _pkcs7_certs, _subject_fields, open_apk
 
-from .fixtures.apk_writer import V2_ID, V3_ID, _splice_signing_block, _v2_block, build_apk
-
-# a fixed RSA-1024 key: PKCS#1 v1.5 signatures are deterministic, so every
-# certificate and PKCS#7 blob below has the same bytes in every run
-_P = int(
-    "f4ffbfa37e79c0aa9944997c87b6854747fda0eabffc09ac3c9cd7be7eadebc3"
-    "aa44cbaf286d818af4aa2337aebddb8e10ea6b14e7dc0d0620f44869ab46e049", 16)
-_Q = int(
-    "ed84d88beb6a3d2e1efa0a969261fca860dce6813417102ae481c979262942ef"
-    "23033a5178d34fccc69d0c15e672ab9291c971dbf865040962b136c1f867f9eb", 16)
-_D = pow(65537, -1, (_P - 1) * (_Q - 1))
-KEY = rsa.RSAPrivateNumbers(
-    p=_P, q=_Q, d=_D, dmp1=rsa.rsa_crt_dmp1(_D, _P), dmq1=rsa.rsa_crt_dmq1(_D, _Q),
-    iqmp=rsa.rsa_crt_iqmp(_P, _Q), public_numbers=rsa.RSAPublicNumbers(65537, _P * _Q),
-).private_key()
+from .fixtures.apk_writer import KEY, V2_ID, V3_ID, _splice_signing_block, _v2_block, build_apk
 
 CN, O = NameOID.COMMON_NAME, NameOID.ORGANIZATION_NAME
 
@@ -188,6 +179,7 @@ BER_BLOB = b"\x30\x80" + BLOB[2 + (BLOB[1] & 0x7F) :] + b"\x00\x00"
         (BLOB[:-1], "element at offset 4 overruns its container"),
         (BER_BLOB, "bad length form 0x80 at offset 1"),
         (b"\x30\x81\x05" + b"\x06\x03\x2a\x03\x04", "non-minimal length at offset 1"),
+        (b"\x30", "element header past end at offset 0"),
         (b"\x30\x05\x06\x03\x2a\x03\x04", "content type is not signedData"),
         (
             pkcs7.PKCS7SignatureBuilder()
@@ -197,8 +189,8 @@ BER_BLOB = b"\x30\x80" + BLOB[2 + (BLOB[1] & 0x7F) :] + b"\x00\x00"
             "no certificates",
         ),
     ],
-    ids=["not-der", "trailing", "truncated", "indefinite", "non-minimal", "not-signed-data",
-         "no-certs"],
+    ids=["not-der", "trailing", "truncated", "indefinite", "non-minimal", "header-past-end",
+         "not-signed-data", "no-certs"],
 )
 def test_bad_v1_blob_is_one_warning(tmp_path, blob, reason):
     p = build_apk(tmp_path / "b.apk", {"META-INF/CERT.RSA": blob}, sign=None)
@@ -221,6 +213,45 @@ def test_v1_blob_with_a_malformed_certificate_adds_none(tmp_path):
     assert art.warnings == [
         f"unparsable v1 signature META-INF/CERT.RSA: unexpected tag 0x05 at offset {offset}"
     ]
+
+
+def _der(tag: int, content: bytes) -> bytes:
+    n = len(content)
+    size = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return bytes([tag]) + (bytes([n]) if n < 0x80 else bytes([0x80 | len(size)]) + size) + content
+
+
+def _children(content: bytes) -> list[tuple[int, bytes]]:
+    """The (tag, content) of each DER element that ``content`` holds."""
+    out, pos = [], 0
+    while pos < len(content):
+        tag, n = content[pos], content[pos + 1]
+        pos += 2
+        if n & 0x80:
+            n, pos = int.from_bytes(content[pos : pos + (n & 0x7F)], "big"), pos + (n & 0x7F)
+        out.append((tag, content[pos : pos + n]))
+        pos += n
+    return out
+
+
+def test_v1_blob_with_crls_gives_its_certificates():
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    crl = (
+        x509.CertificateRevocationListBuilder()
+        .issuer_name(SIGNER_CERTS[0].subject)
+        .last_update(start)
+        .next_update(start + timedelta(days=30))
+        .sign(KEY, hashes.SHA256())
+    ).public_bytes(Encoding.DER)
+    blob = pkcs7_blob(*SIGNER_CERTS[:2])
+    [(_, info)] = _children(blob)
+    oid, (_, explicit) = _children(info)
+    [(_, signed)] = _children(explicit)
+    # version, digestAlgorithms, contentInfo, [0] certificates, [1] crls, signerInfos
+    parts = _children(signed)
+    parts.insert(-1, (0xA1, crl))
+    with_crls = _der(0x30, _der(*oid) + _der(0xA0, _der(0x30, b"".join(_der(*e) for e in parts))))
+    assert _pkcs7_certs(with_crls) == _oracle_pkcs7(with_crls) == _pkcs7_certs(blob)
 
 
 def _mutants(raw: bytes, rng: random.Random, count: int):
@@ -272,3 +303,24 @@ def test_mutants_agree_with_cryptography_whenever_it_parses(raw, walker, oracle)
         else:
             tally["walker only" if got is not None else "neither"] += 1
     assert tally["both"] and tally["neither"]
+
+
+def test_two_builds_of_the_fixture_corpus_have_the_same_bytes(tmp_path):
+    """Each build runs in a fresh interpreter, so they share no key or
+    certificate, and the second starts in a later second than the first."""
+    build = ("import hashlib, json, sys\n"
+             "from tests.fixtures.corpus import build_corpus\n"
+             "apks = build_corpus(sys.argv[1])\n"
+             "print(json.dumps({n: hashlib.sha256(p.read_bytes()).hexdigest() for n, p in apks.items()}))")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    digests = []
+    for side in ("a", "b"):
+        if digests:
+            time.sleep(1 - time.time() % 1)  # so a signing time would differ in its second
+        done = subprocess.run([sys.executable, "-c", build, str(tmp_path / side)], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        digests.append(json.loads(done.stdout))
+    assert len(digests[0]) == 12
+    assert digests[0] == digests[1]
