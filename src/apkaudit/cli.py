@@ -139,22 +139,63 @@ def _scan_one(path: str, config, out: Path | None) -> dict | str:
         return f"{path}: {type(exc).__name__}: {exc}"
 
 
-def _worker(paths: list[str], config, out, cpu, allowed, counter, conn) -> None:
-    """Claim apps by index until none is left, sending ``(index, outcome)`` for each."""
-    try:  # to its own CPU, then allow them all again so that the kernel can still move it
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
-            os.sched_setaffinity(0, allowed)
-    except OSError:
-        pass  # a worker that cannot move stays where it is
-    while True:
-        with counter.get_lock():  # claim the next app
-            i = counter.value
-            counter.value = i + 1
-        if i >= len(paths):
-            break
-        conn.send((i, _scan_one(paths[i], config, out)))
-    conn.close()
+def _pool(paths: list[str], config, out, jobs: int) -> list:
+    """Each app's outcome, in path order, from ``jobs`` forked workers with one app each in flight."""
+    import select
+
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    outcomes, todo = [None] * len(paths), list(range(len(paths)))[::-1]  # popped in path order
+    workers, poller = {}, select.poll()  # result fd: [pid, task fd, reader, app in flight or -1]
+    for n in range(jobs):
+        (task, task_w), (result, result_w) = os.pipe(), os.pipe()
+        os.write(task_w, b"%d\n" % todo[-1])
+        if (pid := os.fork()) == 0:  # the worker, which never returns into the caller's code
+            code = 1  # an exception, SystemExit too, costs only the app in flight
+            try:
+                for fd in [task_w, result, *workers, *(w[1] for w in workers.values())]:
+                    os.close(fd)
+                # it starts on this CPU, and Linux spreads it only at exec or a second later: it
+                # moves to its own, round robin, then allows them all so that the kernel can move it
+                try:
+                    os.sched_setaffinity(0, {cpus[n % len(cpus)]})
+                    os.sched_setaffinity(0, cpus)
+                except (AttributeError, OSError):
+                    pass  # a worker that cannot move stays where it is
+                with open(result_w, "w", encoding="ascii") as send:
+                    while (i := int(os.read(task, 32) or -1)) >= 0:  # -1, or EOF: no app is left
+                        print(json.dumps([i, _scan_one(paths[i], config, out)]), file=send, flush=True)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task)
+        os.close(result_w)
+        workers[result] = [pid, task_w, open(result, "rb"), todo.pop()]
+        poller.register(result, select.POLLIN)
+    while workers:
+        for fd, _event in poller.poll():
+            pid, task, reader, i = worker = workers[fd]
+            # one [index, outcome] line at most, as the worker waits for its next app; a line
+            # without its end is the last of a worker that died while sending it
+            if (line := reader.readline()).endswith(b"\n"):
+                i, outcomes[i] = json.loads(line)
+                worker[3] = todo.pop() if todo else -1
+                try:
+                    os.write(task, b"%d\n" % worker[3])
+                except BrokenPipeError:  # the worker has died: another analyses the app
+                    todo += [worker[3]] if worker[3] >= 0 else []
+                    worker[3] = -1
+                continue
+            poller.unregister(fd)  # EOF: the worker has exited
+            os.close(task)
+            reader.close()
+            del workers[fd]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if i >= 0:
+                status = f"signal {-code}" if code < 0 else f"exit code {code}"
+                outcomes[i] = f"{paths[i]}: its worker exited before reporting it ({status})"
+    for i in todo:  # every worker died before these were handed out
+        outcomes[i] = _scan_one(paths[i], config, out)
+    return outcomes
 
 
 def _cmd_scan(args) -> int:
@@ -175,39 +216,15 @@ def _cmd_scan(args) -> int:
     out = _out_dir(args.out) if args.out else None
 
     outcomes = (_scan_one(p, config, out) for p in paths)  # each error printed as it happens
-    if len(paths) > 1 and args.jobs > 1:
-        import multiprocessing.connection
-
-        # fork starts each worker at once, with the loaded data (Python 3.14 makes
-        # forkserver Linux's default).  A forked worker starts on this CPU, and Linux
-        # spreads it only at exec or a second later, so each moves itself to its
-        # own, round robin
-        linux = sys.platform == "linux"
-        ctx = multiprocessing.get_context("fork" if linux else None)
-        cpus = sorted(os.sched_getaffinity(0)) if linux else [None]
-        counter = ctx.Value("q", 0)
-        outcomes = [None] * len(paths)  # None: the app's worker died before sending it
-        conns = {}
-        for w in range(min(args.jobs, len(paths))):
-            conn, send = ctx.Pipe(duplex=False)
-            worker_args = (paths, config, out, cpus[w % len(cpus)], cpus, counter, send)
-            conns[conn] = ctx.Process(target=_worker, args=worker_args, daemon=True)
-            conns[conn].start()
-            send.close()  # the worker holds the only send end: its exit is EOF here
-        while conns:
-            for conn in multiprocessing.connection.wait(list(conns)):
-                try:
-                    i, outcomes[i] = conn.recv()
-                except EOFError:
-                    conns.pop(conn).join()
-                    conn.close()
+    if len(paths) > 1 and args.jobs > 1 and hasattr(os, "fork"):  # no fork: in process
+        outcomes = _pool(paths, config, out, min(args.jobs, len(paths)))
     # taken in path order for any --jobs, for stderr, stdout, the table and the exit code
     docs: list[dict] = []
-    for p, outcome in zip(paths, outcomes):
+    for outcome in outcomes:
         if isinstance(outcome, dict):
             docs.append(outcome)
         else:
-            print(f"error: {outcome or f'{p}: its worker exited before reporting it'}", file=sys.stderr)
+            print(f"error: {outcome}", file=sys.stderr)
 
     if args.format == "table":
         reports = [AppReport.from_dict(d) for d in docs]
@@ -267,5 +284,16 @@ def _cmd_dump_dex(args) -> int:
     return EXIT_CLEAN
 
 
+def run() -> None:
+    """``main``, then an exit that skips the interpreter's teardown: a short-lived process needs none."""
+    try:
+        rc = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # stdout closed early, as by ``apkaudit scan DIR | head``
+        rc = EXIT_ERROR
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

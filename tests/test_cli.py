@@ -48,56 +48,62 @@ def test_scan_of_a_directory_without_apks_is_an_error(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "no APKs found\n")
 
 
-class _RecordingContext:
-    """A multiprocessing context that records the start method it was asked
-    for and how many worker processes the scan made from it."""
-
-    def __init__(self, method, get_context, made):
-        self.method, self.ctx, self.processes = method, get_context(method), 0
-        made.append(self)
-
-    def __getattr__(self, name):
-        return getattr(self.ctx, name)
-
-    def Process(self, *args, **kwargs):
-        self.processes += 1
-        return self.ctx.Process(*args, **kwargs)
+def _copies(corpus, tmp_path, names):
+    src = tmp_path / "apks"
+    src.mkdir()
+    for i, name in enumerate(names):
+        (src / f"{i}-{name}.apk").write_bytes(corpus[name].read_bytes())
+    return src
 
 
-def _record_contexts(monkeypatch) -> list:
-    import multiprocessing
+def _count_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to record, in this process, the pid of each worker it starts."""
+    started: list[int] = []
+    fork = os.fork
 
-    made: list[_RecordingContext] = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method=None: _RecordingContext(method, get_context, made))
-    return made
+    def counted():
+        if pid := fork():
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
 
 
-@pytest.mark.parametrize("apks, jobs, workers", [(2, "8", [2]), (3, "2", [2]), (1, "8", [])])
+@pytest.mark.parametrize("apks, jobs, workers", [(2, "8", [0, 1]), (3, "2", [0, 1]), (1, "8", [])])
 def test_scan_starts_no_more_workers_than_apks(corpus, tmp_path, capsys, monkeypatch, apks, jobs, workers):
-    made = _record_contexts(monkeypatch)
+    started = _count_forks(monkeypatch)
     src = tmp_path / "apks"
     src.mkdir()
     for i in range(apks):
         (src / f"benign{i}.apk").write_bytes(corpus["benign"].read_bytes())
     assert main(["scan", str(src), "--jobs", jobs]) == EXIT_CLEAN
     assert len(json.loads(capsys.readouterr().out)) == apks
-    started = [ctx.processes for ctx in made]
-    assert started == workers
+    assert list(range(len(started))) == workers
 
 
-def test_scan_pool_names_the_fork_start_method_on_linux(corpus, tmp_path, capsys, monkeypatch):
-    made = _record_contexts(monkeypatch)
-    src = tmp_path / "apks"
-    src.mkdir()
-    for name in ("benign", "silent_install"):
-        (src / f"{name}.apk").write_bytes(corpus[name].read_bytes())
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked only where os.fork exists")
+def test_scan_workers_reuse_the_data_loaded_before_the_fork(corpus, tmp_path, capsys, monkeypatch):
+    import apkaudit.behaviors
+    import apkaudit.report
+
+    loads = tmp_path / "loads.txt"
+    load_rules = apkaudit.behaviors.load_rules
+
+    def logged(path=None):
+        with open(loads, "a") as f:  # forked workers inherit the patch; each appends its own line
+            f.write(f"{os.getpid()}\n")
+        return load_rules(path)
+
+    monkeypatch.setattr(apkaudit.behaviors, "load_rules", logged)
+    apkaudit.report.load_detection.cache_clear()
+    started = _count_forks(monkeypatch)
+    src = _copies(corpus, tmp_path, ["benign", "silent_install", "sms_delete"])
     assert main(["scan", str(src), "--jobs", "2"]) == EXIT_FINDINGS
-    assert len(json.loads(capsys.readouterr().out)) == 2
-    methods = [ctx.method for ctx in made]
-    # the workers inherit the loaded detection data; elsewhere the default stays
-    assert methods == (["fork"] if sys.platform == "linux" else [None])
+    assert len(json.loads(capsys.readouterr().out)) == 3
+    assert len(started) == 2
+    # the data is read once, by the scan itself, and never again by a worker
+    assert loads.read_text().splitlines() == [str(os.getpid())]
 
 
 def test_scan_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
@@ -109,14 +115,6 @@ def test_scan_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     assert build_parser().parse_args(["scan", "x.apk"]).jobs == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert build_parser().parse_args(["scan", "x.apk"]).jobs == 1
-
-
-def _copies(corpus, tmp_path, names):
-    src = tmp_path / "apks"
-    src.mkdir()
-    for i, name in enumerate(names):
-        (src / f"{i}-{name}.apk").write_bytes(corpus[name].read_bytes())
-    return src
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool spreads its workers only on Linux")
@@ -303,7 +301,7 @@ def test_scan_survives_an_analyser_fault_in_one_app(corpus, tmp_path, capsys, mo
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}.json" for p in src.iterdir() if p != faulty)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only forked workers inherit the patched module")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only forked workers inherit the patched module")
 def test_scan_worker_that_dies_costs_only_its_own_app(corpus, tmp_path, capsys, monkeypatch):
     import apkaudit.report
 
@@ -321,55 +319,162 @@ def test_scan_worker_that_dies_costs_only_its_own_app(corpus, tmp_path, capsys, 
     out = tmp_path / "reports"
     assert main(["scan", str(src), "--out", str(out), "--jobs", "2"]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {fatal}: its worker exited before reporting it"]
+        f"error: {fatal}: its worker exited before reporting it (exit code 3)"]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}.json" for p in src.iterdir() if p != fatal)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only forked workers inherit the patched module")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only forked workers inherit the patched module")
+def test_scan_whose_workers_all_die_analyses_the_rest_itself(corpus, tmp_path, capsys, monkeypatch):
+    import signal
+
+    import apkaudit.report
+
+    src = _copies(corpus, tmp_path, ["benign", "silent_install", "sms_delete", "unsigned",
+                                     "unexported_negative", "listing5_leak"])
+    exits, killed = src / "2-sms_delete.apk", src / "3-unsigned.apk"
+    analyze_apk = apkaudit.report.analyze_apk
+
+    def analyze_or_die(path, config=None, device=""):
+        if Path(path) == exits:
+            os._exit(3)
+        if Path(path) == killed:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return analyze_apk(path, config, device)
+
+    # each of the two workers takes one of the two fatal apps before the last two
+    # are handed out, so no worker is left for those: the scan analyses them itself
+    monkeypatch.setattr(apkaudit.report, "analyze_apk", analyze_or_die)
+    assert main(["scan", str(src), "--jobs", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {exits}: its worker exited before reporting it (exit code 3)",
+        f"error: {killed}: its worker exited before reporting it (signal {signal.SIGKILL})"]
+    assert sorted(d["sha256"] for d in json.loads(captured.out)) == sorted(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in src.iterdir() if p not in (exits, killed))
+
+
+# runs `scan` with `analyze_apk` logging each path it is given to the file
+# named by argv[1], after the code of argv[2], and prints the scan's stdout
+_LOGGED_SCAN = """\
+import os, sys
+import apkaudit.cli as cli, apkaudit.report as report
+claims, patch = sys.argv.pop(1), sys.argv.pop(1)
+analyze_apk = report.analyze_apk
+def logged(path, *args):
+    with open(claims, 'a') as f:
+        f.write(f'{path}\\n')
+    return analyze_apk(path, *args)
+report.analyze_apk = logged
+exec(patch)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only forked workers inherit the patched module")
 def test_scan_workers_claim_each_app_exactly_once(corpus, tmp_path):
-    # more workers than CPUs race for the shared counter: a lost update
-    # would analyse an app twice or never
+    # more workers than CPUs, all handed their apps by the scan: an index lost
+    # or handed out twice would analyse an app never or twice
     src = _copies(corpus, tmp_path, sorted(corpus) * 4)
     claims = tmp_path / "claims.txt"
-    code = (
-        "import sys, apkaudit.report as report\n"
-        "from apkaudit.cli import main\n"
-        "analyze_apk = report.analyze_apk\n"
-        "def logged(path, *args):\n"
-        f"    with open({str(claims)!r}, 'a') as f:\n"
-        "        f.write(f'{path}\\n')\n"
-        "    return analyze_apk(path, *args)\n"
-        "report.analyze_apk = logged\n"
-        "sys.exit(main(sys.argv[1:]))\n")
-    jobs = len(os.sched_getaffinity(0)) + 2
-    proc = _python("-c", code, "scan", str(src), "--jobs", str(jobs))
+    jobs = len(os.sched_getaffinity(0)) + 2 if hasattr(os, "sched_getaffinity") else 4
+    proc = _python("-c", _LOGGED_SCAN, str(claims), "", "scan", str(src), "--jobs", str(jobs))
     assert (proc.returncode, proc.stderr) == (EXIT_FINDINGS, "")
     assert len(json.loads(proc.stdout)) == 4 * len(corpus)
     assert sorted(claims.read_text().splitlines()) == sorted(str(p) for p in src.iterdir())
 
 
-def test_scan_workers_started_by_spawn_match_one_job(corpus, tmp_path, capsys):
-    """The start method of platforms without fork, run here: each worker gets
-    its arguments pickled and loads the detection data itself."""
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only forked workers inherit the patched module")
+def test_scan_worker_that_exits_between_two_apps_loses_none(corpus, tmp_path):
+    # the worker of app 0 closes its end of the task pipe, sends app 0's outcome
+    # and exits before it reads its next app: the scan's next write to it breaks,
+    # and that app goes to the other worker
+    patch = (
+        "parent, read, scan_one = os.getpid(), os.read, cli._scan_one\n"
+        "tasks = []\n"
+        "def read_task(fd, n):\n"
+        "    tasks.append(fd)\n"
+        "    return read(fd, n)\n"
+        "def scan_then_close(path, *args):\n"
+        "    if os.getpid() != parent and path.endswith('/0-benign.apk'):\n"
+        "        os.close(tasks[-1])\n"
+        "    return scan_one(path, *args)\n"
+        "os.read, cli._scan_one = read_task, scan_then_close\n")
+    src = _copies(corpus, tmp_path, ["benign", *sorted(corpus)])
+    claims = tmp_path / "claims.txt"
+    proc = _python("-c", _LOGGED_SCAN, str(claims), patch, "scan", str(src), "--jobs", "2")
+    assert (proc.returncode, proc.stderr) == (EXIT_FINDINGS, "")
+    assert len(json.loads(proc.stdout)) == len(corpus) + 1
+    assert sorted(claims.read_text().splitlines()) == sorted(str(p) for p in src.iterdir())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="only forked workers inherit the patched module")
+def test_scan_worker_ended_by_system_exit_costs_only_its_own_app(corpus, tmp_path):
+    # a forked worker that let SystemExit return into the caller's code would go on
+    # to print a second JSON document of its own
+    patch = (
+        "scan_one = cli._scan_one\n"
+        "def scan_or_exit(path, *args):\n"
+        "    if path.endswith('/1-silent_install.apk'):\n"
+        "        sys.exit(0)\n"
+        "    return scan_one(path, *args)\n"
+        "cli._scan_one = scan_or_exit\n")
+    src = _copies(corpus, tmp_path, ["benign", "silent_install", "sms_delete", "unsigned"])
+    claims = tmp_path / "claims.txt"
+    proc = _python("-c", _LOGGED_SCAN, str(claims), patch, "scan", str(src), "--jobs", "2")
+    lost = src / "1-silent_install.apk"
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_ERROR, f"error: {lost}: its worker exited before reporting it (exit code 1)\n")
+    docs = json.loads(proc.stdout)  # one document: a second would fail to parse
+    assert sorted(d["sha256"] for d in docs) == sorted(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in src.iterdir() if p != lost)
+
+
+def test_scan_without_fork_matches_one_job(corpus, tmp_path, capsys):
+    """Where ``os.fork`` does not exist, ``--jobs`` analyses the apps in this
+    process, one after another."""
     src = _copies(corpus, tmp_path, ["listing5_leak", "silent_install", "benign"])
-    code = (
-        "import multiprocessing, sys\n"
-        "from apkaudit.cli import main\n"
-        "get_context = multiprocessing.get_context\n"
-        "def spawn(method=None):\n"
-        "    print('spawn', file=sys.stderr)\n"
-        "    return get_context('spawn')\n"
-        "multiprocessing.get_context = spawn\n"
-        "sys.exit(main(sys.argv[1:]))\n")
+    patch = "del os.fork\n"
     args = ["scan", str(src), "--extra-sinks", str(EXTRA_SINKS), "--out"]
-    proc = _python("-c", code, *args, str(tmp_path / "spawned"), "--jobs", "2")
+    claims = tmp_path / "claims.txt"
+    proc = _python("-c", _LOGGED_SCAN, str(claims), patch, *args, str(tmp_path / "unforked"), "--jobs", "2")
     assert main([*args, str(tmp_path / "one"), "--jobs", "1"]) == EXIT_FINDINGS
-    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_FINDINGS, "spawn\n", capsys.readouterr().out)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_FINDINGS, "", capsys.readouterr().out)
     reports = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert len(reports) == 3 and sorted(p.name for p in (tmp_path / "spawned").iterdir()) == reports
+    assert len(reports) == 3 and sorted(p.name for p in (tmp_path / "unforked").iterdir()) == reports
     for name in reports:
-        assert (tmp_path / "spawned" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "unforked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("command", ["scan", "report"])
+def test_a_stdout_closed_early_is_an_error_not_a_traceback(corpus, tmp_path, capsys, monkeypatch,
+                                                           command, unbuffered):
+    # buffered, the write fails at the last flush; unbuffered, in the command's print
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    src = _copies(corpus, tmp_path, ["benign", "silent_install"])
+    assert main(["scan", str(src), "--out", str(tmp_path / "reports")]) == EXIT_FINDINGS
+    target = src if command == "scan" else tmp_path / "reports"
+    read, write = os.pipe()
+    os.close(read)  # as `apkaudit scan DIR | head` once head has gone
+    try:
+        proc = _python("-m", "apkaudit.cli", command, str(target), stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_ERROR, "")
+
+
+def test_a_json_output_larger_than_a_pipe_arrives_whole(corpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # the last block stays buffered until run() flushes
+    src = _copies(corpus, tmp_path, ["listing1_location"] * 60)
+    assert main(["scan", str(src), "--jobs", "1"]) == EXIT_FINDINGS
+    in_process = capsys.readouterr().out
+    assert len(in_process) > 64 * 1024  # more than a Linux pipe holds
+    proc = _python("-m", "apkaudit.cli", "scan", str(src), "--jobs", "2")
+    assert (proc.returncode, proc.stderr) == (EXIT_FINDINGS, "")
+    assert proc.stdout == in_process
 
 
 def test_scan_directory_with_out_and_report_table(corpus, tmp_path, capsys):

@@ -31,11 +31,11 @@ Total apps                     6
 """
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
 
 
 def _assert_light(modules: set[str]) -> None:
@@ -127,8 +127,18 @@ def test_one_apk_commands_need_only_the_standard_library(corpus, capsys, command
     assert not {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
 
 
+def test_scan_workers_need_no_multiprocessing(corpus, tmp_path):
+    src = _scan_fixtures(corpus, tmp_path)
+    proc = _python("-c", _WITHOUT_OPTIONAL_MODULES, "scan", str(src), "--jobs", "2")
+    assert proc.returncode == EXIT_FINDINGS, proc.stderr
+    assert len(json.loads(proc.stdout)) == 6
+    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    # forked over plain pipes: no process pool, shared memory or sockets
+    assert not {m for m in modules if m.split(".")[0] in ("multiprocessing", "ctypes", "_ctypes", "socket")}
+
+
 def test_no_module_imports_concurrent_futures():
-    # scan --jobs runs its own workers, without an executor
+    # scan --jobs forks its own workers, without an executor or multiprocessing
     imported = set()
     for path in (SRC / "apkaudit").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -136,4 +146,5 @@ def test_no_module_imports_concurrent_futures():
                 imported |= {(path.name, alias.name) for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add((path.name, node.module))
-    assert not {(name, module) for name, module in imported if module.split(".")[0] == "concurrent"}
+    assert not {(name, module) for name, module in imported
+                if module.split(".")[0] in ("concurrent", "multiprocessing")}
