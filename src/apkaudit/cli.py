@@ -150,7 +150,6 @@ def _pool(paths: list[str], config, out, jobs: int) -> list:
         (task, task_w), (result, result_w) = os.pipe(), os.pipe()
         os.write(task_w, b"%d\n" % todo[-1])
         if (pid := os.fork()) == 0:  # the worker, which never returns into the caller's code
-            code = 1  # an exception, SystemExit too, costs only the app in flight
             try:
                 for fd in [task_w, result, *workers, *(w[1] for w in workers.values())]:
                     os.close(fd)
@@ -164,9 +163,9 @@ def _pool(paths: list[str], config, out, jobs: int) -> list:
                 with open(result_w, "w", encoding="ascii") as send:
                     while (i := int(os.read(task, 32) or -1)) >= 0:  # -1, or EOF: no app is left
                         print(json.dumps([i, _scan_one(paths[i], config, out)]), file=send, flush=True)
-                code = 0
-            finally:
-                os._exit(code)
+                os._exit(0)
+            finally:  # an exception, SystemExit too, costs only the app in flight
+                os._exit(1)
         os.close(task)
         os.close(result_w)
         workers[result] = [pid, task_w, open(result, "rb"), todo.pop()]
@@ -177,13 +176,12 @@ def _pool(paths: list[str], config, out, jobs: int) -> list:
             # one [index, outcome] line at most, as the worker waits for its next app; a line
             # without its end is the last of a worker that died while sending it
             if (line := reader.readline()).endswith(b"\n"):
-                i, outcomes[i] = json.loads(line)
-                worker[3] = todo.pop() if todo else -1
-                try:
-                    os.write(task, b"%d\n" % worker[3])
+                try:  # the next app leaves the queue only once the worker has it
+                    os.write(task, b"%d\n" % (todo[-1] if todo else -1))
+                    worker[3] = todo.pop() if todo else -1
                 except BrokenPipeError:  # the worker has died: another analyses the app
-                    todo += [worker[3]] if worker[3] >= 0 else []
                     worker[3] = -1
+                i, outcomes[i] = json.loads(line)
                 continue
             poller.unregister(fd)  # EOF: the worker has exited
             os.close(task)
