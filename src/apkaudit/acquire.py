@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .container import AuthorityMap, open_apk
-from .errors import ApkReadError, BridgeError, CorpusIndexError, NotAZipError
+from .errors import ApkAuditError, ApkReadError
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +55,17 @@ class SubprocessBridge:
                 [self.executable, *args], capture_output=True, text=True, timeout=300
             )
         except FileNotFoundError as exc:
-            raise BridgeError(f"bridge executable not found: {self.executable}") from exc
+            raise ApkAuditError(f"bridge executable not found: {self.executable}",
+                                "bridge.not_found") from exc
         except subprocess.TimeoutExpired as exc:
-            raise BridgeError(f"bridge timed out: {args}") from exc
+            raise ApkAuditError(f"bridge timed out: {args}", "bridge.timeout") from exc
         if proc.returncode != 0:
             stderr = proc.stderr.strip()
             if "no devices" in stderr or "device offline" in stderr:
-                raise BridgeError(f"no device: {stderr}")
+                raise ApkAuditError(f"no device: {stderr}", "bridge.no_device")
             if "unauthorized" in stderr:
-                raise BridgeError(f"device unauthorized: {stderr}")
-            raise BridgeError(f"bridge command failed: {stderr}")
+                raise ApkAuditError(f"device unauthorized: {stderr}", "bridge.unauthorized")
+            raise ApkAuditError(f"bridge command failed: {stderr}", "bridge.failed")
         return proc.stdout
 
 
@@ -72,7 +73,7 @@ class TranscriptBridge:
     """Offline stub replaying a recorded transcript.
 
     Transcript schema: {"shell": {command: output}, "files": {device_path:
-    local_source_path}}, all strings; another shape raises BridgeError.
+    local_source_path}}, all strings; another shape raises ``bridge.transcript``.
     ``shell`` records ``pm list packages -f``, ``pm list packages -f -s``
     and ``pm path <package>`` for each package pulled.  Pulls copy the
     mapped local file.
@@ -84,25 +85,26 @@ class TranscriptBridge:
             try:
                 transcript = json.loads(Path(source).read_bytes())
             except OSError as exc:
-                raise BridgeError(f"transcript {source}: {exc.strerror or exc}") from exc
+                raise ApkAuditError(f"transcript {source}: {exc.strerror or exc}",
+                                    "bridge.transcript") from exc
             except ValueError as exc:  # not JSON, or not Unicode
-                raise BridgeError(f"transcript {source}: {exc}") from exc
+                raise ApkAuditError(f"transcript {source}: {exc}", "bridge.transcript") from exc
         maps = [transcript.get(k, {}) if isinstance(transcript, dict) else None
                 for k in ("shell", "files")]
         if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
-            raise BridgeError(
-                f"transcript {source}: not an object with 'shell' and 'files' objects of strings")
+            raise ApkAuditError(f"transcript {source}: not an object with 'shell' and 'files' "
+                                "objects of strings", "bridge.transcript")
         self.shell_map, self.files = maps
 
     def shell(self, serial: str, command: str) -> str:
         if command not in self.shell_map:
-            raise BridgeError(f"transcript has no output for {command!r}")
+            raise ApkAuditError(f"transcript has no output for {command!r}", "bridge.no_output")
         return self.shell_map[command]
 
     def pull(self, serial: str, device_path: str, dest: Path) -> None:
         src = self.files.get(device_path)
         if src is None:
-            raise BridgeError(f"pull failed: {device_path} (permission denied)")
+            raise ApkAuditError(f"pull failed: {device_path} (permission denied)", "bridge.pull")
         shutil.copyfile(src, dest)
 
 
@@ -166,7 +168,7 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
     A package whose listing or pull fails is recorded and the run continues.
     """
     if serial in ("", ".", "..") or "/" in serial or os.sep in serial:
-        raise BridgeError(f"serial {serial!r} cannot name a folder")
+        raise ApkAuditError(f"serial {serial!r} cannot name a folder", "acquire.serial")
     out_dir = Path(out_dir)
     pulled: dict[Path, DevicePackage] = {}
     failures: dict[str, str] = {}
@@ -176,14 +178,14 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
             listed = [line.strip() for line in bridge.shell(serial, f"pm path {pkg.package}").splitlines()]
             paths = [line.removeprefix("package:") for line in listed if line.startswith("package:/")]
             if not paths:
-                raise BridgeError(f"pm path {pkg.package} listed no file")
+                raise ApkAuditError(f"pm path {pkg.package} listed no file", "acquire.no_file")
             # a regular file named like the package fails this package only
             dest_dir.mkdir(parents=True, exist_ok=True)
             for device_path in paths:
                 dest = dest_dir / device_path.rpartition("/")[2]
                 bridge.pull(serial, device_path, dest)
                 pulled[dest] = pkg
-        except BridgeError as exc:
+        except ApkAuditError as exc:
             failures[pkg.package] = str(exc)
         except OSError as exc:
             if exc.errno == 28:  # disk full is fatal
@@ -218,7 +220,7 @@ class CorpusIndex:
     @classmethod
     def from_json(cls, text: str | bytes | None, path) -> "CorpusIndex":
         """Parse the index ``text`` read from ``path`` (read here when it is
-        None); an unreadable or malformed one raises CorpusIndexError naming
+        None); an unreadable or malformed one raises ``acquire.index`` naming
         the file."""
         try:
             doc = json.loads(Path(path).read_bytes() if text is None else text)
@@ -226,8 +228,8 @@ class CorpusIndex:
             for sha, e in doc.get("entries", {}).items():
                 idx.entries[sha] = {k: set(e[k]) if k in _SET_FIELDS else e[k] for k in _INDEX_FIELDS}
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorpusIndexError(
-                f"{path}: not a corpus index ({type(exc).__name__}: {exc})") from exc
+            raise ApkAuditError(f"{path}: not a corpus index ({type(exc).__name__}: {exc})",
+                                "acquire.index") from exc
         return idx
 
 
@@ -250,7 +252,7 @@ def index_corpus(pulled: dict[Path, DevicePackage], prior: CorpusIndex | None,
     for path, pkg in sorted(pulled.items()):
         try:
             art = open_apk(path)
-        except (ApkReadError, NotAZipError) as exc:
+        except ApkReadError as exc:
             log.warning("unreadable file skipped: %s (%s)", path, exc)
             skipped += 1
             continue

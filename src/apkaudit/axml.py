@@ -6,7 +6,7 @@ order.  All integers are little-endian.  The resource-id map and text
 chunks carry nothing the auditors read and are skipped; unknown chunk types
 are skipped and counted in one warning.  A missing or broken string pool,
 and a chunk too short for the fields it must hold, are fatal for the
-manifest: every failure is an :class:`AxmlError`.
+manifest: every failure is an :class:`ApkAuditError` with an ``axml.*`` code.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .errors import BadStringPoolError, TruncatedChunkError
+from .errors import ApkAuditError
 
 CHUNK_XML = 0x0003
 CHUNK_STRING_POOL = 0x0001
@@ -73,12 +73,12 @@ class XmlTree(NamedTuple):
 def decode_axml(data: bytes) -> XmlTree:
     """Decode an AXML byte blob into an :class:`XmlTree`."""
     if len(data) < 8:
-        raise TruncatedChunkError("file shorter than chunk header")
+        raise ApkAuditError("file shorter than chunk header", "axml.truncated")
     ftype, _hsize, fsize = struct.unpack_from("<HHI", data, 0)
     if ftype != CHUNK_XML:
-        raise TruncatedChunkError(f"not an AXML file (chunk type 0x{ftype:04x})")
+        raise ApkAuditError(f"not an AXML file (chunk type 0x{ftype:04x})", "axml.not_axml")
     if fsize > len(data):
-        raise TruncatedChunkError("declared file size exceeds data")
+        raise ApkAuditError("declared file size exceeds data", "axml.truncated")
 
     pool: list[str] | None = None
     warnings: list[str] = []
@@ -91,21 +91,21 @@ def decode_axml(data: bytes) -> XmlTree:
         while pos + 8 <= min(fsize, len(data)):
             ctype, _hsize, csize = struct.unpack_from("<HHI", data, pos)
             if csize < 8 or pos + csize > len(data):
-                raise TruncatedChunkError(f"chunk at 0x{pos:x} overruns file")
+                raise ApkAuditError(f"chunk at 0x{pos:x} overruns file", "axml.truncated")
             body = data[pos : pos + csize]
 
             if ctype == CHUNK_STRING_POOL:
                 pool = _decode_string_pool(body)
             elif ctype == CHUNK_START_NS:
                 if pool is None:
-                    raise BadStringPoolError("namespace chunk before string pool")
+                    raise ApkAuditError("namespace chunk before string pool", "axml.string_pool")
                 # both indices are checked against the pool; no analyser reads namespaces
                 prefix_ix, uri_ix = struct.unpack_from("<II", body, 16)
                 _pool_str(pool, prefix_ix)
                 _pool_str(pool, uri_ix)
             elif ctype == CHUNK_START_ELEMENT:
                 if pool is None:
-                    raise BadStringPoolError("element chunk before string pool")
+                    raise ApkAuditError("element chunk before string pool", "axml.string_pool")
                 elem = _decode_start_element(body, pool)
                 if elem_stack:
                     elem_stack[-1].children.append(elem)
@@ -123,12 +123,13 @@ def decode_axml(data: bytes) -> XmlTree:
                 unknown.append(ctype)
             pos += csize
     except (IndexError, struct.error) as exc:  # a read past the end of a chunk's body
-        raise TruncatedChunkError(f"chunk at 0x{pos:x} truncated ({type(exc).__name__}: {exc})") from exc
+        raise ApkAuditError(f"chunk at 0x{pos:x} truncated ({type(exc).__name__}: {exc})",
+                            "axml.truncated") from exc
 
     if pool is None:
-        raise BadStringPoolError("no string pool chunk")
+        raise ApkAuditError("no string pool chunk", "axml.string_pool")
     if root is None:
-        raise TruncatedChunkError("no root element")
+        raise ApkAuditError("no root element", "axml.no_root")
     if unknown:
         warnings.append(f"{len(unknown)} chunk(s) skipped, first unknown chunk type 0x{unknown[0]:04x}")
     return XmlTree(root=root, warnings=warnings)
@@ -138,25 +139,25 @@ def _pool_str(pool: list[str], index: int) -> str:
     if index == NO_INDEX:
         return ""
     if index >= len(pool):
-        raise BadStringPoolError(f"string index {index} out of range")
+        raise ApkAuditError(f"string index {index} out of range", "axml.string_pool")
     return pool[index]
 
 
 def _decode_string_pool(body: bytes) -> list[str]:
     if len(body) < 28:
-        raise BadStringPoolError("string pool header truncated")
+        raise ApkAuditError("string pool header truncated", "axml.string_pool")
     _t, hsize, _size, count, _styles, flags, strings_start, _styles_start = struct.unpack_from(
         "<HHIIIIII", body, 0
     )
     if hsize + count * 4 > len(body):
-        raise BadStringPoolError("offset table truncated")
+        raise ApkAuditError("offset table truncated", "axml.string_pool")
     offsets = struct.unpack_from(f"<{count}I", body, hsize)
     utf8 = bool(flags & POOL_FLAG_UTF8)
     out: list[str] = []
     for off in offsets:
         p = strings_start + off
         if p >= len(body):
-            raise BadStringPoolError("string offset out of range")
+            raise ApkAuditError("string offset out of range", "axml.string_pool")
         out.append(_decode_utf8_entry(body, p) if utf8 else _decode_utf16_entry(body, p))
     return out
 
@@ -169,7 +170,7 @@ def _decode_utf16_entry(body: bytes, p: int) -> str:
         p += 2
     end = p + n * 2
     if end > len(body):
-        raise BadStringPoolError("UTF-16 string truncated")
+        raise ApkAuditError("UTF-16 string truncated", "axml.string_pool")
     return body[p:end].decode("utf-16-le", errors="replace")
 
 
@@ -186,7 +187,7 @@ def _decode_utf8_entry(body: bytes, p: int) -> str:
         p += 1
     end = p + blen
     if end > len(body):
-        raise BadStringPoolError("UTF-8 string truncated")
+        raise ApkAuditError("UTF-8 string truncated", "axml.string_pool")
     return body[p:end].decode("utf-8", errors="replace")
 
 
@@ -198,7 +199,7 @@ def _decode_start_element(body: bytes, pool: list[str]) -> AxmlElement:
     p = 16 + 20
     for _ in range(attr_count):
         if p + 20 > len(body):
-            raise TruncatedChunkError("attribute record truncated")
+            raise ApkAuditError("attribute record truncated", "axml.truncated")
         a_ns, a_name, a_raw, _vsize_res0, vtype_hi = struct.unpack_from("<IIIHH", body, p)
         vtype = vtype_hi >> 8
         a_data = struct.unpack_from("<I", body, p + 16)[0]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .callgraph import CallGraph
 from .dex import CodeModel
-from .errors import RuleSchemaError, read_data_file
+from .errors import ApkAuditError, read_data_file
 from .findings import BehaviorFinding
 from .manifest import ManifestModel
 
@@ -45,41 +45,43 @@ def load_rules(path=None) -> tuple[Rule, ...]:
     raw = read_data_file(path, as_json=True)
     try:
         return _parse_rules(raw)
-    except RuleSchemaError as exc:
-        raise RuleSchemaError(f"data file {path}: {exc}") from None
+    except ApkAuditError as exc:
+        raise ApkAuditError(f"data file {path}: {exc}", exc.code) from None
 
 
 def _parse_rules(raw) -> tuple[Rule, ...]:
     if not isinstance(raw, list):
-        raise RuleSchemaError("rules file must be a JSON array")
+        raise ApkAuditError("rules file must be a JSON array", "data.rules")
     rules: list[Rule] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
-            raise RuleSchemaError(f"rule #{i} is not an object")
+            raise ApkAuditError(f"rule #{i} is not an object", "data.rules")
         for key in ("id", "category", "pattern", "match_space"):
             if key not in entry:
-                raise RuleSchemaError(f"rule #{i} missing key {key!r}")
+                raise ApkAuditError(f"rule #{i} missing key {key!r}", "data.rules")
             if not (isinstance(entry[key], str) and entry[key]):
-                raise RuleSchemaError(
-                    f"rule #{i}: {key} must be a non-empty string, not {entry[key]!r}")
+                raise ApkAuditError(
+                    f"rule #{i}: {key} must be a non-empty string, not {entry[key]!r}", "data.rules")
         rid, category, space = entry["id"], entry["category"], entry["match_space"]
         perms = entry.get("required_permissions", [])
         if not (isinstance(perms, list) and all(isinstance(p, str) for p in perms)):
-            raise RuleSchemaError(f"rule {rid!r}: required_permissions must be a list of strings")
+            raise ApkAuditError(f"rule {rid!r}: required_permissions must be a list of strings",
+                                "data.rules")
         if category not in CATEGORIES:
-            raise RuleSchemaError(f"rule {rid!r}: unknown category {category!r}")
+            raise ApkAuditError(f"rule {rid!r}: unknown category {category!r}", "data.rules")
         if space not in MATCH_SPACES:
-            raise RuleSchemaError(f"rule {rid!r}: unknown match_space {space!r}")
+            raise ApkAuditError(f"rule {rid!r}: unknown match_space {space!r}", "data.rules")
         if rid in seen:
-            raise RuleSchemaError(f"duplicate rule id {rid!r}")
+            raise ApkAuditError(f"duplicate rule id {rid!r}", "data.rules")
         seen.add(rid)
         rules.append(Rule(rid, category, entry["pattern"], MATCH_SPACES[space], frozenset(perms),
                           entry.get("co_occurrence")))
     for r in rules:
         partner = r.co_occurrence
         if partner is not None and (not isinstance(partner, str) or partner not in seen):
-            raise RuleSchemaError(f"rule {r.id!r}: unknown co_occurrence partner {partner!r}")
+            raise ApkAuditError(f"rule {r.id!r}: unknown co_occurrence partner {partner!r}",
+                                "data.rules")
     return tuple(rules)
 
 

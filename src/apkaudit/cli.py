@@ -15,12 +15,22 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ApkAuditError, ReportFormatError
+from .errors import ApkAuditError
 from .findings import DEFAULT_DEPTH, AppReport, aggregate
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer not below ``low``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # so a non-integer is still an "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--susi", help="source/sink list replacing the default")
     p_scan.add_argument("--extra-sinks", help="supplementary sinks for INTERNET apps")
     p_scan.add_argument("--sensitive-apis")
-    p_scan.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p_scan.add_argument("--depth", type=_int_at_least(0), default=DEFAULT_DEPTH)
     # the CPUs this process may use: a cpuset can allow fewer than the host has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    p_scan.add_argument("--jobs", type=int, default=cpus)
+    p_scan.add_argument("--jobs", type=_int_at_least(1), default=cpus)
     p_scan.add_argument("--format", choices=["json", "table"], default="json")
     p_scan.add_argument("--timings", action="store_true")
 
@@ -82,7 +92,7 @@ def _out_dir(path) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ApkAuditError(f"--out {out}: {exc.strerror}") from exc
+        raise ApkAuditError(f"--out {out}: {exc.strerror}", "cli.out_dir") from exc
     return out
 
 
@@ -247,9 +257,8 @@ def _cmd_report(args) -> int:
         try:
             reports.append(AppReport.from_dict(json.loads(path.read_text())))
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ReportFormatError(
-                f"{path}: not an apkaudit report ({type(exc).__name__}: {exc})"
-            ) from exc
+            raise ApkAuditError(f"{path}: not an apkaudit report ({type(exc).__name__}: {exc})",
+                                "report.format") from exc
     summary = aggregate(reports)
     if args.format == "json":
         print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))

@@ -5,7 +5,7 @@ buffer; the ZIP directory, the signing block and each entry are then read
 by position, so only the bytes parsed are held.  The file stays open until
 the artifact is freed, so hold few at a time; a file changed after the
 hash is analysed as it then is, and a read past its new end raises
-``CorruptEntryError``.  Names and offsets are read as in ``zipfile``.
+``zip.short_read``.  Names and offsets are read as in ``zipfile``.
 Certificates come from v1 PKCS#7 blobs under META-INF/ and the v2/v3 APK
 Signing Block, read by a strict DER walker.  Nothing is verified beyond
 each entry's CRC-32.
@@ -22,15 +22,7 @@ import zlib
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    ApkReadError,
-    CorruptEntryError,
-    CrcMismatchError,
-    EntryMissingError,
-    MalformedSigningBlockError,
-    NotAZipError,
-    read_data_file,
-)
+from .errors import ApkAuditError, ApkReadError, MalformedSigningBlockError, read_data_file
 
 SIG_BLOCK_MAGIC = b"APK Sig Block 42"
 V2_BLOCK_ID = 0x7109871A
@@ -80,7 +72,7 @@ class SignerInfo(NamedTuple):
 
 class _ApkFile:
     """A file read by position: ``len()`` and non-negative slices, as of
-    ``bytes`` (CorruptEntryError for bytes the file no longer holds).  Like
+    ``bytes`` (``zip.short_read`` for bytes the file no longer holds).  Like
     ``mmap``, it closes its own descriptor when freed."""
 
     def __init__(self, fd, size):
@@ -96,8 +88,8 @@ class _ApkFile:
         os.lseek(self.fd, s.start, os.SEEK_SET)
         data = os.read(self.fd, stop - s.start)
         if len(data) < stop - s.start:  # the file shrank after the hash
-            raise CorruptEntryError(f"file changed after open: read {len(data)} of "
-                                    f"{stop - s.start} byte(s) at offset {s.start}")
+            raise ApkAuditError(f"file changed after open: read {len(data)} of "
+                                f"{stop - s.start} byte(s) at offset {s.start}", "zip.short_read")
         return data
 
     def __del__(self):
@@ -117,15 +109,15 @@ def open_apk(path) -> ApkArtifact:
     """Open an APK once: hash it, enumerate its entries and find its signers.
 
     Entries are not decompressed here; use :func:`read_entry` for that.
-    A file that cannot be read raises :class:`ApkReadError`, one whose ZIP
-    directory cannot be read :class:`NotAZipError`, one cut short after
-    the hash :class:`CorruptEntryError`.
+    A file that cannot be read, or whose ZIP directory cannot be read,
+    raises :class:`ApkReadError`; one cut short after the hash
+    ``zip.short_read``.
     """
     path = Path(path)
     try:
         # a device or FIFO may never end; a directory fails to open
         if not (stat.S_ISREG(mode := path.stat().st_mode) or stat.S_ISDIR(mode)):
-            raise ApkReadError(f"{path}: not a regular file")
+            raise ApkReadError(f"{path}: not a regular file", "apk.not_regular_file")
         with path.open("rb", buffering=0) as file:
             digest, size, buf = hashlib.sha256(), 0, bytearray(0x10000)
             while n := file.readinto(buf):
@@ -133,14 +125,14 @@ def open_apk(path) -> ApkArtifact:
                 size += n
             data = _ApkFile(os.dup(file.fileno()), size)
     except OSError as exc:
-        raise ApkReadError(f"{path}: {exc.strerror or exc}") from exc
+        raise ApkReadError(f"{path}: {exc.strerror or exc}", "apk.unreadable") from exc
     warnings: list[str] = []
     try:
         cd_offset, entries = _read_directory(data, warnings)
     except struct.error as exc:
-        raise NotAZipError(f"{path}: truncated record: {exc}") from exc
+        raise ApkReadError(f"{path}: truncated record: {exc}", "zip.truncated_record") from exc
     except ValueError as exc:
-        raise NotAZipError(f"{path}: {exc}") from exc
+        raise ApkReadError(f"{path}: {exc}", "zip.not_a_zip") from exc
     art = ApkArtifact(path, entries, digest.hexdigest(), data, warnings)
     return art._replace(signers=extract_signers(art, cd_offset))
 
@@ -244,36 +236,35 @@ def read_entry(a: ApkArtifact, name: str) -> bytes:
     """Fully decompress the kept entry of this name, verifying its size and
     CRC-32.
 
-    Any failure raises :class:`CorruptEntryError` (its subclass
-    :class:`CrcMismatchError` for a CRC-32 mismatch) with the message
-    ``<path>:<entry>: <reason>``; the artifact stays readable for its
-    other entries.
+    Any failure raises :class:`ApkAuditError` with the message
+    ``<path>:<entry>: <reason>`` (``zip.crc`` for a CRC-32 mismatch); the
+    artifact stays readable for its other entries.
     """
     entry = a.entries.get(name)
     if entry is None:
-        raise EntryMissingError(f"{a.path}: no entry {name!r}")
+        raise ApkAuditError(f"{a.path}: no entry {name!r}", "zip.entry_missing")
     try:
         return _entry_data(a.archive, entry)
-    except CorruptEntryError as exc:
-        raise type(exc)(f"{a.path}:{name}: {exc}") from None
+    except ApkAuditError as exc:
+        raise ApkAuditError(f"{a.path}:{name}: {exc}", exc.code) from None
 
 
 def _entry_data(data, entry: ZipEntry) -> bytes:
-    """The bytes of one entry of the APK; raises CorruptEntryError with the
+    """The bytes of one entry of the APK; raises ApkAuditError with the
     bare reason."""
     raw, flags, method, crc, csize, size, local = entry
     if flags & _ENCRYPTED:
-        raise CorruptEntryError("encrypted entry (flag bit 0)")
+        raise ApkAuditError("encrypted entry (flag bit 0)", "zip.encrypted")
     if flags & _PATCHED:
-        raise CorruptEntryError("compressed patched data (flag bit 5)")
+        raise ApkAuditError("compressed patched data (flag bit 5)", "zip.patched")
     if not 0 <= local <= len(data) - _LOCAL.size:
-        raise CorruptEntryError(f"local header offset {local} outside the file")
+        raise ApkAuditError(f"local header offset {local} outside the file", "zip.local_offset")
     sig, name_len, extra_len = _LOCAL.unpack(data[local : local + _LOCAL.size])
     if sig != _LOCAL_SIG:
-        raise CorruptEntryError(f"bad local header signature at offset {local}")
+        raise ApkAuditError(f"bad local header signature at offset {local}", "zip.local_signature")
     start = local + _LOCAL.size
     if data[start : start + name_len] != raw:
-        raise CorruptEntryError("local header name differs from the central directory's")
+        raise ApkAuditError("local header name differs from the central directory's", "zip.local_name")
     start += name_len + extra_len
     body = data[start : start + csize]
     if method == _DEFLATED:
@@ -282,14 +273,14 @@ def _entry_data(data, entry: ZipEntry) -> bytes:
             # ZIP64 size can exceed the largest max_length zlib takes
             body = zlib.decompressobj(-15).decompress(body, min(size + 1, sys.maxsize))
         except zlib.error as exc:  # as "error: Error -3 while decompressing data: ..."
-            raise CorruptEntryError(f"{type(exc).__name__}: {exc}") from None
+            raise ApkAuditError(f"{type(exc).__name__}: {exc}", "zip.inflate") from None
     elif method != _STORED:
-        raise CorruptEntryError(f"unsupported compression method {method}")
+        raise ApkAuditError(f"unsupported compression method {method}", "zip.method")
     if len(body) != size:
         more = "more than " if len(body) > size else ""
-        raise CorruptEntryError(f"{more}{len(body)} byte(s) where {size} are declared")
+        raise ApkAuditError(f"{more}{len(body)} byte(s) where {size} are declared", "zip.size")
     if zlib.crc32(body) != crc:
-        raise CrcMismatchError(f"CRC-32 is 0x{zlib.crc32(body):08x}, declared 0x{crc:08x}")
+        raise ApkAuditError(f"CRC-32 is 0x{zlib.crc32(body):08x}, declared 0x{crc:08x}", "zip.crc")
     return body
 
 
@@ -318,7 +309,7 @@ def extract_signers(a: ApkArtifact, cd_offset: int) -> tuple[SignerInfo, ...]:
         try:
             # a blob holding any malformed certificate adds none of them
             certs = [(der, _subject_fields(der)) for der in _pkcs7_certs(read_entry(a, name))]
-        except (CorruptEntryError, DerError) as exc:
+        except (ApkAuditError, DerError) as exc:
             a.warnings.append(f"unparsable v1 signature {name}: {exc}")
             continue
         for der, cn_o in certs:
@@ -438,11 +429,11 @@ def _signing_block_certs(data, cd_offset: int):
     pos = 0
     while pos < len(block):
         if len(block) - pos < 12:
-            raise MalformedSigningBlockError("truncated id-value pair header")
+            raise MalformedSigningBlockError("truncated id-value pair header", "signing_block.pair_header")
         pair_len = _U64.unpack_from(block, pos)[0]
         pos += 8
         if pair_len < 4 or pos + pair_len > len(block):
-            raise MalformedSigningBlockError("id-value pair overruns block")
+            raise MalformedSigningBlockError("id-value pair overruns block", "signing_block.pair_overrun")
         block_id = struct.unpack_from("<I", block, pos)[0]
         value = block[pos + 4 : pos + pair_len]
         pos += pair_len
@@ -458,12 +449,13 @@ def _find_signing_block(raw, cd_offset: int) -> bytes | None:
     # starts at cd_offset - size and the leading copy sits 8 bytes before it
     size = _U64.unpack(raw[cd_offset - 24 : cd_offset - 16])[0]
     if size < 24:
-        raise MalformedSigningBlockError("declared size smaller than its size and magic fields")
+        raise MalformedSigningBlockError("declared size smaller than its size and magic fields",
+                                         "signing_block.size_small")
     start = cd_offset - size
     if start < 8:
-        raise MalformedSigningBlockError("declared size larger than file prefix")
+        raise MalformedSigningBlockError("declared size larger than file prefix", "signing_block.size_large")
     if _U64.unpack(raw[start - 8 : start])[0] != size:
-        raise MalformedSigningBlockError("leading/trailing size mismatch")
+        raise MalformedSigningBlockError("leading/trailing size mismatch", "signing_block.size_mismatch")
     # payload: everything between the two size fields, minus the magic+size tail
     return raw[start : cd_offset - 24]
 
@@ -490,11 +482,11 @@ def _lv(buf: bytes, pos: int) -> tuple[bytes, int]:
     """Read one uint32-length-prefixed value; raises
     MalformedSigningBlockError when it does not fit in ``buf``."""
     if pos + 4 > len(buf):
-        raise MalformedSigningBlockError("length prefix past end of buffer")
+        raise MalformedSigningBlockError("length prefix past end of buffer", "signing_block.length_prefix")
     n = struct.unpack_from("<I", buf, pos)[0]
     pos += 4
     if pos + n > len(buf):
-        raise MalformedSigningBlockError("value past end of buffer")
+        raise MalformedSigningBlockError("value past end of buffer", "signing_block.value_overrun")
     return buf[pos : pos + n], pos + n
 
 

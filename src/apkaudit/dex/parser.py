@@ -27,9 +27,9 @@ compare them by identity or count them by ``id()``.
 An instruction's pool reference that is out of range resolves to ``None``.
 Unused opcodes and unknown payloads are kept at their correct width so the
 stream never desynchronizes.  Any other offset or index that points
-outside the data or a pool raises :class:`MalformedDexError` naming the
-entry.  Strings that are not valid MUTF-8 are decoded lossily and counted
-in one warning per entry.
+outside the data or a pool raises ``dex.malformed`` naming the entry.
+Strings that are not valid MUTF-8 are decoded lossily and counted in one
+warning per entry.
 """
 
 from __future__ import annotations
@@ -39,15 +39,7 @@ import struct
 import zlib
 
 from ..container import ApkArtifact, read_entry
-from ..errors import (
-    AbstractMethodError,
-    CorruptEntryError,
-    DexError,
-    DexMagicError,
-    MalformedDexError,
-    NoDexEntryError,
-    UnknownMethodError,
-)
+from ..errors import ApkAuditError
 from . import opcodes as op
 from .model import (
     LITERAL,
@@ -78,14 +70,14 @@ def load_app_code(a: ApkArtifact) -> CodeModel:
         key=lambda n: int(_DEX_NAME.match(n).group(1) or 1),
     )
     if not names:
-        raise NoDexEntryError(f"{a.path}: no classes*.dex entry")
+        raise ApkAuditError(f"{a.path}: no classes*.dex entry", "dex.no_entry")
     model = CodeModel()
     first = None
     try:
         for name in names:
             try:
                 parse_dex(read_entry(a, name), into=model, origin=name)
-            except (CorruptEntryError, DexError) as exc:
+            except ApkAuditError as exc:
                 first = first or exc
                 model.warnings.append(f"dex: {exc}")
         if not model.dex_count:
@@ -105,7 +97,8 @@ def parse_dex(data: bytes, into: CodeModel | None = None, origin: str = "classes
         d.load_pools()
         classes = list(d.classes())
     except (IndexError, struct.error, ValueError) as exc:
-        raise MalformedDexError(f"{origin}: malformed DEX ({type(exc).__name__}: {exc})") from exc
+        raise ApkAuditError(f"{origin}: malformed DEX ({type(exc).__name__}: {exc})",
+                            "dex.malformed") from exc
     # the model is only touched once the whole entry has parsed
     model.warnings.extend(warnings)
     if d.invalid_strings:
@@ -128,7 +121,7 @@ class _DexReader:
 
     def check_header(self) -> list[str]:
         if len(self.data) < 0x70 or not _MAGIC.match(self.data[:8]):
-            raise DexMagicError(f"{self.origin}: bad DEX magic {self.data[:8]!r}")
+            raise ApkAuditError(f"{self.origin}: bad DEX magic {self.data[:8]!r}", "dex.magic")
         (checksum,) = struct.unpack_from("<I", self.data, 8)
         actual = zlib.adler32(memoryview(self.data)[12:]) & 0xFFFFFFFF
         if checksum == actual:
@@ -336,9 +329,9 @@ def method_body(model: CodeModel, key: str) -> list[Instruction]:
     """Instruction list of a concrete method."""
     m = model.method(key)
     if m is None:
-        raise UnknownMethodError(key)
+        raise ApkAuditError(key, "dex.unknown_method")
     if not m.is_concrete:
-        raise AbstractMethodError(key)
+        raise ApkAuditError(key, "dex.abstract_method")
     return m.instructions
 
 

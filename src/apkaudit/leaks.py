@@ -41,7 +41,7 @@ from .dex import (OFFSET, OPCODE, REF, REGISTERS, CodeModel, DexMethod, KeyMatch
                   class_to_descriptor, format_method_key)
 from .dex.opcodes import (APUT, CLEAR, COPY, EFFECTS, FIELD_GET, FIELD_PUT, FILLED, INVOKE,
                           INVOKE_STATIC, JOIN2, JOIN3, MOVE_RESULT, RETURN)
-from .errors import TaintSpecError, read_data_file
+from .errors import ApkAuditError, read_data_file
 from .findings import DEFAULT_DEPTH, LeakFinding
 
 DEFAULT_SPEC = Path(__file__).parent / "data" / "sources_sinks.txt"
@@ -103,7 +103,7 @@ def load_taint_spec(path=None) -> TaintSpec:
         else:
             sinks.append((pattern, tag or "network"))
     if not sources and not sinks:
-        raise TaintSpecError(f"{p}: no sources or sinks parsed")
+        raise ApkAuditError(f"{p}: no sources or sinks parsed", "data.taint_spec")
     return TaintSpec(sources, sinks, warnings)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .axml import AxmlElement, XmlTree
-from .errors import MissingPackageError
+from .errors import ApkAuditError
 
 COMPONENT_TAGS = frozenset(("activity", "service", "receiver", "provider"))
 
@@ -34,10 +34,10 @@ def build_manifest(t: XmlTree) -> ManifestModel:
     """Collect package metadata and all four component kinds from a tree."""
     root = t.root
     if root.name != "manifest":
-        raise MissingPackageError(f"root element is <{root.name}>, expected <manifest>")
+        raise ApkAuditError(f"root element is <{root.name}>, expected <manifest>", "manifest.root")
     package = root.attr("package", namespace=None)
     if not package:
-        raise MissingPackageError("manifest has no package attribute")
+        raise ApkAuditError("manifest has no package attribute", "manifest.package")
     package = str(package)
     vc = root.attr("versionCode")
     sdks = [tg for sdk in root.find_all("uses-sdk")

@@ -18,7 +18,7 @@ from .behaviors import Rule
 from .callgraph import build_callgraph
 from .container import AuthorityMap, open_apk, read_entry
 from .dex import KeyMatcher, load_app_code
-from .errors import ApkAuditError, CorruptEntryError, DexError
+from .errors import ApkAuditError
 from .findings import DEFAULT_DEPTH, AppReport
 from .leaks import INTERNET_PERMISSION, TaintSpec, load_taint_spec
 from .manifest import ManifestModel, build_manifest
@@ -97,7 +97,7 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
             try:
                 code = load_app_code(art)
                 warnings.extend(code.warnings)
-            except (CorruptEntryError, DexError) as exc:
+            except ApkAuditError as exc:
                 warnings.append(f"dex: {exc}")
             timings["dex"] = time.monotonic() - t
 

@@ -1,13 +1,26 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+from apkaudit.errors import ApkAuditError
 
 from .fixtures.corpus import FIXTURE_NAMES, build_corpus
 
 TESTS_DIR = Path(__file__).parent
 EXPECTED_DIR = TESTS_DIR / "expected"
 EXTRA_SINKS = TESTS_DIR / "data" / "extra_sinks.txt"
+
+
+@contextmanager
+def raises_code(code: str, match: str | None = None, cls: type = ApkAuditError):
+    """``pytest.raises(cls, match=match)`` that also checks the error's ``code``."""
+    with pytest.raises(cls, match=match) as info:
+        yield info
+    got = info.value.code
+    del info  # the error's traceback holds this frame, which must not hold the error
+    assert got == code
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ formatting, decoder/graph/taint equality against independent oracles,
 monotonicity and determinism properties, and wall-clock budgets.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -32,6 +33,10 @@ from .fixtures.real_manifests import REAL_MANIFESTS, render_reference
 from .oracles import behavior_oracle, callgraph_edges_oracle, leak_findings_as_tuples, taint_oracle
 
 CONFIG = AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS))
+# sha256 of the twelve fixture reports under CONFIG, each report's to_json()
+# and a newline, in FIXTURE_NAMES order; the fixture APKs are byte-identical
+# in every build, so any change to any report text changes it
+FIXTURE_REPORTS_SHA256 = "2819d07c0869cae70fe19e25edfe75b7c736cd18434d8a99e9eb864332861262"
 
 SRC = "Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String;"
 SINK = "Landroid/util/Log;->d(Ljava/lang/String;)I"
@@ -318,6 +323,13 @@ def test_c9_performance(tmp_path):
     assert rc in (0, 1)
     assert len(list(out.glob("*.json"))) == 50
     assert elapsed < 60, f"50-app scan took {elapsed:.1f}s"
+
+
+# 10. every fixture report, byte for byte, warnings included: a change that
+#     moves any report text must re-record the digest and say why
+def test_c10_fixture_reports_match_the_recorded_digest(corpus):
+    docs = "".join(analyze_apk(corpus[name], CONFIG).to_json() + "\n" for name in FIXTURE_NAMES)
+    assert hashlib.sha256(docs.encode()).hexdigest() == FIXTURE_REPORTS_SHA256
 
 
 def encode_axml_manifest(package: str) -> bytes:

@@ -16,8 +16,9 @@ from apkaudit.acquire import (
     partition_folder,
     pull_packages,
 )
-from apkaudit.errors import BridgeError
+from apkaudit.errors import ApkAuditError
 
+from .conftest import raises_code
 from .fixtures.apk_writer import build_apk
 
 
@@ -118,12 +119,13 @@ def test_subprocess_bridge_executable_defaults_to_the_environment(tmp_path, monk
 def test_subprocess_bridge_failure_is_a_bridge_error(tmp_path, stderr, message):
     exe, log = _fake_bridge(tmp_path, stdout="partial", stderr=stderr, code=1)
     bridge = SubprocessBridge(str(exe))
-    with pytest.raises(BridgeError) as err:
+    code = {"no": "bridge.no_device", "device": "bridge.unauthorized", "bridge": "bridge.failed"}
+    with pytest.raises(ApkAuditError) as err:
         bridge.shell("SER1", "pm list packages -f")
-    assert str(err.value) == message
-    with pytest.raises(BridgeError) as err:
+    assert (str(err.value), err.value.code) == (message, code[message.split()[0]])
+    with pytest.raises(ApkAuditError) as err:
         bridge.pull("SER1", "/data/app/x/base.apk", tmp_path / "base.apk")
-    assert str(err.value) == message
+    assert (str(err.value), err.value.code) == (message, code[message.split()[0]])
     assert len(_calls(log)) == 2
 
 
@@ -132,16 +134,18 @@ def test_subprocess_bridge_timeout_is_a_bridge_error(monkeypatch):
         raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
 
     monkeypatch.setattr(subprocess, "run", hang)
-    with pytest.raises(BridgeError) as err:
+    with pytest.raises(ApkAuditError) as err:
         SubprocessBridge("bridge").shell("SER1", "pm list packages -f")
     assert str(err.value) == "bridge timed out: ['-s', 'SER1', 'shell', 'pm list packages -f']"
+    assert err.value.code == "bridge.timeout"
 
 
 def test_subprocess_bridge_missing_executable(tmp_path):
     missing = tmp_path / "no-such-bridge"
-    with pytest.raises(BridgeError) as err:
+    with pytest.raises(ApkAuditError) as err:
         SubprocessBridge(str(missing)).shell("SER1", "pm list packages -f")
     assert str(err.value) == f"bridge executable not found: {missing}"
+    assert err.value.code == "bridge.not_found"
 
 
 def test_list_device_packages(tmp_path):
@@ -169,9 +173,9 @@ def test_list_device_packages(tmp_path):
 
 def test_transcript_bridge_unknown_command_and_pull_failure(tmp_path):
     bridge = TranscriptBridge(_transcript(tmp_path, with_files=False))
-    with pytest.raises(BridgeError):
+    with raises_code("bridge.no_output"):
         bridge.shell("SER1", "not recorded")
-    with pytest.raises(BridgeError):
+    with raises_code("bridge.pull"):
         bridge.pull("SER1", "/system/app/Gallery/Gallery.apk", tmp_path / "out.apk")
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apkaudit.axml import ANDROID_NS, XmlTree, decode_axml, dump_tree
-from apkaudit.errors import AxmlError, BadStringPoolError, TruncatedChunkError
+from apkaudit.errors import ApkAuditError
 
+from .conftest import raises_code
 from .fixtures.axml_writer import (
     CHUNK_END_NS,
     CHUNK_START_NS,
@@ -126,17 +127,17 @@ def test_header_only_file_has_no_string_pool():
     import struct
 
     blob = struct.pack("<HHI", 0x0003, 8, 8)
-    with pytest.raises(BadStringPoolError):
+    with raises_code("axml.string_pool"):
         decode_axml(blob)
 
 
 def test_truncated_and_wrong_type():
-    with pytest.raises(TruncatedChunkError):
+    with raises_code("axml.truncated"):
         decode_axml(b"\x03\x00")  # shorter than a chunk header
-    with pytest.raises(TruncatedChunkError):
+    with raises_code("axml.not_axml"):
         decode_axml(b"\x77\x00\x08\x00\x08\x00\x00\x00")  # wrong file chunk type
     good = encode_axml(_sample_tree())
-    with pytest.raises(TruncatedChunkError):
+    with raises_code("axml.truncated"):
         decode_axml(good[:40])  # declared size exceeds data
 
 
@@ -165,19 +166,19 @@ def _without_pool(chunks_after: int) -> bytes:
 
 
 def test_namespace_chunk_before_pool_is_fatal():
-    with pytest.raises(BadStringPoolError, match="^namespace chunk before string pool$"):
+    with raises_code("axml.string_pool", match="^namespace chunk before string pool$"):
         decode_axml(_without_pool(0))
 
 
 def test_element_chunk_before_pool_is_fatal():
     # the 24-byte start-namespace chunk goes too, so an element comes first
-    with pytest.raises(BadStringPoolError, match="^element chunk before string pool$"):
+    with raises_code("axml.string_pool", match="^element chunk before string pool$"):
         decode_axml(_without_pool(24))
 
 
 def test_pool_without_elements_has_no_root():
     blob, _ = _utf8_pool_file(b"\x01\x01a\x00")
-    with pytest.raises(TruncatedChunkError, match="^no root element$"):
+    with raises_code("axml.no_root", match="^no root element$"):
         decode_axml(blob)
 
 
@@ -216,7 +217,7 @@ def _utf8_pool_file(entry: bytes) -> tuple[bytes, int]:
     return struct.pack("<HHI", 0x0003, 8, 8 + len(pool)) + pool, 8
 
 
-# chunks shorter than the fields they must hold, each raised as TruncatedChunkError
+# chunks shorter than the fields they must hold, each raised as axml.truncated
 TRUNCATED = {
     # a start-namespace chunk holding only its 16-byte header (prefix and uri missing)
     "start-namespace": _after_pool(struct.pack("<HHIII", 0x0100, 16, 16, 0, 0xFFFFFFFF)),
@@ -233,7 +234,7 @@ TRUNCATED = {
 @pytest.mark.parametrize("name", TRUNCATED)
 def test_short_chunk_is_a_truncated_chunk_error(name):
     blob, at = TRUNCATED[name]
-    with pytest.raises(TruncatedChunkError, match=f"^chunk at 0x{at:x} truncated"):
+    with raises_code("axml.truncated", match=f"^chunk at 0x{at:x} truncated"):
         decode_axml(blob)
 
 
@@ -270,6 +271,7 @@ def test_mutated_manifest_gives_a_tree_or_an_axml_error(utf8, shrink, edits):
         blob[at % len(blob)] = byte
     try:
         tree = decode_axml(bytes(blob))
-    except AxmlError:
+    except ApkAuditError as exc:
+        assert exc.code.startswith("axml.")
         return
     assert isinstance(tree, XmlTree)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -8,9 +9,9 @@ from apkaudit.callgraph import build_callgraph
 from apkaudit.container import open_apk, read_entry
 from apkaudit.dex import load_app_code
 from apkaudit.dex.parser import parse_dex
-from apkaudit.errors import RuleSchemaError
 from apkaudit.manifest import build_manifest
 
+from .conftest import raises_code
 from .fixtures.axml_writer import XAttr, XElem, encode_axml
 from .fixtures.corpus import component, manifest
 from .fixtures.dex_writer import DexWriter, MethodDef
@@ -60,28 +61,30 @@ def test_rule_schema_validation(tmp_path):
 
     ok = [{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string"}]
     assert load(ok)[0].id == "a"
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load({"not": "a list"})
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load([{"id": "a", "category": "nope", "pattern": "x", "match_space": "const_string"}])
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load([{"id": "a", "category": "sms", "pattern": "x", "match_space": "regex"}])
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load(ok + ok)  # duplicate id
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load([{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string",
                "co_occurrence": "ghost"}])
-    with pytest.raises(RuleSchemaError):  # a partner that is no id at all
+    with raises_code("data.rules"):  # a partner that is no id at all
         load([{"id": "a", "category": "sms", "pattern": "x", "match_space": "const_string",
                "co_occurrence": ["a"]}])
-    with pytest.raises(RuleSchemaError):
+    with raises_code("data.rules"):
         load([{"id": "a", "category": "sms"}])  # missing keys
-    with pytest.raises(RuleSchemaError, match="rule #1 is not an object"):
+    # load_rules names the file and keeps the code
+    path = re.escape(str(tmp_path / "r.json"))
+    with raises_code("data.rules", match=f"^data file {path}: rule #1 is not an object$"):
         load(ok + [["id", "category", "pattern", "match_space"]])
     for bad in ({"category": ["sms"]}, {"id": ["a"]}, {"pattern": 5}, {"match_space": None},
                 {"pattern": ""}, {"required_permissions": "android.permission.X"},
                 {"required_permissions": [1]}, {"co_occurrence": 5}, {"co_occurrence": ""}):
-        with pytest.raises(RuleSchemaError):  # a field of the wrong type
+        with raises_code("data.rules"):  # a field of the wrong type
             load([{**ok[0], **bad}])
     # the older name of the const-string space loads as that space
     assert load([{**ok[0], "match_space": "string_pool"}])[0].match_space == "const_string"

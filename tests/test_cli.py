@@ -117,6 +117,24 @@ def test_scan_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     assert build_parser().parse_args(["scan", "x.apk"]).jobs == 1
 
 
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--depth", "-1", 0), ("--jobs", "0", 1), ("--jobs", "-3", 1),
+])
+def test_scan_refuses_a_depth_below_0_and_jobs_below_1(corpus, capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", str(corpus["listing5_leak"]), flag, value])
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.endswith(f"apkaudit scan: error: argument {flag}: must be at least {low}, not {value}\n")
+    # the lowest allowed value is taken, and a non-integer is argparse's own error
+    assert getattr(build_parser().parse_args(["scan", "x.apk", flag, str(low)]), flag[2:]) == low
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["scan", "x.apk", flag, "1.5"])
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: '1.5'\n")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool spreads its workers only on Linux")
 def test_scan_moves_each_worker_to_its_own_cpu_and_does_not_pin_it(corpus, tmp_path, capsys, monkeypatch):
     calls = tmp_path / "calls.txt"

@@ -23,15 +23,9 @@ from apkaudit.container import (
     open_apk,
     read_entry,
 )
-from apkaudit.errors import (
-    ApkAuditError,
-    ApkReadError,
-    CorruptEntryError,
-    CrcMismatchError,
-    EntryMissingError,
-    NotAZipError,
-)
+from apkaudit.errors import ApkAuditError, ApkReadError
 
+from .conftest import raises_code
 from .fixtures.apk_writer import SIG_MAGIC, V2_ID, V3_ID, _splice_signing_block, build_apk, make_cert
 
 
@@ -46,7 +40,7 @@ def test_open_apk_enumerates_and_hashes(tmp_path):
 def test_not_a_zip(tmp_path):
     p = tmp_path / "junk.apk"
     p.write_bytes(b"this is definitely not a zip archive")
-    with pytest.raises(NotAZipError):
+    with raises_code("zip.not_a_zip", cls=ApkReadError):
         open_apk(p)
 
 
@@ -58,14 +52,14 @@ def test_damaged_central_directory_is_not_a_zip(tmp_path, how):
     start = eocd - struct.unpack_from("<I", raw, eocd + 12)[0]
     if how == "record signature":
         raw[start] ^= 0xFF
-        reason = f"bad central directory record signature at offset {start}"
+        code, reason = "zip.not_a_zip", f"bad central directory record signature at offset {start}"
     else:  # the last record ends 10 bytes into its 46-byte fixed part
         cut = 46 - 10 + len(b"bb")
         struct.pack_into("<I", raw, eocd + 12, eocd - start - cut)
         del raw[eocd - cut : eocd]
-        reason = "truncated record: "
+        code, reason = "zip.truncated_record", "truncated record: "
     p.write_bytes(bytes(raw))
-    with pytest.raises(NotAZipError) as err:
+    with raises_code(code, cls=ApkReadError) as err:
         open_apk(p)
     assert str(err.value).startswith(f"{p}: {reason}")
 
@@ -91,7 +85,7 @@ def test_open_apk_holds_only_the_bytes_it_parses(tmp_path):
     with p.open("r+b") as f:
         f.seek(art.entries["assets/big.bin"].header_offset + 30 + len("assets/big.bin"))
         f.write(bytes([asset[0] ^ 0xFF]))
-    with pytest.raises(CrcMismatchError):
+    with raises_code("zip.crc"):
         read_entry(art, "assets/big.bin")
 
 
@@ -108,7 +102,7 @@ def test_a_read_after_the_file_shrinks_is_a_corrupt_entry(corpus, tmp_path):
     art = open_apk(p)
     os.truncate(p, 0)
     # no ``as err``: its traceback would hold this frame, and so the open file, in a cycle
-    with pytest.raises(CorruptEntryError, match=f"^{re.escape(reason)}$"):
+    with raises_code("zip.short_read", match=f"^{re.escape(reason)}$"):
         read_entry(art, "AndroidManifest.xml")
 
 
@@ -150,7 +144,7 @@ def test_dropping_an_artifact_closes_its_file(tmp_path):
         assert read_entry(art, "AndroidManifest.xml") == b"\x03\x00"
         assert open_on(p) == (1 if fds.is_dir() else 0)
         del art
-        with pytest.raises(NotAZipError):  # a failed open closes the file too
+        with raises_code("zip.not_a_zip", cls=ApkReadError):  # a failed open closes the file too
             open_apk(junk)
     assert caught == []
     assert open_on(p) == open_on(junk) == 0
@@ -160,17 +154,17 @@ def test_dropping_an_artifact_closes_its_file(tmp_path):
 def test_a_file_shorter_than_the_end_record_is_not_a_zip(tmp_path, content):
     p = tmp_path / "short.apk"
     p.write_bytes(content)
-    with pytest.raises(NotAZipError) as err:
+    with raises_code("zip.not_a_zip", cls=ApkReadError) as err:
         open_apk(p)
     assert str(err.value) == f"{p}: File is not a zip file"
 
 
 def test_unreadable_path_is_coded(tmp_path):
     missing = tmp_path / "missing.apk"
-    with pytest.raises(ApkReadError) as err:
+    with raises_code("apk.unreadable", cls=ApkReadError) as err:
         open_apk(missing)
     assert str(err.value) == f"{missing}: No such file or directory"
-    with pytest.raises(ApkReadError) as err:
+    with raises_code("apk.unreadable", cls=ApkReadError) as err:
         open_apk(tmp_path)
     assert str(err.value) == f"{tmp_path}: Is a directory"
 
@@ -180,7 +174,7 @@ def test_read_entry_roundtrip_and_missing(tmp_path):
     p = build_apk(tmp_path / "a.apk", {"assets/data.bin": payload}, sign=None)
     art = open_apk(p)
     assert read_entry(art, "assets/data.bin") == payload
-    with pytest.raises(EntryMissingError):
+    with raises_code("zip.entry_missing"):
         read_entry(art, "nope.txt")
 
 
@@ -194,9 +188,10 @@ def test_crc_mismatch(tmp_path):
     raw[at] ^= 0xFF
     p.write_bytes(bytes(raw))
     art = open_apk(p)
-    with pytest.raises(CrcMismatchError) as err:
+    # read_entry re-raises the bare reason with the path and entry, keeping its code
+    with raises_code("zip.crc") as err:
         read_entry(art, "data.txt")
-    assert isinstance(err.value, CorruptEntryError)
+    assert type(err.value) is ApkAuditError
     damaged = bytes([marker[0] ^ 0xFF]) + marker[1:]
     assert str(err.value) == (
         f"{p}:data.txt: CRC-32 is 0x{zlib.crc32(damaged):08x}, declared 0x{zlib.crc32(marker):08x}"
@@ -230,34 +225,34 @@ def _damage(raw: bytearray, name: bytes, how: str) -> None:
         raw[local + 30] ^= 0xFF
 
 
-_DAMAGE_REASONS = {
-    "deflate data": "error: Error -3 while decompressing data: ",
-    "encrypted flag": "encrypted entry (flag bit 0)",
-    "compression method": "unsupported compression method 99",
+_DAMAGE_REASONS = {  # how -> (code, reason)
+    "deflate data": ("zip.inflate", "error: Error -3 while decompressing data: "),
+    "encrypted flag": ("zip.encrypted", "encrypted entry (flag bit 0)"),
+    "compression method": ("zip.method", "unsupported compression method 99"),
     # Android reads only STORED and DEFLATE entries, and so does the reader
-    "bzip2 method": "unsupported compression method 12",
-    "lzma method": "unsupported compression method 14",
-    "patched flag": "compressed patched data (flag bit 5)",
-    "local header signature": "bad local header signature at offset ",
-    "local header name": "local header name differs from the central directory's",
+    "bzip2 method": ("zip.method", "unsupported compression method 12"),
+    "lzma method": ("zip.method", "unsupported compression method 14"),
+    "patched flag": ("zip.patched", "compressed patched data (flag bit 5)"),
+    "local header signature": ("zip.local_signature", "bad local header signature at offset "),
+    "local header name": ("zip.local_name", "local header name differs from the central directory's"),
 }
 
 
 @pytest.mark.parametrize("how", list(_DAMAGE_REASONS))
 def test_corrupt_entry_is_coded_and_artifact_stays_readable(tmp_path, how):
-    reason = _DAMAGE_REASONS[how]
+    code, reason = _DAMAGE_REASONS[how]
     p = build_apk(tmp_path / "c.apk", {"bad": b"B" * 3000, "good": b"G" * 3000}, sign=None)
     raw = bytearray(p.read_bytes())
     _damage(raw, b"bad", how)
     p.write_bytes(bytes(raw))
     art = open_apk(p)
-    with pytest.raises(CorruptEntryError) as err:
+    with raises_code(code) as err:
         read_entry(art, "bad")
-    assert type(err.value) is CorruptEntryError
+    assert type(err.value) is ApkAuditError
     assert str(err.value).startswith(f"{p}:bad: {reason}")
     # the artifact still serves the other entry, and the same one again
     assert read_entry(art, "good") == b"G" * 3000
-    with pytest.raises(CorruptEntryError):
+    with raises_code(code):
         read_entry(art, "bad")
 
 
@@ -274,7 +269,7 @@ def test_central_directory_offset_past_its_start_is_coded(tmp_path):
         offsets = {name: zf.getinfo(name).header_offset for name in ("a", "b")}
     assert offsets["a"] == -10000
     for name, offset in offsets.items():
-        with pytest.raises(CorruptEntryError) as err:
+        with raises_code("zip.local_offset") as err:
             read_entry(art, name)
         assert str(err.value) == f"{p}:{name}: local header offset {offset} outside the file"
 
@@ -360,7 +355,7 @@ def test_zip64_archive_reads_as_zipfile(tmp_path, monkeypatch):
     extra = raw.index(name, start_dir) + len(name)
     assert struct.unpack_from("<HH", raw, extra)[0] == 1
     p.write_bytes(raw[: extra + 4] + b"\xff" * 8 + raw[extra + 12 :])
-    with pytest.raises(CorruptEntryError) as err:
+    with raises_code("zip.size") as err:
         read_entry(open_apk(p), name.decode())
     assert str(err.value) == f"{p}:assets/text.txt: 4200 byte(s) where {2**64 - 1} are declared"
 
@@ -395,7 +390,7 @@ def test_zip64_locator_naming_another_disk_is_not_a_zip(tmp_path, monkeypatch):
     p.write_bytes(bytes(raw))
     with pytest.raises(zipfile.BadZipFile):
         zipfile.ZipFile(p)
-    with pytest.raises(NotAZipError, match="archive spans multiple disks"):
+    with raises_code("zip.not_a_zip", match="archive spans multiple disks", cls=ApkReadError):
         open_apk(p)
 
 
@@ -529,7 +524,8 @@ def test_mutated_apk_reads_as_zipfile_or_raises_only_coded_errors(corpus, tmp_pa
         for name in art.entries if art else ():
             try:
                 read[name] = read_entry(art, name)
-            except CorruptEntryError:
+            except ApkAuditError as exc:  # an entry fault, never a missing entry
+                assert exc.code.startswith("zip.") and exc.code != "zip.entry_missing"
                 read[name] = None
         accepted["zipfile"] += bool(oracle) and None not in oracle.values()
         accepted["reader"] += bool(art) and None not in read.values()

@@ -26,17 +26,10 @@ from apkaudit.dex.model import (
 )
 from apkaudit.dex.opcodes import FORMAT_WIDTH, OPCODES
 from apkaudit.dex.parser import _uleb128, decode_mutf8, dump_method, method_body, mnemonic, parse_dex
-from apkaudit.errors import (
-    AbstractMethodError,
-    CorruptEntryError,
-    DexError,
-    DexMagicError,
-    MalformedDexError,
-    NoDexEntryError,
-    UnknownMethodError,
-)
+from apkaudit.errors import ApkAuditError
 from apkaudit.report import analyze_apk
 
+from .conftest import raises_code
 from .fixtures.apk_writer import build_apk
 from .fixtures.corpus import manifest
 from .fixtures.dex_writer import (
@@ -179,15 +172,15 @@ def test_abstract_and_unknown_method_errors():
     ])
     model = parse_dex(w.build())
     assert model.method("La/A;->virt()V").access_flags & ACC_ABSTRACT
-    with pytest.raises(AbstractMethodError):
+    with raises_code("dex.abstract_method"):
         method_body(model, "La/A;->virt()V")
-    with pytest.raises(UnknownMethodError):
+    with raises_code("dex.unknown_method"):
         method_body(model, "La/A;->missing()V")
 
 
 def test_bad_magic_and_checksum_warning():
     blob = bytearray(_simple_writer().build())
-    with pytest.raises(DexMagicError):
+    with raises_code("dex.magic"):
         parse_dex(b"nope" + bytes(blob[4:]))
     struct.pack_into("<I", blob, 8, 0x12345678)
     model = parse_dex(bytes(blob))
@@ -215,7 +208,7 @@ def test_multidex_merge_and_duplicate_class(tmp_path):
 
 def test_no_dex_entry(tmp_path):
     p = build_apk(tmp_path / "n.apk", {"AndroidManifest.xml": b""})
-    with pytest.raises(NoDexEntryError):
+    with raises_code("dex.no_entry"):
         load_app_code(open_apk(p))
 
 
@@ -252,7 +245,7 @@ def test_truncated_uleb128_raises_malformed(tail):
     (string_ids_off,) = struct.unpack_from("<I", blob, 0x3C)
     struct.pack_into("<I", blob, string_ids_off, len(blob))
     blob += tail
-    with pytest.raises(MalformedDexError, match=r"^classes\.dex: malformed DEX \(IndexError"):
+    with raises_code("dex.malformed", match=r"^classes\.dex: malformed DEX \(IndexError"):
         parse_dex(bytes(blob))
 
 
@@ -471,7 +464,7 @@ def _cut_body_dex(units: list[int]) -> bytes:
     [0x0018, 0x0001, 0x0002, 0x0003],  # const-wide one unit short
 ])
 def test_truncated_last_instruction_raises_malformed(units):
-    with pytest.raises(MalformedDexError) as info:
+    with raises_code("dex.malformed") as info:
         parse_dex(_cut_body_dex(units))
     assert str(info.value) == "classes.dex: malformed DEX (IndexError: tuple index out of range)"
 
@@ -496,8 +489,8 @@ def test_mutated_dex_gives_model_or_dex_error():
             blob[rng.randrange(0x70, len(blob))] = rng.randrange(256)
         try:
             result = parse_dex(bytes(blob))
-        except DexError as exc:
-            assert "classes.dex" in str(exc)
+        except ApkAuditError as exc:
+            assert exc.code.startswith("dex.") and "classes.dex" in str(exc)
             outcomes["error"] += 1
         else:
             assert isinstance(result, CodeModel)
@@ -514,9 +507,9 @@ def _overrun_dex() -> bytes:
 
 
 def test_insns_size_past_end_raises_malformed():
-    with pytest.raises(MalformedDexError, match=r"^classes2\.dex: malformed DEX \(IndexError") as info:
+    with raises_code("dex.malformed", match=r"^classes2\.dex: malformed DEX \(IndexError") as info:
         parse_dex(_overrun_dex(), origin="classes2.dex")
-    assert isinstance(info.value, DexError)
+    assert type(info.value) is ApkAuditError
 
 
 def _long_uleb_dex() -> bytes:
@@ -582,7 +575,7 @@ def test_malformed_entries_merge_in_order_and_all_bad_raises_first(tmp_path):
     assert model.warnings[1:] == ["duplicate class La/One; (first definition wins)"]
 
     p = build_apk(tmp_path / "bad.apk", {"classes.dex": b"nope" * 40, "classes2.dex": _overrun_dex()})
-    with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic"):
+    with raises_code("dex.magic", match=r"^classes\.dex: bad DEX magic"):
         load_app_code(open_apk(p))
 
 
@@ -614,7 +607,7 @@ def test_undecompressable_only_dex_raises(corpus, tmp_path):
     raw = bytearray(p.read_bytes())
     _damage(raw, b"classes.dex", "deflate data")
     p.write_bytes(bytes(raw))
-    with pytest.raises(CorruptEntryError, match=f"^{re.escape(str(p))}:classes.dex: "):
+    with raises_code("zip.inflate", match=f"^{re.escape(str(p))}:classes.dex: "):
         load_app_code(open_apk(p))
 
 

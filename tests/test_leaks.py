@@ -13,7 +13,6 @@ from apkaudit.callgraph import build_callgraph
 from apkaudit.dex import OPCODE, REF, opcodes
 from apkaudit.dex.opcodes import EFFECTS, FIELD_READS, INVOKES, OPCODES
 from apkaudit.dex.parser import parse_dex
-from apkaudit.errors import TaintSpecError
 from apkaudit.leaks import (
     LeakFinding,
     TaintSpec,
@@ -22,6 +21,7 @@ from apkaudit.leaks import (
 )
 from apkaudit.leaks import _susi_to_key
 
+from .conftest import raises_code
 from .fixtures.dex_writer import ACC_PUBLIC, ACC_STATIC, DexWriter, MethodDef
 from .oracles import leak_findings_as_tuples, taint_oracle
 
@@ -77,7 +77,7 @@ def test_load_spec_bad_lines_warn_with_lineno(tmp_path):
 def test_empty_spec_is_fatal(tmp_path):
     p = tmp_path / "spec.txt"
     p.write_text("# nothing but comments\n\n")
-    with pytest.raises(TaintSpecError):
+    with raises_code("data.taint_spec"):
         load_taint_spec(p)
 
 

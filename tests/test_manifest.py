@@ -1,9 +1,9 @@
 import pytest
 
 from apkaudit.axml import decode_axml
-from apkaudit.errors import MissingPackageError
 from apkaudit.manifest import ComponentDecl, build_manifest, is_exported, is_protected
 
+from .conftest import raises_code
 from .fixtures.axml_writer import XAttr, XElem, encode_axml
 
 
@@ -66,9 +66,9 @@ def test_component_collection_and_name_qualification():
 
 
 def test_missing_package_and_wrong_root():
-    with pytest.raises(MissingPackageError):
+    with raises_code("manifest.package"):
         _decode(XElem("manifest", [XAttr("versionCode", 1)]))
-    with pytest.raises(MissingPackageError):
+    with raises_code("manifest.root"):
         _decode(XElem("resources", [XAttr("package", "x", ns=None)]))
 
 

@@ -16,7 +16,7 @@ from apkaudit.axml import AxmlElement
 from apkaudit.callgraph import build_callgraph
 from apkaudit.container import ApkArtifact, open_apk
 from apkaudit.dex import CodeModel, DexClass, DexMethod, load_app_code
-from apkaudit.errors import ApkAuditError, DexMagicError, NotAZipError
+from apkaudit.errors import ApkAuditError, ApkReadError
 from apkaudit.findings import (
     AppReport,
     BehaviorFinding,
@@ -29,7 +29,7 @@ from apkaudit.leaks import TaintSpec
 from apkaudit.manifest import ComponentDecl, ManifestModel
 from apkaudit.report import AnalysisConfig, analyze_apk, load_detection
 
-from .conftest import EXTRA_SINKS
+from .conftest import EXTRA_SINKS, raises_code
 from .fixtures.apk_writer import build_apk
 from .fixtures.corpus import FIXTURE_NAMES, build_fixture
 from .test_axml import TRUNCATED
@@ -140,7 +140,7 @@ def test_app_report_roundtrip(corpus, expected, name):
 def test_analyze_not_a_zip_propagates(tmp_path):
     bad = tmp_path / "bad.apk"
     bad.write_bytes(b"definitely not a zip")
-    with pytest.raises(NotAZipError):
+    with raises_code("zip.not_a_zip", cls=ApkReadError):
         analyze_apk(bad)
 
 
@@ -240,7 +240,7 @@ def test_analysis_leaves_no_cyclic_garbage(corpus, tmp_path, name):
 def test_degraded_dex_entries_keep_their_warnings_and_error(corpus, tmp_path):
     report = analyze_apk(_degraded_apk(corpus, tmp_path, "junk_dex"))
     assert report.warnings == ("dex: classes.dex: bad DEX magic b'junk'",)
-    with pytest.raises(DexMagicError, match=r"^classes\.dex: bad DEX magic b'junk'$"):
+    with raises_code("dex.magic", match=r"^classes\.dex: bad DEX magic b'junk'$"):
         load_app_code(open_apk(tmp_path / "junk_dex.apk"))
     report = analyze_apk(_degraded_apk(corpus, tmp_path, "good_and_junk_dex"), LEAK_CONFIG)
     assert report.warnings == ("dex: classes2.dex: bad DEX magic b'junk'",)
