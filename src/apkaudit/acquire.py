@@ -112,38 +112,29 @@ def list_device_packages(bridge, serial: str) -> tuple[list[DevicePackage], int]
     """Enumerate installed packages; returns (packages, skipped_line_count)."""
     all_out = bridge.shell(serial, "pm list packages -f")
     system_out = bridge.shell(serial, "pm list packages -f -s")
-    system_paths = {path for path, _name, ok in _parse_pm_lines(system_out) if ok}
-
-    packages: list[DevicePackage] = []
-    skipped = 0
-    for path, name, ok in _parse_pm_lines(all_out):
-        if not ok:
-            skipped += 1
-            continue
-        packages.append(
-            DevicePackage(
-                package=name,
-                device_path=path,
-                partition_folder=partition_folder(path),
-                system=path in system_paths or path.startswith(_SYSTEM_PREFIXES),
-            )
-        )
+    system_paths = {path for path, _name in _parse_pm_lines(system_out)[0]}
+    listed, skipped = _parse_pm_lines(all_out)
+    packages = [DevicePackage(package=name, device_path=path, partition_folder=partition_folder(path),
+                              system=path in system_paths or path.startswith(_SYSTEM_PREFIXES))
+                for path, name in listed]
     return packages, skipped
 
 
-def _parse_pm_lines(out: str):
-    results = []
+def _parse_pm_lines(out: str) -> tuple[list[tuple[str, str]], int]:
+    """The (path, name) of each ``package:<path>=<name>`` line, and the
+    count of the other non-blank lines, each logged and skipped."""
+    pairs, skipped = [], 0
     for line in out.splitlines():
         line = line.strip()
         if not line:
             continue
         path, _, name = line.removeprefix("package:").rpartition("=")
-        if not (line.startswith("package:") and path and name):
+        if line.startswith("package:") and path and name:
+            pairs.append((path, name))
+        else:
             log.warning("unparseable pm line skipped: %s", line)
-            results.append((line, "", False))
-            continue
-        results.append((path, name, True))
-    return results
+            skipped += 1
+    return pairs, skipped
 
 
 def partition_folder(device_path: str) -> str:
@@ -195,7 +186,7 @@ def pull_packages(bridge, serial: str, pkgs: list[DevicePackage], out_dir) -> Pu
 
 
 _INDEX_FIELDS = ("path", "packages", "devices", "partition_folders", "signer_label", "split")
-_SET_FIELDS = {"packages", "devices", "partition_folders"}  # held as sets, stored sorted
+_SET_FIELDS = ("packages", "devices", "partition_folders")  # held as sets, stored sorted
 
 
 class CorpusIndex:
@@ -218,15 +209,19 @@ class CorpusIndex:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str | bytes | None, path) -> "CorpusIndex":
-        """Parse the index ``text`` read from ``path`` (read here when it is
-        None); an unreadable or malformed one raises ``acquire.index`` naming
-        the file."""
+    def load(cls, path) -> "CorpusIndex":
+        """Read the index at ``path``; an unreadable or malformed one, a set
+        field that is not a list of strings too, raises ``acquire.index``
+        naming the file."""
         try:
-            doc = json.loads(Path(path).read_bytes() if text is None else text)
+            doc = json.loads(Path(path).read_bytes())
             idx = cls(created=doc.get("created", ""), updated=doc.get("updated", ""))
             for sha, e in doc.get("entries", {}).items():
-                idx.entries[sha] = {k: set(e[k]) if k in _SET_FIELDS else e[k] for k in _INDEX_FIELDS}
+                entry = idx.entries[sha] = {k: e[k] for k in _INDEX_FIELDS}
+                for k in _SET_FIELDS:
+                    if type(entry[k]) is not list or {type(v) for v in entry[k]} - {str}:
+                        raise TypeError(f"{k!r} is not a list of strings: {entry[k]!r}")
+                    entry[k] = set(entry[k])
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ApkAuditError(f"{path}: not a corpus index ({type(exc).__name__}: {exc})",
                                 "acquire.index") from exc
@@ -253,7 +248,7 @@ def index_corpus(pulled: dict[Path, DevicePackage], prior: CorpusIndex | None,
         try:
             art = open_apk(path)
         except ApkReadError as exc:
-            log.warning("unreadable file skipped: %s (%s)", path, exc)
+            log.warning("unreadable file skipped: %s", exc)  # its message starts with the path
             skipped += 1
             continue
         entry = idx.entries.setdefault(

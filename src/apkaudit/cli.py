@@ -38,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_acq = sub.add_parser("acquire", help="pull pre-installed packages from a device")
+    p_acq.set_defaults(run=_cmd_acquire)
     p_acq.add_argument("--serial", required=True)
     p_acq.add_argument("--out", required=True)
     p_acq.add_argument("--bridge", help="bridge executable (default: $PIP_BRIDGE or adb)")
@@ -45,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acq.add_argument("--device-tag", default="", help="device label recorded in the index")
 
     p_scan = sub.add_parser("scan", help="analyze one APK or a directory of APKs")
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("target")
     p_scan.add_argument("--out", help="directory for per-app JSON reports")
     p_scan.add_argument("--rules")
@@ -59,13 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--timings", action="store_true")
 
     p_rep = sub.add_parser("report", help="aggregate per-app reports into a corpus summary")
+    p_rep.set_defaults(run=_cmd_report)
     p_rep.add_argument("directory")
     p_rep.add_argument("--format", choices=["json", "table"], default="table")
 
     p_dm = sub.add_parser("dump-manifest", help="decode and print an APK manifest")
+    p_dm.set_defaults(run=_cmd_dump_manifest)
     p_dm.add_argument("apk")
 
     p_dd = sub.add_parser("dump-dex", help="print instruction listings")
+    p_dd.set_defaults(run=_cmd_dump_dex)
     p_dd.add_argument("apk")
     p_dd.add_argument("--method", help="dump a single method key")
     return parser
@@ -74,13 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return {
-            "acquire": _cmd_acquire,
-            "scan": _cmd_scan,
-            "report": _cmd_report,
-            "dump-manifest": _cmd_dump_manifest,
-            "dump-dex": _cmd_dump_dex,
-        }[args.command](args)
+        return args.run(args)
     except ApkAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -111,7 +110,7 @@ def _cmd_acquire(args) -> int:
     out = _out_dir(args.out)
     index_path = out / "corpus-index.json"
     # an unreadable or malformed prior index stops the run before anything is pulled
-    prior = acquire_mod.CorpusIndex.from_json(None, index_path) if index_path.exists() else None
+    prior = acquire_mod.CorpusIndex.load(index_path) if index_path.exists() else None
     packages, skipped = acquire_mod.list_device_packages(bridge, args.serial)
     print(f"{len(packages)} packages listed ({skipped} unparseable lines skipped)")
     result = acquire_mod.pull_packages(bridge, args.serial, packages, out)
@@ -207,7 +206,6 @@ def _pool(paths: list[str], config, out, jobs: int) -> list:
 
 
 def _cmd_scan(args) -> int:
-    from .container import find_apks
     from .report import AnalysisConfig, load_detection
 
     config = AnalysisConfig(rules_path=args.rules, taint_path=args.susi,
@@ -215,7 +213,9 @@ def _cmd_scan(args) -> int:
                             depth=args.depth, timings=args.timings)
     target = Path(args.target)
     is_dir = target.is_dir()
-    paths = [str(p) for p in find_apks(target)] if is_dir else [str(target)]
+    # a directory's APKs: its sorted regular files named *.apk, no folder (com.acme.apk/)
+    apks = sorted(p for p in target.rglob("*.apk") if p.is_file()) if is_dir else [target]
+    paths = [str(p) for p in apks]
     if not paths:
         print("no APKs found", file=sys.stderr)
         return EXIT_ERROR

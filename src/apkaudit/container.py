@@ -227,11 +227,6 @@ def _zip64_fields(extra: bytes, usize: int, csize: int, local: int) -> tuple[int
     return usize, csize, local
 
 
-def find_apks(directory) -> list[Path]:
-    """The sorted ``*.apk`` files under ``directory``; no folder (``com.acme.apk/``)."""
-    return sorted(p for p in Path(directory).rglob("*.apk") if p.is_file())
-
-
 def read_entry(a: ApkArtifact, name: str) -> bytes:
     """Fully decompress the kept entry of this name, verifying its size and
     CRC-32.

@@ -134,16 +134,15 @@ class CodeModel:
         # one object per distinct register tuple, shared by all of the app's instructions
         self.register_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def add_class(self, cls: DexClass) -> bool:
+    def add_class(self, cls: DexClass) -> None:
         if cls.descriptor in self.classes:
             self.warnings.append(f"duplicate class {cls.descriptor} (first definition wins)")
-            return False
+            return
         self.classes[cls.descriptor] = cls
         for m in cls.methods:
             if self._method_index.setdefault(m.key, m) is not m:
                 self.warnings.append(f"duplicate method {m.key} (first definition wins)")
         cls.methods = [m for m in cls.methods if self._method_index[m.key] is m]
-        return True
 
     def method(self, key: str) -> DexMethod | None:
         return self._method_index.get(key)

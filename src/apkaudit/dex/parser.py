@@ -329,9 +329,9 @@ def method_body(model: CodeModel, key: str) -> list[Instruction]:
     """Instruction list of a concrete method."""
     m = model.method(key)
     if m is None:
-        raise ApkAuditError(key, "dex.unknown_method")
+        raise ApkAuditError(f"no method {key}", "dex.unknown_method")
     if not m.is_concrete:
-        raise ApkAuditError(key, "dex.abstract_method")
+        raise ApkAuditError(f"{key} has no code (abstract or native)", "dex.abstract_method")
     return m.instructions
 
 

@@ -353,7 +353,8 @@ class _Engine:
                 for tokens in arg_tokens:
                     for t in tokens:
                         if isinstance(t, SrcToken):
-                            findings.append(self._finding(t, target, channel, (key, ins[OFFSET]), t.path))
+                            findings.append(LeakFinding(t.source, target, channel, t.site,
+                                                        (key, ins[OFFSET]), t.path, t.label))
                         else:
                             sink_hits.add(SinkHit(t, target, channel, (key, ins[OFFSET]), (key,)))
             if summary is None:
@@ -367,8 +368,8 @@ class _Engine:
                         if isinstance(t, int):
                             sink_hits.add(hit._replace(param=t, suffix=suffix))
                         elif len(t.path) + len(hit.suffix) - 1 <= self.depth:
-                            findings.append(self._finding(t, hit.sink, hit.channel, hit.site,
-                                                          t.path + hit.suffix))
+                            findings.append(LeakFinding(t.source, hit.sink, hit.channel, t.site,
+                                                        hit.site, t.path + hit.suffix, t.label))
                 ret: set = set()
                 for t in summary.ret:
                     if isinstance(t, int):
@@ -383,9 +384,6 @@ class _Engine:
         if label is not None:
             result = result | {SrcToken(target, label, (key, ins[OFFSET]), (key,))}
         return result
-
-    def _finding(self, t: SrcToken, sink: str, channel: str, sink_site, path) -> LeakFinding:
-        return LeakFinding(t.source, sink, channel, t.site, sink_site, tuple(path), t.label)
 
 
 def _store(tokens, fk: str, param_fields: set, field_writes: dict) -> None:

@@ -57,22 +57,25 @@ def load_detection(config: AnalysisConfig) -> Detection:
     return Detection(authorities, rules, apis, spec, internet_spec)
 
 
-def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") -> AppReport:
+def analyze_apk(path, config: AnalysisConfig | None = None) -> AppReport:
     """Full pipeline for one APK; analyzer failures degrade to warnings.
 
-    The detection data of ``config`` is loaded on first use and cached per
-    process for each config (``load_detection``), so a bad data file raises
-    ApkAuditError before any APK is opened.
+    A negative depth raises ``config.depth``.  The detection data of
+    ``config`` is loaded on first use and cached per process for each config
+    (``load_detection``), so a bad data file raises ApkAuditError before any
+    APK is opened.
 
     Automatic cycle collection is paused for the call and the caller's
     setting restored on return.  The analysers create no reference cycles,
     so the code model is freed by reference counting as soon as the report
     is built, and the collector would only walk live objects meanwhile.
     """
+    config = config or AnalysisConfig()
+    if config.depth < 0:
+        raise ApkAuditError(f"depth must be at least 0, not {config.depth}", "config.depth")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        config = config or AnalysisConfig()
         data = load_detection(config)
         t0 = time.monotonic()
         timings: dict[str, float] = {}
@@ -129,7 +132,6 @@ def analyze_apk(path, config: AnalysisConfig | None = None, device: str = "") ->
             art.sha256,
             *header,
             signer_label=data.authorities.label(art.signers),
-            device=device,
             leaks=tuple(leaks),
             behaviors=tuple(behaviors),
             exported_components=tuple(exported),

@@ -279,7 +279,8 @@ def test_c8_determinism_roundtrip_reindex(corpus, tmp_path):
     entries_before = json.loads(idx.to_json())["entries"]
     again = index_corpus(pulled, idx, "D")
     assert json.loads(again.to_json())["entries"] == entries_before
-    restored = index_corpus(pulled, type(idx).from_json(idx.to_json(), "index"), "D")
+    (tmp_path / "index.json").write_text(idx.to_json())
+    restored = index_corpus(pulled, type(idx).load(tmp_path / "index.json"), "D")
     assert json.loads(restored.to_json())["entries"] == entries_before
 
 

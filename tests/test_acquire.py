@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,14 @@ def test_index_corpus_dedup_and_labels(tmp_path):
     assert by_label["Google"]["split"] is True
 
 
+def test_index_corpus_names_an_unreadable_file_once(tmp_path, caplog):
+    notes = tmp_path / "corpus" / "com.b" / "notes.apk"
+    with caplog.at_level(logging.WARNING, logger="apkaudit.acquire"):
+        index_corpus(_pulled(tmp_path), None, "DEV1")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"unreadable file skipped: {notes}: File is not a zip file", "1 unreadable files skipped"]
+
+
 def test_index_holds_only_what_was_pulled(tmp_path):
     pulled = _pulled(tmp_path)
     a_only = {p: pkg for p, pkg in pulled.items() if pkg.package == "com.a"}
@@ -360,7 +369,8 @@ def test_index_merge_and_idempotence(tmp_path):
 def test_index_json_roundtrip(tmp_path):
     idx = index_corpus(_pulled(tmp_path), None, "DEV1")
     text = idx.to_json()
-    back = CorpusIndex.from_json(text, "corpus-index.json")
+    (tmp_path / "corpus-index.json").write_text(text)
+    back = CorpusIndex.load(tmp_path / "corpus-index.json")
     assert back.entries == idx.entries
     assert back.to_json() == text
     assert (back.created, back.updated) == (idx.created, idx.updated)

@@ -13,6 +13,7 @@ from apkaudit.leaks import DEFAULT_SPEC
 
 from .conftest import EXTRA_SINKS
 from .fixtures.apk_writer import build_apk
+from .fixtures.dex_writer import ACC_ABSTRACT, ACC_PUBLIC, DexWriter, MethodDef
 from .test_acquire import _transcript
 from .test_axml import nested_manifest
 from .test_imports import _python
@@ -304,10 +305,10 @@ def test_scan_survives_an_analyser_fault_in_one_app(corpus, tmp_path, capsys, mo
     faulty = src / "silent_install.apk"
     analyze_apk = apkaudit.report.analyze_apk
 
-    def analyze_or_fail(path, config=None, device=""):
+    def analyze_or_fail(path, config=None):
         if Path(path) == faulty:
             raise RuntimeError("analyser fault")
-        return analyze_apk(path, config, device)
+        return analyze_apk(path, config)
 
     # forked --jobs workers inherit the patched module
     monkeypatch.setattr(apkaudit.report, "analyze_apk", analyze_or_fail)
@@ -328,10 +329,10 @@ def test_scan_worker_that_dies_costs_only_its_own_app(corpus, tmp_path, capsys, 
     fatal = src / "2-sms_delete.apk"
     analyze_apk = apkaudit.report.analyze_apk
 
-    def analyze_or_die(path, config=None, device=""):
+    def analyze_or_die(path, config=None):
         if Path(path) == fatal:
             os._exit(3)  # the worker process ends without a word
-        return analyze_apk(path, config, device)
+        return analyze_apk(path, config)
 
     monkeypatch.setattr(apkaudit.report, "analyze_apk", analyze_or_die)
     out = tmp_path / "reports"
@@ -353,12 +354,12 @@ def test_scan_whose_workers_all_die_analyses_the_rest_itself(corpus, tmp_path, c
     exits, killed = src / "2-sms_delete.apk", src / "3-unsigned.apk"
     analyze_apk = apkaudit.report.analyze_apk
 
-    def analyze_or_die(path, config=None, device=""):
+    def analyze_or_die(path, config=None):
         if Path(path) == exits:
             os._exit(3)
         if Path(path) == killed:
             os.kill(os.getpid(), signal.SIGKILL)
-        return analyze_apk(path, config, device)
+        return analyze_apk(path, config)
 
     # each of the two workers takes one of the two fatal apps before the last two
     # are handed out, so no worker is left for those: the scan analyses them itself
@@ -646,6 +647,20 @@ def test_dump_dex_single_method(corpus, capsys):
     assert "pm install -r" in out
 
 
+@pytest.mark.parametrize("key, message", [
+    ("La;->b()V", "no method La;->b()V"),
+    ("La/A;->virt()V", "La/A;->virt()V has no code (abstract or native)"),
+], ids=["unknown", "abstract"])
+def test_dump_dex_of_a_method_without_code_names_the_fault(tmp_path, capsys, key, message):
+    w = DexWriter()
+    w.add_class("La/A;", access=ACC_PUBLIC | ACC_ABSTRACT, methods=[
+        MethodDef("virt", (), "V", access=ACC_PUBLIC | ACC_ABSTRACT, registers=0, code=None)])
+    apk = build_apk(tmp_path / "abstract.apk", {"AndroidManifest.xml": b"", "classes.dex": w.build()})
+    assert main(["dump-dex", str(apk), "--method", key]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_acquire_with_transcript(tmp_path, capsys):
     tr = _transcript(tmp_path)
     tr_path = tmp_path / "transcript.json"
@@ -733,6 +748,11 @@ def test_acquire_with_a_serial_that_cannot_name_a_folder_is_an_error(tmp_path, c
     (b"not json", "JSONDecodeError: Expecting value"),
     (b"\x80 not UTF-8", "UnicodeDecodeError: 'utf-8' codec"),
     (b'{"entries": {"ab12": {"packages": []}}}', "KeyError: 'path'"),
+    # a set field read as it stands would be a set of its characters, or of numbers
+    (b'{"entries": {"ab12": {"path": "p", "packages": "com.a", "devices": [], "partition_folders": [],'
+     b' "signer_label": "", "split": false}}}', "TypeError: 'packages' is not a list of strings: 'com.a')"),
+    (b'{"entries": {"ab12": {"path": "p", "packages": [], "devices": [7], "partition_folders": [],'
+     b' "signer_label": "", "split": false}}}', "TypeError: 'devices' is not a list of strings: [7])"),
     (None, "IsADirectoryError: [Errno 21] Is a directory"),  # a directory named like the index
 ])
 def test_acquire_with_a_bad_prior_index_is_an_error(tmp_path, capsys, content, reason):

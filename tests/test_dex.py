@@ -172,9 +172,9 @@ def test_abstract_and_unknown_method_errors():
     ])
     model = parse_dex(w.build())
     assert model.method("La/A;->virt()V").access_flags & ACC_ABSTRACT
-    with raises_code("dex.abstract_method"):
+    with raises_code("dex.abstract_method", match=r"^La/A;->virt\(\)V has no code \(abstract or native\)$"):
         method_body(model, "La/A;->virt()V")
-    with raises_code("dex.unknown_method"):
+    with raises_code("dex.unknown_method", match=r"^no method La/A;->missing\(\)V$"):
         method_body(model, "La/A;->missing()V")
 
 

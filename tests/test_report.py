@@ -144,6 +144,15 @@ def test_analyze_not_a_zip_propagates(tmp_path):
         analyze_apk(bad)
 
 
+def test_a_negative_depth_is_refused_before_the_apk_is_opened(corpus, tmp_path):
+    config = AnalysisConfig(extra_sinks_path=str(EXTRA_SINKS), depth=-1)
+    with raises_code("config.depth", match="^depth must be at least 0, not -1$"):
+        analyze_apk(tmp_path / "no-such.apk", config)
+    # depth 0 still gives a report; each of listing5_leak's leaks crosses a call, so it has none
+    assert len(analyze_apk(corpus["listing5_leak"], config._replace(depth=5)).leaks) == 4
+    assert analyze_apk(corpus["listing5_leak"], config._replace(depth=0)).leaks == ()
+
+
 def test_analyze_degrades_without_manifest(tmp_path):
     p = build_apk(tmp_path / "noman.apk", {"classes.dex": b"xx", "a": b"b"})
     report = analyze_apk(p)
